@@ -4,7 +4,7 @@ This is the fallback for the compiled kernel in ``_simplex_cy``.  The two
 implementations are kept *bitwise* interchangeable: every floating-point
 expression is written as the same sequence of elementwise multiply/divide/
 subtract operations (the extension is compiled with -ffp-contract=off so no
-FMA contraction sneaks in), every reduction is a sequential loop in row
+FMA contraction sneaks in), every reduction is sequential in row
 order, and all tie-breaking is strict-inequality / lowest-index.  The
 benchmark and parity tests assert identical pivot sequences and end states.
 
@@ -40,13 +40,16 @@ ITER_LIMIT = 4
 _INF = np.inf
 
 
-def _infeasibility(xB: np.ndarray, basis: np.ndarray, n_art_start: int) -> float:
-    # sequential row-order sum; mirrors the C loop exactly
-    s = 0.0
-    for i in range(basis.shape[0]):
-        if basis[i] >= n_art_start:
-            s += xB[i]
-    return s
+def infeasibility(xB: np.ndarray, basis: np.ndarray, n_art_start: int) -> float:
+    """Sum of the basic artificials' values, in row order like the C loop.
+
+    ``np.add.accumulate`` adds sequentially, and adding the 0.0 of a
+    non-artificial row leaves a partial sum unchanged, so the result equals
+    the compiled kernel's loop bit for bit.
+    """
+    if basis.shape[0] == 0:
+        return 0.0
+    return float(np.add.accumulate(np.where(basis >= n_art_start, xB, 0.0))[-1])
 
 
 def run_phase(
@@ -71,7 +74,7 @@ def run_phase(
     banned = np.zeros(n, dtype=np.int8)
 
     while True:
-        if phase1 and _infeasibility(xB, basis, n_art_start) <= stop_sum:
+        if phase1 and infeasibility(xB, basis, n_art_start) <= stop_sum:
             return REACHED_STOP, iters
         if iters >= max_iter:
             return ITER_LIMIT, iters

@@ -10,6 +10,15 @@ tolerance 1e-7, reduced-cost tolerance 1e-7, pivots below 1e-11 are never
 taken (NumericalBreakdown when no alternative exists).  Optimal points are
 re-checked against every constraint independently of the solver state —
 a failed recheck raises rather than returning a silently wrong answer.
+
+Warm start: an optimal outcome carries its final tableau state, and
+``solve_dense(..., start=out.state)`` re-solves the same rows under new
+column bounds (and any objective) from it.  Nonbasic columns whose bounds
+changed move to the nearest new bound; every basic variable then outside its
+bounds is parked at its nearest bound and a fresh artificial, a unit column
+of the current tableau carrying the gap, takes its place in that row.  The
+unchanged phase 1 / phase 2 then finish the solve, so a child that differs
+from its parent in one bound costs a few pivots instead of a cold phase 1.
 """
 
 from __future__ import annotations
@@ -20,6 +29,7 @@ from typing import Dict, List, Optional, Sequence, Union
 import numpy as np
 
 from . import kernels
+from ._simplex_py import infeasibility
 from .errors import NumericalBreakdownError, ShapeError
 
 FEAS_TOL = 1e-7
@@ -111,6 +121,9 @@ class LpOutcome:
     status: str
     point: Optional[np.ndarray] = None
     objective_value: Optional[float] = None
+    pivots: int = 0  # kernel iterations (pivots and bound flips) of this solve
+    # (T, xB, basis, vstat, lo_all, hi_all) of an optimal solve, for start=
+    state: Optional[tuple] = field(default=None, repr=False, compare=False)
 
 
 def _initial_state(c, A, rels, b, lo, hi):
@@ -150,6 +163,61 @@ def _initial_state(c, A, rels, b, lo, hi):
     return T, xB, basis, vstat_all, lo_all, hi_all, n_art
 
 
+def _warm_state(start, A, lo, hi):
+    """Re-seat a previous solve's final state (same rows) on new column bounds."""
+    T, xB, basis, vstat, lo_all, hi_all = start
+    m, n = A.shape
+    nm = n + m
+    if T.shape[0] != m or T.shape[1] < nm:
+        raise ShapeError("start state does not match the LP's rows and columns")
+    xB, basis, vstat = xB.copy(), basis.copy(), vstat.copy()
+    lo_all, hi_all = lo_all.copy(), hi_all.copy()
+
+    # nonbasic structurals whose bounds changed move to the nearest new bound
+    vs = vstat[:n]
+    old_val = np.where(vs == 1, lo_all[:n], np.where(vs == 2, hi_all[:n], 0.0))
+    moved = (vs != 0) & ((lo != lo_all[:n]) | (hi != hi_all[:n]))
+    nearer_lo = np.abs(old_val - lo) <= np.abs(hi - old_val)
+    to_lo = np.isfinite(lo) & (nearer_lo | ~np.isfinite(hi))
+    new_stat = np.where(to_lo, 1, np.where(np.isfinite(hi), 2, 3))
+    new_val = np.where(new_stat == 1, lo, np.where(new_stat == 2, hi, 0.0))
+    cols = np.nonzero(moved)[0]
+    if cols.shape[0]:
+        xB -= T[:, cols] @ (new_val[cols] - old_val[cols])
+        vstat[cols] = new_stat[cols]
+    lo_all[:n] = lo
+    hi_all[:n] = hi
+
+    # basic variables outside their bounds are parked at the nearest one
+    blo, bhi = lo_all[basis], hi_all[basis]
+    below, above = xB < blo, xB > bhi
+    rows = np.nonzero(below | above)[0]
+    target = np.where(below, blo, bhi)[rows]
+    gap = xB[rows] - target
+    sigma = np.where(gap > 0, 1.0, -1.0)
+    vstat[basis[rows]] = np.where(below[rows], 1, 2)
+
+    # nonbasic artificials sit at 0 for good: drop them, then add one fresh
+    # artificial per parked row, which pivots in as a +1 unit column
+    keep = np.concatenate([np.arange(nm), nm + np.nonzero(vstat[nm:] == 0)[0]])
+    renum = np.zeros(T.shape[1], dtype=np.int64)
+    renum[keep] = np.arange(keep.shape[0])
+    n_art = rows.shape[0]
+    N = keep.shape[0] + n_art
+    T_new = np.zeros((m, N))
+    T_new[:, : keep.shape[0]] = T[:, keep]
+    T_new[rows, :] *= sigma[:, None]
+    basis = renum[basis]
+    basis[rows] = keep.shape[0] + np.arange(n_art)
+    T_new[rows, basis[rows]] = 1.0
+    xB[rows] = np.abs(gap)
+
+    lo_all = np.concatenate([lo_all[keep], np.zeros(n_art)])
+    hi_all = np.concatenate([hi_all[keep], np.full(n_art, np.inf)])
+    vstat = np.concatenate([vstat[keep], np.zeros(n_art, dtype=np.int64)])
+    return T_new, xB, basis, vstat, lo_all, hi_all, n_art
+
+
 def _extract(vstat, lo_all, hi_all, basis, xB, n):
     x_all = np.where(vstat == 1, lo_all, np.where(vstat == 2, hi_all, 0.0))
     x_all[basis] = xB
@@ -171,8 +239,14 @@ def _recheck(x, A, rels, b, lo, hi) -> Optional[str]:
     return None
 
 
-def solve_dense(c, A, rels, b, lo, hi, kernel=None, check: bool = True) -> LpOutcome:
-    """Solve one dense LP; raises NumericalBreakdownError, never lies."""
+def solve_dense(
+    c, A, rels, b, lo, hi, kernel=None, check: bool = True, start=None
+) -> LpOutcome:
+    """Solve one dense LP; raises NumericalBreakdownError, never lies.
+
+    ``start`` is the ``state`` of an earlier optimal outcome over the same
+    ``A, rels, b``; the solve then begins from its basis (see module doc).
+    """
     run = kernels.run_phase if kernel is None else kernel
     c = np.ascontiguousarray(c, dtype=np.float64)
     A = np.ascontiguousarray(A, dtype=np.float64)
@@ -190,29 +264,30 @@ def solve_dense(c, A, rels, b, lo, hi, kernel=None, check: bool = True) -> LpOut
     if (lo > hi).any():
         return LpOutcome(INFEASIBLE)
 
-    T, xB, basis, vstat, lo_all, hi_all, n_art = _initial_state(c, A, rels, b, lo, hi)
+    if start is None:
+        T, xB, basis, vstat, lo_all, hi_all, n_art = _initial_state(c, A, rels, b, lo, hi)
+    else:
+        T, xB, basis, vstat, lo_all, hi_all, n_art = _warm_state(start, A, lo, hi)
     N = T.shape[1]
     dantzig_limit = 10 * (m + N)
+    pivots = 0
 
     if n_art > 0:
         c1 = np.zeros(N)
         c1[n + m :] = 1.0
         z = c1 - np.dot(c1[basis], T)
         z[basis] = 0.0
-        status, _ = run(
+        status, iters = run(
             T, z, xB, basis, vstat, lo_all, hi_all,
             n + m, 1, STOP_SUM, dantzig_limit, MAX_ITER, OPT_TOL, TINY,
         )
+        pivots += iters
         if status in (kernels.TINY_PIVOT, kernels.ITER_LIMIT):
             raise NumericalBreakdownError(f"phase 1 stalled (kernel status {status})")
         if status == kernels.UNBOUNDED:
             raise NumericalBreakdownError("phase-1 objective reported unbounded")
-        infeas = 0.0
-        for i in range(m):
-            if basis[i] >= n + m:
-                infeas += xB[i]
-        if infeas > STOP_SUM:
-            return LpOutcome(INFEASIBLE)
+        if infeasibility(xB, basis, n + m) > STOP_SUM:
+            return LpOutcome(INFEASIBLE, pivots=pivots)
         # freeze artificials (basic or not) so phase 2 cannot reopen them
         lo_all[n + m :] = 0.0
         hi_all[n + m :] = 0.0
@@ -221,12 +296,13 @@ def solve_dense(c, A, rels, b, lo, hi, kernel=None, check: bool = True) -> LpOut
         c2 = np.concatenate([c, np.zeros(N - n)])
         z = c2 - np.dot(c2[basis], T)
         z[basis] = 0.0
-        status, _ = run(
+        status, iters = run(
             T, z, xB, basis, vstat, lo_all, hi_all,
             n + m, 0, -1.0, dantzig_limit, MAX_ITER, OPT_TOL, TINY,
         )
+        pivots += iters
         if status == kernels.UNBOUNDED:
-            return LpOutcome(UNBOUNDED)
+            return LpOutcome(UNBOUNDED, pivots=pivots)
         if status != kernels.OPTIMAL:
             raise NumericalBreakdownError(f"phase 2 stalled (kernel status {status})")
 
@@ -235,7 +311,8 @@ def solve_dense(c, A, rels, b, lo, hi, kernel=None, check: bool = True) -> LpOut
         msg = _recheck(x, A, rels, b, lo, hi)
         if msg is not None:
             raise NumericalBreakdownError(f"optimal point failed recheck: {msg}")
-    return LpOutcome(OPTIMAL, x, float(np.dot(c, x)))
+    state = (T, xB, basis, vstat, lo_all, hi_all)
+    return LpOutcome(OPTIMAL, x, float(np.dot(c, x)), pivots, state)
 
 
 def lp_solve(lp: LinearProgram, kernel=None, check: bool = True) -> LpOutcome:

@@ -12,6 +12,11 @@ still produces no replayable point poisons any Safe conclusion: the final
 verdict degrades to unknown instead (never discard-and-certify).
 Exploration is depth-first, branching on the binary nearest 0.5 (lowest
 index on ties) with the closer phase first, so witnesses surface early.
+The root LP is solved cold; every child, and the polish re-solve of a leaf,
+starts from the final simplex basis of the node it came from (lp.py's warm
+start), so it repairs one fixed binary in a few pivots.  A warm solve that
+breaks down numerically is retried once cold before the node is given up;
+only a cold breakdown degrades the verdict.
 
 Verdicts: safe — the tree was exhausted; unsafe — a replayed witness exists;
 unknown — the node/time budget ran out or an LP broke down numerically
@@ -30,7 +35,7 @@ import numpy as np
 from .bounds import contains
 from .characterizer import decide
 from .errors import NumericalBreakdownError, ShapeError
-from .lp import INFEASIBLE, OPTIMAL, solve_dense
+from .lp import INFEASIBLE, OPTIMAL, LpOutcome, solve_dense
 from .milp import INTEGRALITY_TOL, MilpProblem, SafetyQuery, encode
 from .network import Network, forward
 
@@ -39,6 +44,11 @@ UNSAFE = "unsafe"
 UNKNOWN = "unknown"
 
 WITNESS_TOL = 1e-6
+
+# (lo, hi, start): a node's column bounds and the final LP state of its
+# parent (None at the root); the state is shared by both children and only
+# copied when one of them is solved
+Node = Tuple[np.ndarray, np.ndarray, Optional[tuple]]
 
 
 @dataclass(frozen=True)
@@ -97,6 +107,7 @@ class _Search:
         self.t0 = time.monotonic()
         self.nodes = 0
         self.lp_solves = 0
+        self.pivots = 0
         self.warnings: List[str] = []
         self.witness: Optional[np.ndarray] = None
         self.witness_output: Optional[np.ndarray] = None
@@ -111,15 +122,31 @@ class _Search:
             or time.monotonic() - self.t0 > self.budget.max_seconds
         )
 
-    def process(self, lo: np.ndarray, hi: np.ndarray) -> List[Tuple[np.ndarray, np.ndarray]]:
+    def _solve(self, c: np.ndarray, lo: np.ndarray, hi: np.ndarray, start) -> LpOutcome:
+        """One LP solve, warm from `start` when given; a warm breakdown is
+        retried cold once (counted as one more LP solve), a cold one raises."""
+        out = None
+        if start is not None:
+            try:
+                out = solve_dense(
+                    c, self.A, self.rels, self.b, lo, hi, kernel=self.kernel, start=start
+                )
+            except NumericalBreakdownError:
+                with self._lock:
+                    self.lp_solves += 1
+        if out is None:
+            out = solve_dense(c, self.A, self.rels, self.b, lo, hi, kernel=self.kernel)
+        with self._lock:
+            self.pivots += out.pivots
+        return out
+
+    def process(self, lo: np.ndarray, hi: np.ndarray, start) -> List[Node]:
         """Solve one node; returns child nodes (near phase last = popped first)."""
         with self._lock:
             self.nodes += 1
             self.lp_solves += 1
         try:
-            out = solve_dense(
-                self.c, self.A, self.rels, self.b, lo, hi, kernel=self.kernel
-            )
+            out = self._solve(self.c, lo, hi, start)
         except NumericalBreakdownError as exc:
             with self._lock:
                 self.breakdown = True
@@ -142,7 +169,7 @@ class _Search:
         if integral.all():
             w, rep, ok = self._try_witness(x[: self.cut_dim])
             if not ok and fixed.all():
-                for cand in self._polish_candidates(x, lo, hi):
+                for cand in self._polish_candidates(x, lo, hi, out.state):
                     w, rep, ok = self._try_witness(cand)
                     if ok:
                         break
@@ -170,7 +197,7 @@ class _Search:
             clo, chi = lo.copy(), hi.copy()
             clo[col] = phase
             chi[col] = phase
-            children.append((clo, chi))
+            children.append((clo, chi, out.state))
         return children
 
     def _try_witness(self, cand: np.ndarray):
@@ -179,7 +206,7 @@ class _Search:
         ok = rep["in_bounds"] and rep["characterizer"] == 1 and rep["risk_satisfied"]
         return w, rep, ok
 
-    def _polish_candidates(self, x: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    def _polish_candidates(self, x: np.ndarray, lo: np.ndarray, hi: np.ndarray, start):
         """Fallback witness candidates for an all-fixed leaf that failed replay.
 
         The zero-objective solve lands on an arbitrary vertex, frequently on
@@ -188,7 +215,8 @@ class _Search:
         decimal-snapping the candidate (simplex eliminations leave ~1e-15
         dirt on coordinates that are really short rationals), and re-solving
         the leaf with a logit-maximizing objective to move the candidate as
-        deep into the phi region as the leaf allows.
+        deep into the phi region as the leaf allows; it starts from the
+        leaf's own final basis (`start`), so it runs phase 2 only.
         """
         for digits in (12, 9, 6):
             yield np.round(x[: self.cut_dim], digits)
@@ -197,9 +225,7 @@ class _Search:
         c = np.zeros_like(self.c)
         c[self.prob.logit_col] = -1.0  # minimize -logit
         try:
-            out = solve_dense(
-                c, self.A, self.rels, self.b, lo, hi, kernel=self.kernel
-            )
+            out = self._solve(c, lo, hi, start)
         except NumericalBreakdownError as exc:
             with self._lock:
                 self.breakdown = True
@@ -214,21 +240,20 @@ class _Search:
 
 
 def _run_serial(search: _Search) -> None:
-    stack = [(search.lo0.copy(), search.hi0.copy())]
+    stack = [(search.lo0.copy(), search.hi0.copy(), None)]
     while stack:
         if search.witness is not None:
             return
         if search.out_of_budget():
             search.exhausted_budget = True
             return
-        lo, hi = stack.pop()
-        stack.extend(search.process(lo, hi))
+        stack.extend(search.process(*stack.pop()))
 
 
 def _run_parallel(search: _Search, workers: int) -> None:
     lock = threading.Lock()
     cv = threading.Condition(lock)
-    stack = [(search.lo0.copy(), search.hi0.copy())]
+    stack = [(search.lo0.copy(), search.hi0.copy(), None)]
     active = [0]
     stop = [False]
 
@@ -280,6 +305,7 @@ def verify(
     stats = {
         "nodes_explored": search.nodes,
         "lp_solves": search.lp_solves,
+        "pivots": search.pivots,
         "wall_time": wall,
     }
     conditional = query.bounds.provenance == "dataset"

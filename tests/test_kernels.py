@@ -39,6 +39,20 @@ def test_outcomes_bitwise_identical_on_random_lps():
             # not approx-equal: equal to the last bit, including the point
             assert out_py.objective_value == out_ext.objective_value
             assert np.array_equal(out_py.point, out_ext.point)
+            # a warm re-solve with column 0 pinned, each from its own state
+            lo2, hi2 = lo.copy(), hi.copy()
+            hi2[0] = lo2[0]
+            warm_py = solve_dense(
+                c, A, rels, b, lo2, hi2, kernel=av["py"], start=out_py.state
+            )
+            warm_ext = solve_dense(
+                c, A, rels, b, lo2, hi2, kernel=av["ext"], start=out_ext.state
+            )
+            assert warm_py.status == warm_ext.status
+            assert warm_py.pivots == warm_ext.pivots
+            if warm_py.status == OPTIMAL:
+                assert warm_py.objective_value == warm_ext.objective_value
+                assert np.array_equal(warm_py.point, warm_ext.point)
     assert OPTIMAL in statuses
 
 

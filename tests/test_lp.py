@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from safecut._simplex_py import infeasibility
 from safecut.errors import NumericalBreakdownError
 from safecut.lp import (
     FEAS_TOL,
@@ -123,6 +124,55 @@ def test_against_vertex_enumeration_oracle():
             n_inf += 1
     # the generator must exercise both outcomes or the sweep proves nothing
     assert n_opt >= 20 and n_inf >= 20
+
+
+def test_warm_start_agrees_with_cold_solve():
+    # a child LP pins one column of its parent's LP; solved from the parent's
+    # final state it must reach the cold solve's status and optimum
+    rng = np.random.default_rng(31)
+    seen = set()
+    for _ in range(200):
+        c, A, rels, b, lo, hi = synth.random_lp(rng)
+        parent = solve_dense(c, A, rels, b, lo, hi)
+        if parent.status != OPTIMAL:
+            continue
+        # the parent's own bounds from its own state: nothing left to pivot
+        again = solve_dense(c, A, rels, b, lo, hi, start=parent.state)
+        assert again.pivots == 0
+        assert again.objective_value == pytest.approx(parent.objective_value, abs=1e-9)
+        # a new objective over the same bounds (the witness polish): phase 2 only
+        c2 = rng.integers(-5, 6, len(c)).astype(np.float64)
+        warm = solve_dense(c2, A, rels, b, lo, hi, start=parent.state)
+        cold = solve_dense(c2, A, rels, b, lo, hi)
+        assert warm.status == cold.status == OPTIMAL
+        assert warm.objective_value == pytest.approx(cold.objective_value, abs=1e-9)
+        j = int(rng.integers(len(c)))
+        for v in (lo[j], hi[j], 0.5 * (lo[j] + hi[j])):
+            clo, chi = lo.copy(), hi.copy()
+            clo[j] = chi[j] = v
+            warm = solve_dense(c, A, rels, b, clo, chi, start=parent.state)
+            cold = solve_dense(c, A, rels, b, clo, chi)
+            assert warm.status == cold.status
+            seen.add(cold.status)
+            if cold.status == OPTIMAL:
+                assert warm.objective_value == pytest.approx(cold.objective_value, abs=1e-9)
+    assert seen == {OPTIMAL, INFEASIBLE}
+
+
+def test_infeasibility_sum_matches_row_order_loop():
+    # the compiled kernel sums in row order; the NumPy helper must match it
+    # bit for bit, where a pairwise sum would differ in the last digits
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        m = int(rng.integers(0, 40))
+        xB = rng.normal(size=m) * 10.0 ** rng.integers(-12, 4, m)
+        basis = rng.integers(0, 30, m)
+        n_art_start = int(rng.integers(0, 30))
+        want = 0.0
+        for i in range(m):
+            if basis[i] >= n_art_start:
+                want += xB[i]
+        assert infeasibility(xB, basis, n_art_start) == want
 
 
 def test_tiny_pivot_breaks_down_loudly():

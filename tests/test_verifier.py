@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from safecut import kernels, verifier
 from safecut.bounds import ActivationBounds
 from safecut.characterizer import Characterizer
 from safecut.milp import RiskClause, RiskCondition, SafetyQuery
@@ -78,7 +79,7 @@ def test_phi_region_constrains_search():
     assert v.status == "safe"
 
 
-def test_budget_exhaustion_is_unknown():
+def _fractional_root_query():
     # relu cut with a fractional-only root relaxation: phi forces v <= -0.5 so
     # the true region is empty, but the root LP admits only fractional a
     net = Network(
@@ -99,6 +100,11 @@ def test_budget_exhaustion_is_unknown():
     query = SafetyQuery(
         cut_layer=1, bounds=bounds, characterizer=_head(1, [-1.0], -0.5), risk=risk
     )
+    return net, query
+
+
+def test_budget_exhaustion_is_unknown():
+    net, query = _fractional_root_query()
     full = verify(net, query)
     assert full.status == "safe"
     assert full.stats["nodes_explored"] >= 3  # root + both phases
@@ -106,6 +112,33 @@ def test_budget_exhaustion_is_unknown():
     clipped = verify(net, query, budget=Budget(max_nodes=1))
     assert clipped.status == "unknown"
     assert any("budget" in w for w in clipped.warnings)
+
+
+def test_warm_breakdown_falls_back_to_cold_solve(monkeypatch):
+    net, query = _fractional_root_query()
+    plain = verify(net, query)
+
+    warm = [False]
+    failed = []
+    real_solve = verifier.solve_dense
+
+    def tracking_solve(*args, start=None, **kwargs):
+        warm[0] = start is not None
+        return real_solve(*args, start=start, **kwargs)
+
+    def kernel(*args):
+        if warm[0] and not failed:
+            failed.append(True)
+            return kernels.TINY_PIVOT, 0
+        return kernels.run_phase(*args)
+
+    monkeypatch.setattr(verifier, "solve_dense", tracking_solve)
+    got = verify(net, query, kernel=kernel)
+    assert failed, "no warm solve reached the kernel"
+    assert got.status == plain.status == "safe"
+    assert not any("lp breakdown" in w for w in got.warnings)
+    assert got.stats["nodes_explored"] == plain.stats["nodes_explored"]
+    assert got.stats["lp_solves"] == plain.stats["lp_solves"] + 1
 
 
 def test_spurious_integral_solution_does_not_fool_verifier():
@@ -165,6 +198,7 @@ def test_verify_deterministic_rerun():
     assert a.status == b.status
     assert a.stats["nodes_explored"] == b.stats["nodes_explored"]
     assert a.stats["lp_solves"] == b.stats["lp_solves"]
+    assert a.stats["pivots"] == b.stats["pivots"] > 0
     if a.witness is not None:
         assert np.array_equal(a.witness, b.witness)
         assert np.array_equal(a.witness_output, b.witness_output)
