@@ -10,9 +10,9 @@ import numpy as np
 
 from . import intervals
 from .errors import EmptyDatasetError, ParseError, ShapeError
-from .network import Dataset, Network, forward
+from .network import Dataset, Network, forward_batch
 
-_BATCH = 4096  # streaming chunk size for dataset scans
+_BATCH = 4096  # chunk size for dataset scans (row-exact: no bit depends on it)
 
 
 @dataclass(frozen=True)
@@ -92,8 +92,6 @@ def dataset_bounds(
     dlo = np.full(d - 1, np.inf) if want_diffs else None
     dhi = np.full(d - 1, -np.inf) if want_diffs else None
 
-    from .network import forward_batch
-
     for start in range(0, len(data), _BATCH):
         acts = forward_batch(net, data.inputs[start : start + _BATCH], 0, layer)
         np.minimum(lo, acts.min(axis=0), out=lo)
@@ -150,20 +148,39 @@ def widen(bounds: ActivationBounds, margin: float) -> ActivationBounds:
     )
 
 
-def contains(bounds: ActivationBounds, activation: np.ndarray, tol: float = 0.0) -> bool:
-    """Membership test used by the monitor; tol allows a numeric skin."""
+def violation_masks(bounds: ActivationBounds, acts: np.ndarray, tol: float = 0.0) -> tuple:
+    """The containment test, on a batch of activations (n, d_l).
+
+    Returns ``(box, diff)``: ``box[r, i]`` marks ``acts[r, i]`` outside
+    ``[lo[i] - tol, hi[i] + tol]``, and ``diff[r, i]`` marks the adjacent
+    difference ``acts[r, i+1] - acts[r, i]`` outside the diff bounds widened
+    by ``tol`` (``diff`` is None for bounds without diffs).
+    """
+    if acts.ndim != 2 or acts.shape[1:] != bounds.lo.shape:
+        raise ShapeError(
+            f"activation batch shape {acts.shape} does not match bounds dim {bounds.lo.shape}"
+        )
+    box = (acts < bounds.lo - tol) | (acts > bounds.hi + tol)
+    if not bounds.has_diffs:
+        return box, None
+    d = np.diff(acts, axis=1)
+    return box, (d < bounds.diff_lo - tol) | (d > bounds.diff_hi + tol)
+
+
+def as_activation(bounds: ActivationBounds, activation) -> np.ndarray:
+    """`activation` as a float vector of the bounds' dimension, or ShapeError."""
     v = np.asarray(activation, dtype=np.float64)
     if v.shape != bounds.lo.shape:
         raise ShapeError(
             f"activation dim {v.shape} does not match bounds dim {bounds.lo.shape}"
         )
-    if (v < bounds.lo - tol).any() or (v > bounds.hi + tol).any():
-        return False
-    if bounds.has_diffs:
-        d = np.diff(v)
-        if (d < bounds.diff_lo - tol).any() or (d > bounds.diff_hi + tol).any():
-            return False
-    return True
+    return v
+
+
+def contains(bounds: ActivationBounds, activation: np.ndarray, tol: float = 0.0) -> bool:
+    """Membership test used by the monitor; tol allows a numeric skin."""
+    box, diff = violation_masks(bounds, as_activation(bounds, activation)[None, :], tol)
+    return not (box.any() or (diff is not None and diff.any()))
 
 
 # ---------------------------------------------------------------------------

@@ -27,10 +27,10 @@ from . import monitor as monitor_mod
 from . import stats as stats_mod
 from .characterizer import TrainConfig, save_characterizer, train_characterizer
 from .characterizer import load_characterizer
-from .errors import ParseError, SafecutError
+from .errors import ParseError, SafecutError, ShapeError
 from .lp import format_lp
 from .milp import encode, load_query, risk_from_obj
-from .network import Dataset, load_dataset, load_network
+from .network import Dataset, forward_batch, load_dataset, load_network
 from .verifier import Budget, SAFE, UNKNOWN, UNSAFE, verify
 
 _EXIT_OK = 0
@@ -142,25 +142,77 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return _VERDICT_EXIT[verdict.status]
 
 
+_MONITOR_READ_BYTES = 1 << 16  # at most this much of stdin per chunk
+
+# json.dumps(report_to_obj(report), sort_keys=True) of a contained row
+_CONTAINED_LINE = '{"contained": true, "sample_id": "%d", "violations": []}\n'
+
+
+def _report_line(report, sample_id: int) -> str:
+    obj = monitor_mod.report_to_obj(report)
+    obj["sample_id"] = str(sample_id)
+    return json.dumps(_jsonable(obj), sort_keys=True) + "\n"
+
+
+def _monitor_chunk(net, b, rows: list, args: argparse.Namespace, first_id: int) -> str:
+    """The report lines of one chunk of stdin rows, sample ids from first_id.
+
+    One parse, one forward and one containment test for the whole chunk; a
+    chunk with a row that does not parse or has the wrong width goes through
+    `monitor_stream` row by row, whose StreamError lines name the bad rows.
+    """
+    try:
+        m = np.array(rows, dtype=np.float64)
+        width = b.dim if args.activations else net.input_dim
+        if m.shape[1:] != (width,):
+            raise ShapeError(f"rows of {m.shape[1:]} cells, expected {width}")
+        acts = m if args.activations else forward_batch(net, m, 0, b.layer)
+        found = monitor_mod.violations(b, acts, args.tolerance)
+    except (ShapeError, ValueError):
+        stream = monitor_mod.monitor_stream(
+            net, b, rows, tolerance=args.tolerance, precomputed=args.activations
+        )
+        return "".join(_report_line(rep, first_id + k) for k, rep in enumerate(stream))
+    lines = []
+    for k in range(len(rows)):
+        bad = found.get(k)
+        if bad is None:
+            lines.append(_CONTAINED_LINE % (first_id + k))
+        else:
+            report = monitor_mod.MonitorReport(contained=False, violations=bad)
+            lines.append(_report_line(report, first_id + k))
+    return "".join(lines)
+
+
 def cmd_monitor(args: argparse.Namespace) -> int:
     net = load_network(args.network)
     b = bounds_mod.load_bounds(args.bounds)
-
-    def rows():
-        # raw string cells: monitor_stream's per-row error handling turns
-        # non-numeric or wrong-length rows into StreamError lines
-        for line in sys.stdin:
-            line = line.strip()
-            if line:
-                yield [p.strip() for p in line.split(",")]
-
-    stream = monitor_mod.monitor_stream(
-        net, b, rows(), tolerance=args.tolerance, precomputed=args.activations
-    )
-    for report in stream:
-        print(json.dumps(_jsonable(monitor_mod.report_to_obj(report)), sort_keys=True))
-        sys.stdout.flush()
-    return _EXIT_OK
+    stdin = sys.stdin.buffer
+    first_id = 0
+    pending = b""
+    while True:
+        # whatever one read returns: a row is reported as soon as its line
+        # is complete, never held back to fill a chunk
+        data = stdin.read1(_MONITOR_READ_BYTES)
+        pending += data
+        cut = len(pending) if not data else pending.rfind(b"\n") + 1
+        block, pending = pending[:cut], pending[cut:]
+        text = block.decode(sys.stdin.encoding, sys.stdin.errors)
+        # universal newlines, as text-mode stdin reads them
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+        # raw string cells: non-numeric or wrong-length rows become
+        # StreamError lines
+        rows = [
+            [p.strip() for p in line.split(",")]
+            for line in map(str.strip, text.split("\n"))
+            if line
+        ]
+        if rows:
+            sys.stdout.write(_monitor_chunk(net, b, rows, args, first_id))
+            sys.stdout.flush()
+            first_id += len(rows)
+        if not data:
+            return _EXIT_OK
 
 
 def cmd_stats(args: argparse.Namespace) -> int:

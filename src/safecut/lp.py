@@ -228,15 +228,18 @@ def _recheck(x, A, rels, b, lo, hi) -> Optional[str]:
     if ((x < lo - FEAS_TOL) | (x > hi + FEAS_TOL)).any():
         return "variable bound violated beyond 1e-7"
     ax = A @ x if x.shape[0] > 0 else np.zeros(A.shape[0])
-    for i in range(A.shape[0]):
-        d = ax[i] - b[i]
-        if rels[i] == REL_LE and d > FEAS_TOL:
-            return f"row {i}: <= violated by {d:.3e}"
-        if rels[i] == REL_GE and -d > FEAS_TOL:
-            return f"row {i}: >= violated by {-d:.3e}"
-        if rels[i] == REL_EQ and abs(d) > FEAS_TOL:
-            return f"row {i}: = violated by {abs(d):.3e}"
-    return None
+    d = ax - b
+    # each row's violation: d for <=, -d for >=, |d| for =
+    excess = np.where(
+        rels == REL_LE,
+        d,
+        np.where(rels == REL_GE, -d, np.where(rels == REL_EQ, np.abs(d), -np.inf)),
+    )
+    bad = np.flatnonzero(excess > FEAS_TOL)
+    if bad.size == 0:
+        return None
+    i = int(bad[0])
+    return f"row {i}: {_STR_OF_REL[int(rels[i])]} violated by {excess[i]:.3e}"
 
 
 def solve_dense(

@@ -1,19 +1,25 @@
 """Runtime assume-guarantee monitor over cut-layer activations.
 
 Proofs done under a dataset envelope hold only while every runtime
-activation stays inside it; `check` tests one activation and reports every
-index-level violation (box and adjacent-difference), `monitor_stream` drives
-the check over a stream of network inputs, surviving malformed rows.
+activation stays inside it.  `violations` is the one containment test: it
+takes a batch of activations (n, d_l), masks box and adjacent-difference
+violations for all rows at once (`bounds.violation_masks`), and builds
+`Violation` records only for the rows outside.  `check` is that test on one
+activation; `monitor_stream` drives it over a stream of network inputs one
+row at a time (so it never waits on a live iterator), surviving malformed
+rows; `safecut monitor` runs it over stdin a chunk of rows at a time.
+Activations come from the row-exact forward pass, so a row of the dataset
+an envelope was built from is contained at tolerance 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List, Optional, Sequence, Union
+from typing import Dict, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .bounds import ActivationBounds
+from .bounds import ActivationBounds, as_activation, violation_masks
 from .errors import ShapeError
 from .network import Network, forward
 
@@ -45,6 +51,39 @@ class StreamError:
     message: str
 
 
+def violations(
+    bounds: ActivationBounds, acts: np.ndarray, tolerance: float = 0.0
+) -> Dict[int, tuple]:
+    """Every box/diff violation beyond `tolerance` of each row of `acts` (n, d_l).
+
+    Maps each row outside the envelope to its violations (box by index, then
+    diff by index); contained rows are absent.
+    """
+    if tolerance < 0:
+        raise ValueError("tolerance must be >= 0")
+    box, diff = violation_masks(bounds, acts, tolerance)
+    bad = box.any(axis=1)
+    if diff is not None:
+        bad |= diff.any(axis=1)
+    out = {}
+    for r in np.flatnonzero(bad).tolist():
+        v = acts[r]
+        found = [
+            Violation("box", i, float(v[i]), float(bounds.lo[i]), float(bounds.hi[i]))
+            for i in np.flatnonzero(box[r]).tolist()
+        ]
+        if diff is not None:
+            found += [
+                Violation(
+                    "diff", i, float(v[i + 1] - v[i]),
+                    float(bounds.diff_lo[i]), float(bounds.diff_hi[i]),
+                )
+                for i in np.flatnonzero(diff[r]).tolist()
+            ]
+        out[r] = tuple(found)
+    return out
+
+
 def check(
     bounds: ActivationBounds,
     activation: Sequence[float],
@@ -54,30 +93,9 @@ def check(
     """List every box/diff violation beyond `tolerance` (all, not just first)."""
     if tolerance < 0:
         raise ValueError("tolerance must be >= 0")
-    v = np.asarray(activation, dtype=np.float64)
-    if v.shape != bounds.lo.shape:
-        raise ShapeError(
-            f"activation dim {v.shape} does not match bounds dim {bounds.lo.shape}"
-        )
-    violations: List[Violation] = []
-    for i in range(v.shape[0]):
-        if v[i] < bounds.lo[i] - tolerance or v[i] > bounds.hi[i] + tolerance:
-            violations.append(
-                Violation("box", i, float(v[i]), float(bounds.lo[i]), float(bounds.hi[i]))
-            )
-    if bounds.has_diffs:
-        d = np.diff(v)
-        for i in range(d.shape[0]):
-            if d[i] < bounds.diff_lo[i] - tolerance or d[i] > bounds.diff_hi[i] + tolerance:
-                violations.append(
-                    Violation(
-                        "diff", i, float(d[i]),
-                        float(bounds.diff_lo[i]), float(bounds.diff_hi[i]),
-                    )
-                )
-    return MonitorReport(
-        contained=not violations, violations=tuple(violations), sample_id=sample_id
-    )
+    v = as_activation(bounds, activation)
+    found = violations(bounds, v[None, :], tolerance).get(0, ())
+    return MonitorReport(contained=not found, violations=found, sample_id=sample_id)
 
 
 # check_containment is the boolean convenience used by the public API

@@ -3,6 +3,14 @@
 Layer indexing convention: *position* l means "after layer l", so position 0
 is the network input and position L the final output.  ``forward(net, x, a, b)``
 evaluates layers a+1..b, i.e. g^(b) ∘ ... ∘ g^(a+1).
+
+There is one forward pass, and it is row-exact: every `Layer.apply` takes a
+vector or a batch of rows, and a dense layer computes each row with the same
+matrix-vector product (``np.matmul(W, rows[:, :, None])``, one gemv per row)
+rather than one matrix-matrix product over the batch, whose blocking would
+change the last bits of a row with the batch it arrives in.  `forward` is
+`forward_batch` on one row, so a row's activation has the same bits alone,
+in any chunk of a stream, and in the batch a dataset envelope was built from.
 """
 
 from __future__ import annotations
@@ -45,7 +53,8 @@ class Dense:
         return self.weights.shape[0]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.weights @ x + self.bias
+        """W @ row + b for a vector or for each row of a batch, one gemv per row."""
+        return np.matmul(self.weights, x[..., None])[..., 0] + self.bias
 
 
 @dataclass(frozen=True)
@@ -157,28 +166,40 @@ class Network:
         return Network(self.layers[from_layer:], self.dim_at(from_layer))
 
 
-def forward(
-    net: Network,
-    x: Sequence[float],
-    from_layer: int = 0,
-    to_layer: Optional[int] = None,
-) -> np.ndarray:
-    """Evaluate layers from_layer+1 .. to_layer on a single vector."""
+def _layer_range(net: Network, from_layer: int, to_layer: Optional[int]) -> tuple:
     if to_layer is None:
         to_layer = net.depth
     if not 0 <= from_layer < to_layer <= net.depth:
         raise ShapeError(
             f"invalid layer range [{from_layer}, {to_layer}] for depth {net.depth}"
         )
+    return net.layers[from_layer:to_layer]
+
+
+def _run(layers: tuple, m: np.ndarray) -> np.ndarray:
+    for layer in layers:
+        m = layer.apply(m)
+    return m
+
+
+def forward(
+    net: Network,
+    x: Sequence[float],
+    from_layer: int = 0,
+    to_layer: Optional[int] = None,
+) -> np.ndarray:
+    """Evaluate layers from_layer+1 .. to_layer on a single vector.
+
+    The batch pass on one row: bit-identical to that row of `forward_batch`.
+    """
+    layers = _layer_range(net, from_layer, to_layer)
     v = np.asarray(x, dtype=np.float64)
     if v.ndim != 1 or v.shape[0] != net.dim_at(from_layer):
         raise ShapeError(
             f"input length {v.shape} does not match dim {net.dim_at(from_layer)} "
             f"at position {from_layer}"
         )
-    for layer in net.layers[from_layer:to_layer]:
-        v = layer.apply(v)
-    return v
+    return _run(layers, v[None, :])[0]
 
 
 def forward_batch(
@@ -187,28 +208,18 @@ def forward_batch(
     from_layer: int = 0,
     to_layer: Optional[int] = None,
 ) -> np.ndarray:
-    """Row-wise forward: xs has shape (n, d_from); returns (n, d_to)."""
-    if to_layer is None:
-        to_layer = net.depth
-    if not 0 <= from_layer < to_layer <= net.depth:
-        raise ShapeError(
-            f"invalid layer range [{from_layer}, {to_layer}] for depth {net.depth}"
-        )
+    """Row-wise forward: xs has shape (n, d_from); returns (n, d_to).
+
+    Row-exact: a row's result does not depend on the other rows of `xs`.
+    """
+    layers = _layer_range(net, from_layer, to_layer)
     m = np.asarray(xs, dtype=np.float64)
     if m.ndim != 2 or m.shape[1] != net.dim_at(from_layer):
         raise ShapeError(
             f"batch shape {m.shape} does not match dim {net.dim_at(from_layer)} "
             f"at position {from_layer}"
         )
-    for layer in net.layers[from_layer:to_layer]:
-        if isinstance(layer, Dense):
-            m = m @ layer.weights.T + layer.bias
-        elif isinstance(layer, Relu):
-            m = np.maximum(m, 0.0)
-        else:
-            a, c = layer.affine()
-            m = m * a + c
-    return m
+    return _run(layers, m)
 
 
 def adjacent_differences(activation: Sequence[float]) -> np.ndarray:

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.stats import beta as _beta_dist
 
 from .characterizer import Characterizer
 from .errors import EmptyDatasetError, InvalidDeltaError, UnlabeledDataError
@@ -87,7 +86,11 @@ def gamma_upper_bound(n10: int, n: int, delta: float) -> float:
         raise EmptyDatasetError("upper bound needs n >= 1")
     if n10 >= n:
         return 1.0
-    return float(_beta_dist.ppf(1.0 - delta, n10 + 1, n - n10))
+    # the (1 - delta) quantile of Beta(n10 + 1, n - n10); imported here
+    # because scipy's import costs every safecut process about a second
+    from scipy.special import betaincinv
+
+    return float(betaincinv(n10 + 1, n - n10, 1.0 - delta))
 
 
 def guarantee(

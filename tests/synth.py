@@ -173,6 +173,32 @@ def random_full_network(rng):
     return net, box_lo, box_hi
 
 
+WIDE_CUT = 3
+
+
+def wide_network(rng):
+    """64-128-64 dense/ReLU/BatchNorm stack cut at position WIDE_CUT.
+
+    Wide enough that a matrix-matrix product over a batch rounds rows
+    differently from one matrix-vector product per row.
+    """
+    layers = (
+        Dense(weights=rng.normal(0.0, 0.125, (128, 64)), bias=rng.normal(0.0, 0.1, 128)),
+        Relu(dimension=128),
+        Dense(weights=rng.normal(0.0, 0.09, (64, 128)), bias=rng.normal(0.0, 0.1, 64)),
+        BatchNorm(
+            scale=rng.uniform(0.5, 1.5, 64),
+            offset=rng.normal(0.0, 0.3, 64),
+            mean=rng.normal(0.0, 0.3, 64),
+            variance=rng.uniform(0.5, 2.0, 64),
+            epsilon=1e-5,
+        ),
+        Relu(dimension=64),
+        Dense(weights=rng.normal(0.0, 0.125, (2, 64)), bias=np.zeros(2)),
+    )
+    return Network(layers=layers, input_dim=64)
+
+
 # ---------------------------------------------------------------------------
 # the toy direct-perception scenario (synthetic "road curvature" regression)
 

@@ -1,16 +1,22 @@
 """End-to-end CLI checks, all through subprocesses (real exit codes)."""
 
 import json
+import select
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from safecut.network import Dataset, Dense, Network, Relu, save_dataset, save_network
+from safecut.bounds import load_bounds
+from safecut.monitor import monitor_stream, report_to_obj
+from safecut.network import (
+    Dataset, Dense, Network, Relu, load_network, save_dataset, save_network,
+)
 from safecut.verifier import replay_witness
 from safecut.milp import load_query
 
+import synth
 from harness import child_env
 
 
@@ -258,6 +264,85 @@ def test_monitor_tolerance_flag(workdir):
         stdin_text="9.0,9.0\n",
     )
     assert json.loads(r.stdout.splitlines()[0])["contained"] is True
+
+
+def _stream_lines(workdir, rows, **kwargs):
+    """What `monitor` must print for `rows` (lists of raw cells), from the library."""
+    net = load_network(str(workdir / "net.json"))
+    b = load_bounds(str(workdir / "bounds.json"))
+    return [
+        json.dumps(report_to_obj(r), sort_keys=True)
+        for r in monitor_stream(net, b, rows, **kwargs)
+    ]
+
+
+def test_monitor_crlf_and_malformed_rows_in_one_chunk(workdir):
+    # one read holds good rows, bad ones, blank lines and padded cells; the
+    # lines and the sample_id sequence are those of the per-row stream
+    rows = ["0.5,0.5", " 0.0 , 0.0", "9.0,9.0", "bad,row", "0.1", "",
+            "0.1,0.2,0.3", "0.3,-0.4", "1e-3,nan", "0.2,,0.1", "0.4,0.1"]
+    want = _stream_lines(
+        workdir, [[p.strip() for p in r.split(",")] for r in rows if r.strip()]
+    )
+    for eol in ("\n", "\r\n"):
+        r = run_cli(["monitor", "net.json", "bounds.json"], workdir,
+                    stdin_text=eol.join(rows))  # no newline after the last row
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.splitlines() == want
+        ids = [json.loads(line)["sample_id"] for line in r.stdout.splitlines()]
+        assert ids == [str(k) for k in range(10)]
+    # a chunk of good rows only, one of them outside
+    good = ["0.5,0.5", "9.0,9.0", " 0.1 ,0.2"]
+    r = run_cli(["monitor", "net.json", "bounds.json"], workdir,
+                stdin_text="\r\n".join(good) + "\r\n")
+    assert r.stdout.splitlines() == _stream_lines(
+        workdir, [[p.strip() for p in g.split(",")] for g in good]
+    )
+    # a chunk whose rows all parse but have the wrong width
+    r = run_cli(["monitor", "net.json", "bounds.json"], workdir,
+                stdin_text="1,2,3\r\n4,5,6\r\n")
+    assert r.stdout.splitlines() == _stream_lines(workdir, [["1", "2", "3"], ["4", "5", "6"]])
+    assert all("error" in json.loads(line) for line in r.stdout.splitlines())
+
+
+def test_monitor_reports_each_row_before_the_next_arrives(workdir):
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "safecut.cli", "monitor", "net.json", "bounds.json"],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        cwd=str(workdir), env=child_env(),
+    )
+    try:
+        for k, row in enumerate(["0.5,0.5", "9.0,9.0", "bad,row", "0.1,0.2"]):
+            proc.stdin.write(row.encode() + b"\n")
+            proc.stdin.flush()
+            ready, _, _ = select.select([proc.stdout], [], [], 60.0)
+            assert ready, f"no report for row {k} while stdin stayed open"
+            assert json.loads(proc.stdout.readline())["sample_id"] == str(k)
+    finally:
+        proc.stdin.close()
+        proc.wait(timeout=60)
+        proc.stdout.close()
+        proc.stderr.close()
+    assert proc.returncode == 0
+
+
+def test_monitor_flags_none_of_its_own_envelope_rows(tmp_path):
+    # the envelope and the monitor share one row-exact forward pass, so the
+    # rows the envelope was built from all come back contained at tolerance 0
+    rng = np.random.default_rng(29)
+    net = synth.wide_network(rng)
+    X = rng.uniform(-1.0, 1.0, (800, net.input_dim))
+    save_network(net, str(tmp_path / "wide.json"))
+    save_dataset(Dataset(inputs=X), str(tmp_path / "env.csv"))
+    r = run_cli(["bounds", "wide.json", "b.json", "--data", "env.csv",
+                 "--layer", synth.WIDE_CUT, "--diffs"], tmp_path)
+    assert r.returncode == 0, r.stderr
+    rows = "".join(",".join(repr(float(v)) for v in x) + "\n" for x in X)
+    r = run_cli(["monitor", "wide.json", "b.json"], tmp_path, stdin_text=rows)
+    assert r.returncode == 0, r.stderr
+    reports = [json.loads(line) for line in r.stdout.splitlines()]
+    assert [rep["sample_id"] for rep in reports] == [str(k) for k in range(len(X))]
+    assert [rep for rep in reports if not rep["contained"]] == []
 
 
 def test_stats_reports_cells_and_guarantee(workdir):

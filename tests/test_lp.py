@@ -9,8 +9,12 @@ from safecut.lp import (
     FEAS_TOL,
     INFEASIBLE,
     OPTIMAL,
+    REL_EQ,
+    REL_GE,
+    REL_LE,
     UNBOUNDED,
     LinearProgram,
+    _recheck,
     format_lp,
     lp_solve,
     solve_dense,
@@ -173,6 +177,54 @@ def test_infeasibility_sum_matches_row_order_loop():
             if basis[i] >= n_art_start:
                 want += xB[i]
         assert infeasibility(xB, basis, n_art_start) == want
+
+
+def _recheck_loop(x, A, rels, b, lo, hi):
+    # the row-by-row reference the vectorized recheck must reproduce
+    if ((x < lo - FEAS_TOL) | (x > hi + FEAS_TOL)).any():
+        return "variable bound violated beyond 1e-7"
+    ax = A @ x if x.shape[0] > 0 else np.zeros(A.shape[0])
+    for i in range(A.shape[0]):
+        d = ax[i] - b[i]
+        if rels[i] == REL_LE and d > FEAS_TOL:
+            return f"row {i}: <= violated by {d:.3e}"
+        if rels[i] == REL_GE and -d > FEAS_TOL:
+            return f"row {i}: >= violated by {-d:.3e}"
+        if rels[i] == REL_EQ and abs(d) > FEAS_TOL:
+            return f"row {i}: = violated by {abs(d):.3e}"
+    return None
+
+
+@pytest.mark.parametrize("rel", [REL_LE, REL_GE, REL_EQ])
+def test_recheck_names_lowest_violated_row_like_the_loop(rel):
+    rng = np.random.default_rng(11 + rel)
+    seen = set()
+    for _ in range(200):
+        m, n = int(rng.integers(1, 12)), int(rng.integers(0, 6))
+        A = rng.normal(size=(m, n))
+        x = rng.normal(size=n)
+        rels = rng.choice(np.array([REL_LE, REL_GE, REL_EQ], dtype=np.int8), m)
+        ax = A @ x
+        # every row satisfied, or missed by about FEAS_TOL, or by far, in
+        # the direction its relation forbids
+        b = ax.copy()
+        slack = rng.choice([0.0, 0.5, 2.0, 1e3], m) * FEAS_TOL
+        b[rels == REL_LE] -= slack[rels == REL_LE]
+        b[rels == REL_GE] += slack[rels == REL_GE]
+        b[rels == REL_EQ] += slack[rels == REL_EQ] * rng.choice([-1.0, 1.0])
+        k = int(rng.integers(0, m))  # force a violation of `rel` at row k
+        rels[k] = rel
+        b[k] = ax[k] + {REL_LE: -1.0, REL_GE: 1.0, REL_EQ: -1.0}[rel] * 5 * FEAS_TOL
+        lo, hi = np.full(n, -np.inf), np.full(n, np.inf)
+        want = _recheck_loop(x, A, rels, b, lo, hi)
+        assert _recheck(x, A, rels, b, lo, hi) == want
+        seen.add(want.split(":")[1].split()[0])
+        # no violation, and a variable bound violation, agree too
+        b_ok = np.where(rels == REL_LE, ax + 1.0, np.where(rels == REL_GE, ax - 1.0, ax))
+        assert _recheck(x, A, rels, b_ok, lo, hi) is None
+        if n:
+            assert _recheck(x, A, rels, b, lo, x - 1.0) == _recheck_loop(x, A, rels, b, lo, x - 1.0)
+    assert {"<=", ">=", "="} <= seen  # the first violated row took every relation
 
 
 def test_tiny_pivot_breaks_down_loudly():

@@ -6,10 +6,12 @@ from safecut.errors import ShapeError
 from safecut.monitor import (
     MonitorReport,
     StreamError,
+    Violation,
     check,
     check_containment,
     monitor_stream,
     report_to_obj,
+    violations,
 )
 from safecut.network import Dataset, Dense, Network, forward, forward_batch
 
@@ -87,11 +89,62 @@ def test_dataset_replay_is_contained_at_zero_tolerance():
     X = rng.normal(size=(80, net.input_dim))
     layer = max(1, net.depth // 2)
     b = dataset_bounds(net, Dataset(inputs=X), layer)
-    # replay through the same batch forward the envelope was built from;
-    # a per-sample forward can differ in the last ulp (BLAS mv vs mm)
     acts = forward_batch(net, X, 0, layer)
-    for act in acts:
+    for x, act in zip(X, acts):
         assert check_containment(b, act, tolerance=0.0)
+        assert check_containment(b, forward(net, x, 0, layer), tolerance=0.0)
+
+
+def test_wide_envelope_dataset_streams_without_false_alarms():
+    # the envelope and the monitor share the row-exact forward pass, so a
+    # wide net's own rows stay inside at tolerance 0, one row at a time
+    rng = np.random.default_rng(23)
+    net = synth.wide_network(rng)
+    X = rng.uniform(-1.0, 1.0, (600, net.input_dim))
+    b = dataset_bounds(net, Dataset(inputs=X), synth.WIDE_CUT)
+    reports = list(monitor_stream(net, b, X, tolerance=0.0))
+    assert len(reports) == len(X)
+    assert [r.violations for r in reports if not r.contained] == []
+
+
+def _check_loop(bounds, v, tolerance):
+    # the per-index reference loop the batch containment test replaces
+    found = []
+    for i in range(v.shape[0]):
+        if v[i] < bounds.lo[i] - tolerance or v[i] > bounds.hi[i] + tolerance:
+            found.append(Violation("box", i, float(v[i]), float(bounds.lo[i]), float(bounds.hi[i])))
+    if bounds.has_diffs:
+        d = np.diff(v)
+        for i in range(d.shape[0]):
+            if d[i] < bounds.diff_lo[i] - tolerance or d[i] > bounds.diff_hi[i] + tolerance:
+                found.append(
+                    Violation(
+                        "diff", i, float(d[i]), float(bounds.diff_lo[i]), float(bounds.diff_hi[i])
+                    )
+                )
+    return tuple(found)
+
+
+@pytest.mark.parametrize("with_diffs", [True, False])
+def test_batch_violations_match_per_index_loop(with_diffs):
+    rng = np.random.default_rng(31)
+    X = rng.normal(size=(400, 6))
+    b = dataset_bounds(
+        Network(layers=(Dense(np.eye(6), np.zeros(6)),) * 2, input_dim=6),
+        Dataset(inputs=X[:200]),
+        1,
+        with_diffs=with_diffs,
+    )
+    acts = X * rng.uniform(0.8, 1.3, X.shape)
+    acts[::7, 2] = np.nan  # compares false on both sides: never a violation
+    for tol in (0.0, 0.05):
+        found = violations(b, acts, tol)
+        want = {r: _check_loop(b, acts[r], tol) for r in range(len(acts))}
+        assert found == {r: v for r, v in want.items() if v}
+        assert 0 < len(found) < len(acts)
+        for r in range(len(acts)):
+            rep = check(b, acts[r], tol, sample_id=str(r))
+            assert rep.violations == want[r] and rep.sample_id == str(r)
 
 
 def test_stream_maps_inputs_through_network():

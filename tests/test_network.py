@@ -20,6 +20,8 @@ from safecut.network import (
     save_network,
 )
 
+import synth
+
 
 def test_tiny_forward_by_hand(tiny_net):
     # pre-activations [0.5, -1.0, 2.0] -> relu [0.5, 0, 2.0] -> [0.75, 1.5]
@@ -41,6 +43,24 @@ def test_forward_batch_matches_single(tiny_net):
     batch = forward_batch(tiny_net, xs)
     for i in range(50):
         assert np.allclose(batch[i], forward(tiny_net, xs[i]), atol=1e-12)
+
+
+def test_forward_batch_is_row_exact_under_any_chunking():
+    rng = np.random.default_rng(41)
+    net = synth.wide_network(rng)
+    X = rng.uniform(-1.0, 1.0, (300, net.input_dim))
+    for to_layer in (synth.WIDE_CUT, net.depth):
+        whole = forward_batch(net, X, 0, to_layer)
+        per_row = np.array([forward(net, x, 0, to_layer) for x in X])
+        assert np.array_equal(whole, per_row)
+        for size in range(1, 9):
+            chunks = [
+                forward_batch(net, X[i : i + size], 0, to_layer) for i in range(0, len(X), size)
+            ]
+            assert np.array_equal(np.concatenate(chunks), whole), size
+        cuts = np.sort(rng.choice(np.arange(1, len(X)), 25, replace=False))
+        chunks = [forward_batch(net, part, 0, to_layer) for part in np.split(X, cuts)]
+        assert np.array_equal(np.concatenate(chunks), whole)
 
 
 def test_relu_idempotent():

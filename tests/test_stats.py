@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from pytest import approx
@@ -14,6 +17,8 @@ from safecut.stats import (
     guarantee,
     stats_report_obj,
 )
+
+from harness import child_env
 
 
 def _identity_net(d=1):
@@ -106,6 +111,29 @@ def test_gamma_upper_bound_exceeds_point_estimate():
     ub = gamma_upper_bound(10, 100, 0.05)
     assert ub > 0.10
     assert ub < 0.20  # sanity: the exact bound for 10/100 sits near 0.162
+
+
+def test_gamma_upper_bound_is_the_beta_quantile():
+    from scipy.stats import beta
+
+    for delta in (0.01, 0.05, 0.1):
+        for n in range(1, 60):
+            for n10 in range(n):
+                want = float(beta.ppf(1.0 - delta, n10 + 1, n - n10))
+                assert gamma_upper_bound(n10, n, delta) == want
+
+
+def test_importing_the_cli_does_not_import_scipy():
+    # scipy costs every safecut process about a second; only `stats` needs it
+    code = (
+        "import sys, safecut.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    r = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"
 
 
 def test_gamma_upper_bound_monotone_in_delta():

@@ -141,6 +141,32 @@ def test_warm_breakdown_falls_back_to_cold_solve(monkeypatch):
     assert got.stats["lp_solves"] == plain.stats["lp_solves"] + 1
 
 
+def test_witness_polish_solve_runs_when_snapped_candidates_fail(monkeypatch):
+    # the root is a leaf (no unstable relu); reject its raw candidate and the
+    # three decimal snaps, so only the logit-maximizing re-solve can answer
+    net, query = _scalar_query(-0.1, 0.6, 0.0, 1.0, ">=", 0.5)
+    plain = verify(net, query)
+    assert plain.status == "unsafe"
+
+    tried = []
+    real_try = verifier._Search._try_witness
+
+    def picky_try(self, cand):
+        w, rep, ok = real_try(self, cand)
+        tried.append(cand.copy())
+        return w, rep, ok and len(tried) > 4
+
+    monkeypatch.setattr(verifier._Search, "_try_witness", picky_try)
+    got = verify(net, query)
+    assert len(tried) == 5  # raw, snapped to 12, 9 and 6 digits, polished
+    assert got.stats["lp_solves"] == plain.stats["lp_solves"] + 1
+    assert got.stats["nodes_explored"] == plain.stats["nodes_explored"]
+    assert got.status == "unsafe"
+    assert np.array_equal(got.witness, np.clip(tried[-1], -0.1, 0.6))
+    rep = replay_witness(net, query, got.witness)
+    assert rep["in_bounds"] and rep["characterizer"] == 1 and rep["risk_satisfied"]
+
+
 def test_spurious_integral_solution_does_not_fool_verifier():
     # same query solved without a budget: leaf replay keeps lying candidates out
     net, query = _scalar_query(-0.1, 0.6, 0.0, 1.0, ">=", 0.7)
