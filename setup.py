@@ -1,9 +1,13 @@
 """Build script for the optional compiled simplex kernel.
 
-The package is fully functional without the extension (a numpy fallback is
-selected at import time); the build therefore tolerates a missing Cython or
-a failing C toolchain instead of aborting the install.  Set SAFECUT_NO_EXT=1
-to skip the extension build entirely.
+The package is fully functional without the extension (the numpy kernel is
+used when it is missing); the build therefore tolerates a failing C
+toolchain instead of aborting the install.  The kernel is compiled from the
+shipped ``src/safecut/_simplex_cy.c`` that Cython generated from
+``_simplex_cy.pyx``, so building needs a C compiler and numpy but not Cython;
+regenerate the ``.c`` by hand (``cython -3 src/safecut/_simplex_cy.pyx``) when
+the ``.pyx`` changes.  Set SAFECUT_NO_EXT=1 to skip the extension build
+entirely.
 """
 
 import os
@@ -33,22 +37,18 @@ extensions = []
 if os.environ.get("SAFECUT_NO_EXT") != "1":
     try:
         import numpy as np
-        from Cython.Build import cythonize
-
-        extensions = cythonize(
-            [
-                Extension(
-                    "safecut._simplex_cy",
-                    ["src/safecut/_simplex_cy.pyx"],
-                    include_dirs=[np.get_include()],
-                    # -ffp-contract=off: no fused multiply-add, so the compiled
-                    # kernel is bit-identical to the numpy fallback.
-                    extra_compile_args=["-O3", "-ffp-contract=off"],
-                )
-            ],
-            compiler_directives={"language_level": "3"},
-        )
     except ImportError as exc:
-        print(f"safecut: Cython/numpy unavailable, no compiled kernel ({exc})", file=sys.stderr)
+        print(f"safecut: numpy unavailable, no compiled kernel ({exc})", file=sys.stderr)
+    else:
+        extensions = [
+            Extension(
+                "safecut._simplex_cy",
+                ["src/safecut/_simplex_cy.c"],
+                include_dirs=[np.get_include()],
+                # -ffp-contract=off: no fused multiply-add, so the compiled
+                # kernel is bit-identical to the numpy fallback.
+                extra_compile_args=["-O3", "-ffp-contract=off"],
+            )
+        ]
 
 setup(ext_modules=extensions, cmdclass={"build_ext": OptionalBuildExt})

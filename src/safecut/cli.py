@@ -123,7 +123,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 "binaries " + " ".join(prob.lp.name_of(j) for j in prob.binaries) + "\n"
             )
     budget = Budget(max_nodes=args.max_nodes, max_seconds=args.max_seconds)
-    verdict = verify(net, query, budget=budget, workers=args.workers)
+    verdict = verify(net, query, budget=budget)
 
     stats = dict(verdict.stats)
     if not args.timing:
@@ -239,10 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Safety verification toolkit for feed-forward perception networks",
     )
     parser.add_argument("--seed", type=int, default=0, help="RNG seed (training)")
-    parser.add_argument(
-        "--workers", type=int, default=1,
-        help="branch-and-bound workers; >1 sacrifices witness determinism",
-    )
     parser.add_argument(
         "--debug-lp-dump", metavar="PATH", default=None,
         help="verify only: dump the root LP as plain text to PATH",

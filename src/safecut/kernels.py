@@ -1,14 +1,13 @@
-"""Simplex kernel selection: compiled extension with pure-NumPy fallback.
+"""Simplex kernel: the compiled extension when it was built, else NumPy.
 
 The compiled kernel (``_simplex_cy``) and the NumPy kernel (``_simplex_py``)
-implement the same contract and produce bitwise-identical pivot sequences;
-selection is a pure speed decision.  Set SAFECUT_KERNEL=py or =ext to force
-one (``ext`` raises at import if the extension is unavailable).
+implement the same contract and produce bitwise-identical pivot sequences,
+so the choice changes speed only: the compiled one is used whenever the
+build produced it.  ``verify(kernel=...)`` and ``solve_dense(kernel=...)``
+take any entry of ``available_kernels()``.
 """
 
 from __future__ import annotations
-
-import os
 
 from . import _simplex_py
 
@@ -32,22 +31,5 @@ def available_kernels() -> dict:
     return kernels
 
 
-def _select() -> tuple:
-    forced = os.environ.get("SAFECUT_KERNEL", "").strip().lower()
-    if forced == "py":
-        return "py", _simplex_py.run_phase
-    if forced == "ext":
-        if _simplex_cy is None:
-            raise ImportError(
-                "SAFECUT_KERNEL=ext but the compiled kernel is not built; "
-                "reinstall the package or unset SAFECUT_KERNEL"
-            )
-        return "ext", _simplex_cy.run_phase
-    if forced:
-        raise ValueError(f"SAFECUT_KERNEL must be 'py' or 'ext', got {forced!r}")
-    if _simplex_cy is not None:
-        return "ext", _simplex_cy.run_phase
-    return "py", _simplex_py.run_phase
-
-
-KERNEL_NAME, run_phase = _select()
+KERNEL_NAME = "py" if _simplex_cy is None else "ext"
+run_phase = available_kernels()[KERNEL_NAME]

@@ -2,6 +2,10 @@
 
 minimize c.x  subject to  A x (<=|=|>=) b,  lo <= x <= hi  (+-inf allowed)
 
+An LP is those six dense arrays and nothing else: `solve_dense` takes them,
+and `LinearProgram` holds them (with column names) for the MILP encoder,
+the verifier and `format_lp`.
+
 Standardization: one slack per row turns every relation into an equality
 (<= gives slack in [0,inf), >= in (-inf,0], = pinned at [0,0]); rows whose
 initial residual the slack cannot absorb get a phase-1 artificial column.
@@ -24,7 +28,7 @@ from its parent in one bound costs a few pivots instead of a cold phase 1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -42,7 +46,6 @@ REL_LE = -1
 REL_EQ = 0
 REL_GE = 1
 
-_REL_OF_STR = {"<=": REL_LE, "=": REL_EQ, ">=": REL_GE}
 _STR_OF_REL = {REL_LE: "<=", REL_EQ: "=", REL_GE: ">="}
 
 OPTIMAL = "optimal"
@@ -50,65 +53,29 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 
-@dataclass
+@dataclass(frozen=True)
 class LinearProgram:
-    """Mutable LP builder; variables indexed 0..num_vars-1, default free."""
+    """The arrays `solve_dense` takes, plus a name per column.
 
-    num_vars: int
-    names: Optional[List[str]] = None
-    objective: np.ndarray = field(init=False)
-    lo: np.ndarray = field(init=False)
-    hi: np.ndarray = field(init=False)
-    rows: List[Dict[int, float]] = field(init=False, default_factory=list)
-    rels: List[int] = field(init=False, default_factory=list)
-    rhs: List[float] = field(init=False, default_factory=list)
+    minimize c.x subject to A x (rels) b, lo <= x <= hi; `rels` holds
+    REL_LE / REL_EQ / REL_GE per row.
+    """
 
-    def __post_init__(self) -> None:
-        if self.num_vars < 0:
-            raise ShapeError("num_vars must be >= 0")
-        self.objective = np.zeros(self.num_vars)
-        self.lo = np.full(self.num_vars, -np.inf)
-        self.hi = np.full(self.num_vars, np.inf)
-
-    def set_bounds(self, j: int, lo: float, hi: float) -> None:
-        self.lo[j] = lo
-        self.hi[j] = hi
-
-    def add_constraint(
-        self, coeffs: Union[Dict[int, float], Sequence[float]], rel: str, rhs: float
-    ) -> None:
-        if rel not in _REL_OF_STR:
-            raise ValueError(f"relation must be one of <=, =, >=; got {rel!r}")
-        if not isinstance(coeffs, dict):
-            coeffs = {j: float(v) for j, v in enumerate(coeffs) if v != 0.0}
-        for j, v in coeffs.items():
-            if not 0 <= j < self.num_vars:
-                raise ShapeError(f"constraint references variable {j} of {self.num_vars}")
-            if np.isnan(v):
-                raise ValueError("NaN constraint coefficient")
-        if np.isnan(rhs):
-            raise ValueError("NaN constraint rhs")
-        self.rows.append(dict(coeffs))
-        self.rels.append(_REL_OF_STR[rel])
-        self.rhs.append(float(rhs))
+    c: np.ndarray
+    A: np.ndarray
+    rels: np.ndarray
+    b: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    names: Optional[Tuple[str, ...]] = None
 
     @property
     def num_rows(self) -> int:
-        return len(self.rows)
+        return self.A.shape[0]
 
-    def to_dense(self) -> tuple:
-        A = np.zeros((self.num_rows, self.num_vars))
-        for i, row in enumerate(self.rows):
-            for j, v in row.items():
-                A[i, j] = v
-        return (
-            self.objective.copy(),
-            A,
-            np.array(self.rels, dtype=np.int8),
-            np.array(self.rhs, dtype=np.float64),
-            self.lo.copy(),
-            self.hi.copy(),
-        )
+    @property
+    def num_vars(self) -> int:
+        return self.A.shape[1]
 
     def name_of(self, j: int) -> str:
         if self.names is not None and j < len(self.names):
@@ -318,10 +285,6 @@ def solve_dense(
     return LpOutcome(OPTIMAL, x, float(np.dot(c, x)), pivots, state)
 
 
-def lp_solve(lp: LinearProgram, kernel=None, check: bool = True) -> LpOutcome:
-    return solve_dense(*lp.to_dense(), kernel=kernel, check=check)
-
-
 def format_lp(lp: LinearProgram) -> str:
     """Plain-text dump, one constraint per line (for --debug-lp-dump)."""
 
@@ -329,11 +292,11 @@ def format_lp(lp: LinearProgram) -> str:
         return f"{v:+g}*{lp.name_of(j)}"
 
     lines = []
-    obj = [term(j, v) for j, v in enumerate(lp.objective) if v != 0.0]
+    obj = [term(j, lp.c[j]) for j in np.flatnonzero(lp.c)]
     lines.append("minimize " + (" ".join(obj) if obj else "0"))
     lines.append("subject to")
-    for row, rel, rhs in zip(lp.rows, lp.rels, lp.rhs):
-        body = " ".join(term(j, row[j]) for j in sorted(row))
+    for row, rel, rhs in zip(lp.A, lp.rels, lp.b):
+        body = " ".join(term(j, row[j]) for j in np.flatnonzero(row))
         lines.append(f"  {body or '0'} {_STR_OF_REL[rel]} {rhs:g}")
     lines.append("bounds")
     for j in range(lp.num_vars):

@@ -6,7 +6,11 @@ cut-layer variables, giving the shared-neuron coupling).  ReLUs whose
 pre-activation interval straddles zero get a binary indicator and the four
 big-M rows; stable ReLUs are encoded exactly (y=x or y=0).  Interval bounds
 come from propagating the cut-layer box only — the adjacent-difference
-constraints join the LP as rows but never tighten the intervals.
+constraints join the LP as rows but never tighten the intervals.  The
+result is one `LinearProgram`: the dense arrays the verifier hands to
+`solve_dense`.  Zero Dense weights and zero risk coefficients (a `-0.0` among
+them) are skipped and so stay `+0.0` entries; BatchNorm scales are written as
+given.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,7 +31,7 @@ from .errors import (
     UnsupportedLayerError,
 )
 from .intervals import propagate_layer
-from .lp import LinearProgram
+from .lp import REL_EQ, REL_GE, REL_LE, LinearProgram
 from .network import BatchNorm, Dense, Network, Relu
 
 _OPS = ("<=", ">=", "<", ">")
@@ -46,6 +50,8 @@ class RiskClause:
             raise ShapeError("risk clause coefficients must be a vector")
         if self.op not in _OPS:
             raise ParseError(f"risk op must be one of {_OPS}, got {self.op!r}")
+        if not (np.isfinite(v).all() and np.isfinite(self.rhs)):
+            raise ParseError("risk clause coefficients and rhs must be finite")
         object.__setattr__(self, "coeffs", v)
         object.__setattr__(self, "rhs", float(self.rhs))
 
@@ -148,13 +154,20 @@ class MilpProblem:
 
 
 class _Builder:
-    """Accumulates variables/rows, then freezes into a LinearProgram."""
+    """Accumulates columns and rows, then scatters them into a LinearProgram.
+
+    A row records only the coefficients it is given; every other entry of A
+    stays +0.0, so a coefficient a caller skips as zero cannot carry a sign
+    (a coefficient it passes, a -0.0 BatchNorm scale say, keeps its bits).
+    """
 
     def __init__(self) -> None:
         self.names: List[str] = []
         self.lo: List[float] = []
         self.hi: List[float] = []
-        self.rows: List[tuple] = []
+        self.entries: List[Tuple[int, int, float]] = []  # (row, column, value)
+        self.rels: List[int] = []
+        self.rhs: List[float] = []
 
     def var(self, name: str, lo: float, hi: float) -> int:
         self.names.append(name)
@@ -162,17 +175,27 @@ class _Builder:
         self.hi.append(hi)
         return len(self.names) - 1
 
-    def row(self, coeffs: dict, rel: str, rhs: float) -> int:
-        self.rows.append((coeffs, rel, rhs))
-        return len(self.rows) - 1
+    def row(self, coeffs: Dict[int, float], rel: int, rhs: float) -> int:
+        i = len(self.rhs)
+        self.entries.extend((i, j, v) for j, v in coeffs.items())
+        self.rels.append(rel)
+        self.rhs.append(rhs)
+        return i
 
     def freeze(self) -> LinearProgram:
-        lp = LinearProgram(len(self.names), names=list(self.names))
-        lp.lo[:] = self.lo
-        lp.hi[:] = self.hi
-        for coeffs, rel, rhs in self.rows:
-            lp.add_constraint(coeffs, rel, rhs)
-        return lp
+        n = len(self.names)
+        A = np.zeros((len(self.rhs), n))
+        rows, cols, vals = zip(*self.entries)
+        A[rows, cols] = vals
+        return LinearProgram(
+            c=np.zeros(n),
+            A=A,
+            rels=np.array(self.rels, dtype=np.int8),
+            b=np.array(self.rhs, dtype=np.float64),
+            lo=np.array(self.lo, dtype=np.float64),
+            hi=np.array(self.hi, dtype=np.float64),
+            names=tuple(self.names),
+        )
 
 
 def _encode_layers(
@@ -200,7 +223,7 @@ def _encode_layers(
                 y = bld.var(f"{prefix}{li}_{k}", out_lo[k], out_hi[k])
                 coeffs = {c: float(w) for c, w in zip(cols, layer.weights[k]) if w != 0.0}
                 coeffs[y] = -1.0
-                bld.row(coeffs, "=", -float(layer.bias[k]))
+                bld.row(coeffs, REL_EQ, -float(layer.bias[k]))
                 new_cols.append(y)
             cols = new_cols
         elif isinstance(layer, BatchNorm):
@@ -208,7 +231,7 @@ def _encode_layers(
             new_cols = []
             for k in range(layer.out_dim):
                 y = bld.var(f"{prefix}{li}_{k}", out_lo[k], out_hi[k])
-                bld.row({cols[k]: float(a[k]), y: -1.0}, "=", -float(c0[k]))
+                bld.row({cols[k]: float(a[k]), y: -1.0}, REL_EQ, -float(c0[k]))
                 new_cols.append(y)
             cols = new_cols
         elif isinstance(layer, Relu):
@@ -218,7 +241,7 @@ def _encode_layers(
                 x = cols[k]
                 if xlo >= 0.0:
                     y = bld.var(f"{prefix}{li}_{k}", xlo, xhi)
-                    bld.row({y: 1.0, x: -1.0}, "=", 0.0)
+                    bld.row({y: 1.0, x: -1.0}, REL_EQ, 0.0)
                     relus.append(ReluInfo(x, y, None, xlo, xhi, "pos"))
                 elif xhi <= 0.0:
                     y = bld.var(f"{prefix}{li}_{k}", 0.0, 0.0)
@@ -232,9 +255,9 @@ def _encode_layers(
                     y = bld.var(f"{prefix}{li}_{k}", 0.0, xhi)
                     a_col = bld.var(f"a{len(binaries)}", 0.0, 1.0)
                     binaries.append(a_col)
-                    bld.row({y: 1.0, x: -1.0}, ">=", 0.0)  # y >= x (y >= 0 is a bound)
-                    bld.row({y: 1.0, x: -1.0, a_col: -xlo}, "<=", -xlo)  # y <= x - xlo(1-a)
-                    bld.row({y: 1.0, a_col: -xhi}, "<=", 0.0)  # y <= xhi*a
+                    bld.row({y: 1.0, x: -1.0}, REL_GE, 0.0)  # y >= x (y >= 0 is a bound)
+                    bld.row({y: 1.0, x: -1.0, a_col: -xlo}, REL_LE, -xlo)  # y <= x - xlo(1-a)
+                    bld.row({y: 1.0, a_col: -xhi}, REL_LE, 0.0)  # y <= xhi*a
                     relus.append(ReluInfo(x, y, a_col, xlo, xhi, "split"))
                 new_cols.append(y)
             cols = new_cols
@@ -272,8 +295,8 @@ def encode(net: Network, query: SafetyQuery) -> MilpProblem:
     if query.bounds.has_diffs:
         for j in range(d_l - 1):
             coeffs = {cut_cols[j + 1]: 1.0, cut_cols[j]: -1.0}
-            diff_rows.append(bld.row(dict(coeffs), "<=", float(query.bounds.diff_hi[j])))
-            diff_rows.append(bld.row(dict(coeffs), ">=", float(query.bounds.diff_lo[j])))
+            diff_rows.append(bld.row(coeffs, REL_LE, float(query.bounds.diff_hi[j])))
+            diff_rows.append(bld.row(coeffs, REL_GE, float(query.bounds.diff_lo[j])))
 
     # (c)+(d) suffix layers after the cut
     out_cols, _, _ = _encode_layers(
@@ -288,14 +311,15 @@ def encode(net: Network, query: SafetyQuery) -> MilpProblem:
     logit_col = head_cols[0]
 
     # (e) characterizer class-1: logit >= 0
-    bld.row({logit_col: 1.0}, ">=", 0.0)
+    bld.row({logit_col: 1.0}, REL_GE, 0.0)
 
     # (f) risk clauses, strict relaxed to non-strict
     for clause in query.risk.clauses:
         coeffs = {
             col: float(v) for col, v in zip(out_cols, clause.coeffs) if v != 0.0
         }
-        bld.row(coeffs, clause.relaxed_rel, clause.rhs)
+        rel = REL_LE if clause.relaxed_rel == "<=" else REL_GE
+        bld.row(coeffs, rel, clause.rhs)
 
     return MilpProblem(
         lp=bld.freeze(),

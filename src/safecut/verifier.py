@@ -10,8 +10,9 @@ candidate fails replay is re-solved once with a logit-maximizing objective
 to pull the candidate into the interior of the phi region.  A leaf that
 still produces no replayable point poisons any Safe conclusion: the final
 verdict degrades to unknown instead (never discard-and-certify).
-Exploration is depth-first, branching on the binary nearest 0.5 (lowest
-index on ties) with the closer phase first, so witnesses surface early.
+Exploration is one depth-first loop, branching on the binary nearest 0.5
+(lowest index on ties) with the closer phase first, so witnesses surface
+early; the node order, the witness and every stat are deterministic.
 The root LP is solved cold; every child, and the polish re-solve of a leaf,
 starts from the final simplex basis of the node it came from (lp.py's warm
 start), so it repairs one fixed binary in a few pivots.  A warm solve that
@@ -25,7 +26,6 @@ unknown — the node/time budget ran out or an LP broke down numerically
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
@@ -93,7 +93,7 @@ def _pick_branch(vals: np.ndarray, fixed: np.ndarray) -> int:
 
 
 class _Search:
-    """Shared state for the node-processing loop (1 or more workers)."""
+    """State of one depth-first search: the LP, the counters and the witness."""
 
     def __init__(self, net, query, prob: MilpProblem, budget: Budget, kernel):
         self.net = net
@@ -101,7 +101,8 @@ class _Search:
         self.prob = prob
         self.budget = budget
         self.kernel = kernel
-        self.c, self.A, self.rels, self.b, self.lo0, self.hi0 = prob.lp.to_dense()
+        lp = prob.lp
+        self.c, self.A, self.rels, self.b = lp.c, lp.A, lp.rels, lp.b
         self.bin_cols = np.array(prob.binaries, dtype=np.int64)
         self.cut_dim = len(prob.cut_cols)
         self.t0 = time.monotonic()
@@ -114,7 +115,6 @@ class _Search:
         self.exhausted_budget = False
         self.breakdown = False
         self.incomplete = False  # a feasible leaf yielded no replayable witness
-        self._lock = threading.Lock()  # counters/witness under multi-worker runs
 
     def out_of_budget(self) -> bool:
         return (
@@ -132,25 +132,21 @@ class _Search:
                     c, self.A, self.rels, self.b, lo, hi, kernel=self.kernel, start=start
                 )
             except NumericalBreakdownError:
-                with self._lock:
-                    self.lp_solves += 1
+                self.lp_solves += 1
         if out is None:
             out = solve_dense(c, self.A, self.rels, self.b, lo, hi, kernel=self.kernel)
-        with self._lock:
-            self.pivots += out.pivots
+        self.pivots += out.pivots
         return out
 
     def process(self, lo: np.ndarray, hi: np.ndarray, start) -> List[Node]:
         """Solve one node; returns child nodes (near phase last = popped first)."""
-        with self._lock:
-            self.nodes += 1
-            self.lp_solves += 1
+        self.nodes += 1
+        self.lp_solves += 1
         try:
             out = self._solve(self.c, lo, hi, start)
         except NumericalBreakdownError as exc:
-            with self._lock:
-                self.breakdown = True
-                self.warnings.append(f"lp breakdown, node discarded: {exc}")
+            self.breakdown = True
+            self.warnings.append(f"lp breakdown, node discarded: {exc}")
             return []
         if out.status == INFEASIBLE:
             return []
@@ -174,18 +170,15 @@ class _Search:
                     if ok:
                         break
             if ok:
-                with self._lock:
-                    if self.witness is None:  # first witness wins
-                        self.witness = w
-                        self.witness_output = rep["output"]
+                self.witness = w
+                self.witness_output = rep["output"]
                 return []
             if fixed.all():
-                with self._lock:
-                    self.incomplete = True
-                    self.warnings.append(
-                        "unreplayable-leaf: feasible leaf produced no "
-                        "replayable witness; Safe cannot be certified"
-                    )
+                self.incomplete = True
+                self.warnings.append(
+                    "unreplayable-leaf: feasible leaf produced no "
+                    "replayable witness; Safe cannot be certified"
+                )
                 return []
             # integral by luck but not yet fixed — keep branching
 
@@ -220,16 +213,14 @@ class _Search:
         """
         for digits in (12, 9, 6):
             yield np.round(x[: self.cut_dim], digits)
-        with self._lock:
-            self.lp_solves += 1
+        self.lp_solves += 1
         c = np.zeros_like(self.c)
         c[self.prob.logit_col] = -1.0  # minimize -logit
         try:
             out = self._solve(c, lo, hi, start)
         except NumericalBreakdownError as exc:
-            with self._lock:
-                self.breakdown = True
-                self.warnings.append(f"lp breakdown during witness polish: {exc}")
+            self.breakdown = True
+            self.warnings.append(f"lp breakdown during witness polish: {exc}")
             return
         if out.status != OPTIMAL:
             return
@@ -238,68 +229,28 @@ class _Search:
         for digits in (12, 9, 6):
             yield np.round(polished, digits)
 
-
-def _run_serial(search: _Search) -> None:
-    stack = [(search.lo0.copy(), search.hi0.copy(), None)]
-    while stack:
-        if search.witness is not None:
-            return
-        if search.out_of_budget():
-            search.exhausted_budget = True
-            return
-        stack.extend(search.process(*stack.pop()))
-
-
-def _run_parallel(search: _Search, workers: int) -> None:
-    lock = threading.Lock()
-    cv = threading.Condition(lock)
-    stack = [(search.lo0.copy(), search.hi0.copy(), None)]
-    active = [0]
-    stop = [False]
-
-    def loop() -> None:
-        while True:
-            with cv:
-                while not stack and active[0] > 0 and not stop[0]:
-                    cv.wait()
-                if stop[0] or (not stack and active[0] == 0):
-                    cv.notify_all()
-                    return
-                if search.witness is not None or search.out_of_budget():
-                    search.exhausted_budget = search.witness is None
-                    stop[0] = True
-                    cv.notify_all()
-                    return
-                node = stack.pop()
-                active[0] += 1
-            children = search.process(*node)
-            with cv:
-                stack.extend(children)
-                active[0] -= 1
-                cv.notify_all()
-
-    threads = [threading.Thread(target=loop, daemon=True) for _ in range(workers)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    def run(self) -> None:
+        """Depth-first until the tree closes, a witness replays or the budget ends."""
+        stack = [(self.prob.lp.lo.copy(), self.prob.lp.hi.copy(), None)]
+        while stack:
+            if self.witness is not None:
+                return
+            if self.out_of_budget():
+                self.exhausted_budget = True
+                return
+            stack.extend(self.process(*stack.pop()))
 
 
 def verify(
     net: Network,
     query: SafetyQuery,
     budget: Budget = Budget(),
-    workers: int = 1,
     kernel=None,
 ) -> Verdict:
     """Decide the safety query; see module docstring for semantics."""
     prob = encode(net, query)
     search = _Search(net, query, prob, budget, kernel)
-
-    if workers <= 1:
-        _run_serial(search)
-    else:
-        _run_parallel(search, workers)
+    search.run()
 
     wall = time.monotonic() - search.t0
     stats = {

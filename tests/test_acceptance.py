@@ -246,7 +246,7 @@ def test_criterion_5_monitor_consistency(capsys):
     total = 0
     for net, query in fixtures:
         prob = encode(net, query)
-        _, A, rels, b, lo, hi = prob.lp.to_dense()
+        A, rels, b, lo, hi = prob.lp.A, prob.lp.rels, prob.lp.b, prob.lp.lo, prob.lp.hi
         cut = np.array(prob.cut_cols, dtype=np.int64)
         blo, bhi = query.bounds.lo, query.bounds.hi
         span = bhi - blo

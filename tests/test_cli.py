@@ -14,7 +14,7 @@ from safecut.network import (
     Dataset, Dense, Network, Relu, load_network, save_dataset, save_network,
 )
 from safecut.verifier import replay_witness
-from safecut.milp import load_query
+from safecut.milp import encode, load_query
 
 import synth
 from harness import child_env
@@ -375,6 +375,25 @@ def test_stats_with_risk_premise(workdir, tmp_path):
     assert json.loads(r.stdout)["premise_checked"] is True
 
 
+@pytest.mark.parametrize("field", ["coeffs", "rhs"])
+def test_nan_risk_query_refused_before_search_and_dump(workdir, tmp_path, field):
+    obj = json.loads((workdir / "query_safe.json").read_text())
+    obj["bounds"] = str(workdir / "bounds.json")
+    obj["characterizer"] = str(workdir / "head.json")
+    clause = obj["risk"][0]
+    clause[field] = [float("nan")] if field == "coeffs" else float("nan")
+    (tmp_path / "nan.json").write_text(json.dumps(obj))
+    dump = tmp_path / "nan.lp"
+    r = run_cli(
+        ["--debug-lp-dump", dump, "verify", "net.json", tmp_path / "nan.json",
+         tmp_path / "v.json", "--max-nodes", 0],
+        workdir,
+    )
+    assert r.returncode == 2, r.stderr
+    assert "finite" in r.stderr
+    assert not dump.exists() and not (tmp_path / "v.json").exists()
+
+
 def test_debug_lp_dump(workdir, tmp_path):
     dump = tmp_path / "root.lp"
     r = run_cli(
@@ -385,3 +404,13 @@ def test_debug_lp_dump(workdir, tmp_path):
     assert r.returncode == 0, r.stderr
     text = dump.read_text()
     assert "minimize" in text and "binaries" in text
+    lp_lines = text.splitlines()
+    prob = encode(load_network(str(workdir / "net.json")),
+                  load_query(str(workdir / "query_safe.json")))
+    top, mid = lp_lines.index("subject to"), lp_lines.index("bounds")
+    assert mid - top - 1 == prob.lp.num_rows
+    assert lp_lines[mid + 1:-1] == [
+        f"  {lo:g} <= {prob.lp.name_of(j)} <= {hi:g}"
+        for j, (lo, hi) in enumerate(zip(prob.lp.lo, prob.lp.hi))
+    ]
+    assert lp_lines[-1].split() == ["binaries"] + [prob.lp.name_of(j) for j in prob.binaries]

@@ -1,8 +1,5 @@
 """The compiled kernel must be a bit-exact drop-in for the reference one."""
 
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
@@ -10,7 +7,6 @@ from safecut import kernels
 from safecut.lp import OPTIMAL, solve_dense, _initial_state
 
 import synth
-from harness import child_env
 
 HAVE_EXT = "ext" in kernels.available_kernels()
 
@@ -23,6 +19,11 @@ def test_both_kernels_registered():
     av = kernels.available_kernels()
     assert "py" in av
     assert kernels.KERNEL_NAME in av
+
+
+def test_compiled_kernel_is_the_default():
+    assert kernels.KERNEL_NAME == "ext"
+    assert kernels.run_phase is kernels.available_kernels()["ext"]
 
 
 def test_outcomes_bitwise_identical_on_random_lps():
@@ -87,22 +88,3 @@ def test_run_phase_state_arrays_match_bitwise():
         assert np.array_equal(s_py[3], s_ext[3])
         assert np.array_equal(s_py[4], s_ext[4])
         assert np.array_equal(s_py[5], s_ext[5])
-
-
-def _kernel_name_under_env(value):
-    return subprocess.run(
-        [sys.executable, "-c", "from safecut import kernels; print(kernels.KERNEL_NAME)"],
-        capture_output=True, text=True, env=child_env(SAFECUT_KERNEL=value),
-    )
-
-
-def test_env_var_selects_kernel():
-    r = _kernel_name_under_env("py")
-    assert r.returncode == 0 and r.stdout.strip() == "py"
-    r = _kernel_name_under_env("ext")
-    assert r.returncode == 0 and r.stdout.strip() == "ext"
-
-
-def test_env_var_rejects_unknown_kernel():
-    r = _kernel_name_under_env("turbo")
-    assert r.returncode != 0

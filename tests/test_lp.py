@@ -16,7 +16,6 @@ from safecut.lp import (
     LinearProgram,
     _recheck,
     format_lp,
-    lp_solve,
     solve_dense,
 )
 
@@ -61,14 +60,14 @@ def test_unbounded_ray():
 
 
 def test_equality_and_fixed_variables():
-    lp = LinearProgram(3)
-    lp.objective[:] = [1.0, 2.0, 0.0]
-    lp.set_bounds(0, -5.0, 5.0)
-    lp.set_bounds(1, -5.0, 5.0)
-    lp.set_bounds(2, 2.0, 2.0)  # pinned
-    lp.add_constraint({0: 1.0, 1: 1.0, 2: 1.0}, "=", 4.0)
-    lp.add_constraint({0: 1.0, 1: -1.0}, "<=", 1.0)
-    out = lp_solve(lp)
+    out = _solve(
+        [1.0, 2.0, 0.0],
+        [[1.0, 1.0, 1.0], [1.0, -1.0, 0.0]],
+        [REL_EQ, REL_LE],
+        [4.0, 1.0],
+        [-5.0, -5.0, 2.0],
+        [5.0, 5.0, 2.0],  # x2 pinned
+    )
     assert out.status == OPTIMAL
     x = out.point
     assert x[2] == pytest.approx(2.0, abs=1e-9)
@@ -85,11 +84,7 @@ def test_empty_bound_interval_is_infeasible():
 
 def test_free_variable_equality():
     # min y s.t. y = x - 7, x in [0, 1], y free
-    lp = LinearProgram(2)
-    lp.objective[:] = [0.0, 1.0]
-    lp.set_bounds(0, 0.0, 1.0)
-    lp.add_constraint({0: 1.0, 1: -1.0}, "=", 7.0)
-    out = lp_solve(lp)
+    out = _solve([0.0, 1.0], [[1.0, -1.0]], [REL_EQ], [7.0], [0.0, -np.inf], [1.0, np.inf])
     assert out.status == OPTIMAL
     assert out.objective_value == pytest.approx(-7.0, abs=1e-7)
 
@@ -229,28 +224,27 @@ def test_recheck_names_lowest_violated_row_like_the_loop(rel):
 
 def test_tiny_pivot_breaks_down_loudly():
     # the only useful pivot is 1e-12, below the 1e-11 floor: refuse to lie
-    lp = LinearProgram(1)
-    lp.objective[:] = [-1.0]
-    lp.set_bounds(0, 0.0, np.inf)
-    lp.add_constraint({0: 1e-12}, "<=", 1.0)
     with pytest.raises(NumericalBreakdownError):
-        lp_solve(lp)
+        _solve([-1.0], [[1e-12]], [REL_LE], [1.0], [0.0], [np.inf])
 
 
 def test_nan_rejected():
-    lp = LinearProgram(1)
     with pytest.raises(ValueError):
-        lp.add_constraint({0: float("nan")}, "<=", 1.0)
+        _solve([1.0], [[float("nan")]], [REL_LE], [1.0], [0.0], [1.0])
     with pytest.raises(ValueError):
-        lp.add_constraint({0: 1.0}, "!=", 1.0)
+        _solve([1.0], [[1.0]], [REL_LE], [float("nan")], [0.0], [1.0])
 
 
 def test_format_lp_mentions_every_row():
-    lp = LinearProgram(2, names=["alpha", "beta"])
-    lp.objective[:] = [1.0, -1.0]
-    lp.set_bounds(0, 0.0, 1.0)
-    lp.add_constraint({0: 1.0, 1: 2.0}, "<=", 3.0)
-    lp.add_constraint({1: -1.0}, ">=", -2.0)
+    lp = LinearProgram(
+        c=np.array([1.0, -1.0]),
+        A=np.array([[1.0, 2.0], [0.0, -1.0]]),
+        rels=np.array([REL_LE, REL_GE], np.int8),
+        b=np.array([3.0, -2.0]),
+        lo=np.array([0.0, -np.inf]),
+        hi=np.array([1.0, np.inf]),
+        names=("alpha", "beta"),
+    )
     text = format_lp(lp)
     assert "alpha" in text and "beta" in text
     assert "<=" in text and ">=" in text

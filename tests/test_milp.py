@@ -15,8 +15,18 @@ from safecut.milp import (
     SafetyQuery,
     encode,
     load_query,
+    risk_from_obj,
 )
+from safecut.lp import format_lp
 from safecut.network import Dense, Network, Relu
+
+
+def _rows(lp):
+    """Each row as ({column: coefficient} over its nonzero columns, rel, rhs)."""
+    return [
+        ({int(j): float(row[j]) for j in np.flatnonzero(row)}, int(rel), float(rhs))
+        for row, rel, rhs in zip(lp.A, lp.rels, lp.b)
+    ]
 
 
 def _linear_head(d, w=None, b=0.0):
@@ -65,7 +75,7 @@ def test_straddling_relu_emits_binary_and_three_rows():
     lp = prob.lp
     assert lp.lo[y] == 0.0 and lp.hi[y] == 2.0  # y in [0, xhi]
     assert lp.lo[a] == 0.0 and lp.hi[a] == 1.0
-    rows = list(zip(lp.rows, lp.rels, lp.rhs))
+    rows = _rows(lp)
     # y - x >= 0
     assert ({y: 1.0, x: -1.0}, 1, 0.0) in rows
     # y - x - xlo*a <= -xlo  with xlo = -1:  y - x + a <= 1
@@ -82,9 +92,7 @@ def test_stable_positive_relu_is_equality():
     assert info.kind == "pos"
     lp = prob.lp
     assert lp.lo[info.post_col] == 0.5 and lp.hi[info.post_col] == 2.0
-    assert ({info.post_col: 1.0, info.pre_col: -1.0}, 0, 0.0) in list(
-        zip(lp.rows, lp.rels, lp.rhs)
-    )
+    assert ({info.post_col: 1.0, info.pre_col: -1.0}, 0, 0.0) in _rows(lp)
 
 
 def test_stable_negative_relu_is_pinned_zero():
@@ -124,7 +132,7 @@ def test_diff_rows_present_and_box_as_variable_bounds():
     assert np.array_equal(lp.lo[list(prob.cut_cols)], [0.0, -1.0, 0.5])
     assert np.array_equal(lp.hi[list(prob.cut_cols)], [1.0, 1.0, 2.0])
     assert len(prob.diff_rows) == 4  # two adjacent pairs, one row pair each
-    rows = list(zip(lp.rows, lp.rels, lp.rhs))
+    rows = _rows(lp)
     c0, c1, c2 = prob.cut_cols
     assert ({c1: 1.0, c0: -1.0}, 1, -0.5) in rows
     assert ({c1: 1.0, c0: -1.0}, -1, 0.5) in rows
@@ -142,7 +150,7 @@ def test_strict_risk_relaxed_to_nonstrict():
     )
     prob = encode(net, _query(net, [-1.0, -1.0], [1.0, 1.0], risk=risk))
     lp = prob.lp
-    tail = list(zip(lp.rows, lp.rels, lp.rhs))[-2:]
+    tail = _rows(lp)[-2:]
     o0, o1 = prob.out_cols
     assert tail[0] == ({o0: 1.0}, -1, 0.25)
     assert tail[1] == ({o1: -1.0}, 1, -3.0)
@@ -153,7 +161,7 @@ def test_logit_row_is_ge_zero():
     head = _linear_head(2, w=[1.0, -1.0], b=0.25)
     prob = encode(net, _query(net, [-1.0, -1.0], [1.0, 1.0], head=head))
     lp = prob.lp
-    rows = list(zip(lp.rows, lp.rels, lp.rhs))
+    rows = _rows(lp)
     assert ({prob.logit_col: 1.0}, 1, 0.0) in rows
 
 
@@ -163,10 +171,52 @@ def test_head_shares_cut_variables_only():
     prob = encode(net, _query(net, [-1.0, -1.0], [1.0, 1.0], head=head))
     lp = prob.lp
     # the logit defining row references only cut columns and the logit column
-    logit_rows = [r for r in lp.rows if prob.logit_col in r and len(r) > 1]
+    logit_rows = [r for r, _, _ in _rows(lp) if prob.logit_col in r and len(r) > 1]
     assert len(logit_rows) == 1
     refs = set(logit_rows[0]) - {prob.logit_col}
     assert refs <= set(prob.cut_cols)
+
+
+def test_negative_zero_coefficients_encode_as_positive_zero():
+    # a -0.0 weight and a -0.0 risk coefficient are skipped like any zero, so
+    # no entry of A carries a sign bit the solver could pivot on differently
+    net = Network(
+        layers=(
+            Dense(weights=np.eye(2), bias=np.zeros(2)),
+            Relu(dimension=2),
+            Dense(weights=np.array([[1.0, -0.0], [-0.0, 2.0]]), bias=np.zeros(2)),
+        ),
+        input_dim=2,
+    )
+    risk = RiskCondition(
+        clauses=(RiskClause(coeffs=np.array([-0.0, 1.0]), op=">=", rhs=0.5),)
+    )
+    head = _linear_head(2, w=[-0.0, 1.0], b=0.0)
+    A = encode(net, _query(net, [-1.0, -1.0], [1.0, 1.0], risk=risk, head=head)).lp.A
+    assert (A == 0.0).any()
+    assert not np.signbit(A[A == 0.0]).any()
+
+
+def test_format_lp_of_one_relu_query():
+    net = _relu_net(1)
+    prob = encode(net, _query(net, [-1.0], [2.0]))
+    assert format_lp(prob.lp) == (
+        "minimize 0\n"
+        "subject to\n"
+        "  -1*n0 +1*s1_0 >= 0\n"
+        "  -1*n0 +1*s1_0 +1*a0 <= 1\n"
+        "  +1*s1_0 -2*a0 <= 0\n"
+        "  +1*s1_0 -1*s2_0 = -0\n"
+        "  -1*h1_0 = -1\n"
+        "  +1*h1_0 >= 0\n"
+        "  +1*s2_0 >= 0\n"
+        "bounds\n"
+        "  -1 <= n0 <= 2\n"
+        "  0 <= s1_0 <= 2\n"
+        "  0 <= a0 <= 1\n"
+        "  0 <= s2_0 <= 2\n"
+        "  1 <= h1_0 <= 1\n"
+    )
 
 
 def test_unsupported_layer_type():
@@ -196,6 +246,14 @@ def test_risk_clause_validation():
                 RiskClause(coeffs=np.array([1.0, 2.0]), op="<=", rhs=0.0),
             )
         )
+
+
+@pytest.mark.parametrize("coeff,rhs", [(np.nan, 0.0), (1.0, np.nan), (np.inf, 0.0), (1.0, -np.inf)])
+def test_nonfinite_risk_clause_refused(coeff, rhs):
+    with pytest.raises(ParseError):
+        RiskClause(coeffs=np.array([coeff]), op="<=", rhs=rhs)
+    with pytest.raises(ParseError):
+        risk_from_obj([{"coeffs": [coeff], "op": "<=", "rhs": rhs}])
 
 
 def test_query_cross_validation():

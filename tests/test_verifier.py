@@ -230,15 +230,6 @@ def test_verify_deterministic_rerun():
         assert np.array_equal(a.witness_output, b.witness_output)
 
 
-def test_parallel_workers_agree_on_status():
-    rng = np.random.default_rng(555)
-    for _ in range(10):
-        net, query = synth.random_suffix_instance(rng)
-        serial = verify(net, query)
-        threaded = verify(net, query, workers=2)
-        assert serial.status == threaded.status
-
-
 def test_mini_oracle_sweep():
     rng = np.random.default_rng(808)
     for _ in range(25):
