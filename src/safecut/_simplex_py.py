@@ -1,6 +1,6 @@
 """Pure-NumPy bounded-variable simplex kernel.
 
-This is the fallback for the compiled kernel in ``_simplex_cy``.  The two
+This is the fallback for the compiled kernel in ``_simplex_c``.  The two
 implementations are kept *bitwise* interchangeable: every floating-point
 expression is written as the same sequence of elementwise multiply/divide/
 subtract operations (the extension is compiled with -ffp-contract=off so no

@@ -1,18 +1,71 @@
-"""The compiled kernel must be a bit-exact drop-in for the reference one."""
+"""The compiled kernel must be a bit-exact drop-in for the reference one.
+
+When ``safecut._simplex_c`` is not importable, the ``ext`` fixture builds it
+with the repository's ``setup.py`` into a temporary directory, so these
+tests run from a plain checkout; they skip only when there is no C compiler.
+"""
+
+import importlib.util
+import os
+import shlex
+import shutil
+import subprocess
+import sys
+import sysconfig
 
 import numpy as np
 import pytest
 
-from safecut import kernels
+import safecut
+from safecut import _simplex_py, kernels
 from safecut.lp import OPTIMAL, solve_dense, _initial_state
 
 import synth
+from harness import child_env
 
-HAVE_EXT = "ext" in kernels.available_kernels()
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-pytestmark = pytest.mark.skipif(
-    not HAVE_EXT, reason="compiled kernel not built in this environment"
-)
+
+def _c_compiler():
+    cc = os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc"
+    return shutil.which(shlex.split(cc)[0])
+
+
+@pytest.fixture(scope="session")
+def ext(tmp_path_factory):
+    """(compiled kernel module, directory to put on a child's path).
+
+    The directory is None when the module is importable in place; otherwise
+    it holds a copy of the package under test beside the freshly built
+    module, so a child process importing ``safecut`` from it selects ``ext``.
+    """
+    try:
+        return importlib.import_module("safecut._simplex_c"), None
+    except ImportError:
+        pass
+    if _c_compiler() is None:
+        pytest.skip("no C compiler found to build safecut._simplex_c")
+    lib = tmp_path_factory.mktemp("ext")
+    subprocess.run(
+        [sys.executable, "setup.py", "build_ext",
+         "--build-lib", str(lib), "--build-temp", str(lib / "temp")],
+        cwd=REPO, check=True, capture_output=True,
+    )
+    built = sorted((lib / "safecut").glob("_simplex_c.*"))
+    assert built, "setup.py build_ext produced no safecut._simplex_c"
+    shutil.copytree(
+        os.path.dirname(safecut.__file__), lib / "safecut", dirs_exist_ok=True,
+        ignore=shutil.ignore_patterns("__pycache__"),
+    )
+    spec = importlib.util.spec_from_file_location("safecut._simplex_c", built[0])
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module, str(lib)
+
+
+@pytest.fixture
+def av(ext):
+    return {"py": _simplex_py.run_phase, "ext": ext[0].run_phase}
 
 
 def test_both_kernels_registered():
@@ -21,13 +74,21 @@ def test_both_kernels_registered():
     assert kernels.KERNEL_NAME in av
 
 
-def test_compiled_kernel_is_the_default():
-    assert kernels.KERNEL_NAME == "ext"
-    assert kernels.run_phase is kernels.available_kernels()["ext"]
+def test_compiled_kernel_is_the_default(ext):
+    env = child_env() if ext[1] is None else child_env(PYTHONPATH=ext[1])
+    code = (
+        "from safecut import kernels\n"
+        "print(kernels.KERNEL_NAME, "
+        "kernels.run_phase is kernels.available_kernels()['ext'])\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, check=True,
+        capture_output=True, text=True,
+    )
+    assert out.stdout.split() == ["ext", "True"]
 
 
-def test_outcomes_bitwise_identical_on_random_lps():
-    av = kernels.available_kernels()
+def test_outcomes_bitwise_identical_on_random_lps(av):
     rng = np.random.default_rng(2024)
     statuses = set()
     for _ in range(150):
@@ -57,34 +118,87 @@ def test_outcomes_bitwise_identical_on_random_lps():
     assert OPTIMAL in statuses
 
 
-def test_run_phase_state_arrays_match_bitwise():
-    av = kernels.available_kernels()
+def _phase1_args(c, A, rels, b, lo, hi):
+    """Phase-1 run_phase arrays of the LP's slack start, or None if feasible."""
+    m, n = A.shape
+    T, xB, basis, vstat, lo_all, hi_all, n_art = _initial_state(c, A, rels, b, lo, hi)
+    if n_art == 0:
+        return None
+    c1 = np.zeros(T.shape[1])
+    c1[n + m :] = 1.0
+    z = c1 - np.dot(c1[basis], T)
+    z[basis] = 0.0
+    return [T, z, xB, basis, vstat, lo_all, hi_all], n + m
+
+
+# (dantzig_limit, tiny): the solver's Dantzig-then-Bland schedule; Bland's
+# rule from the first pivot, with its lowest-basis-index ratio tie-break;
+# and a pivot threshold large enough to ban columns and reach TINY_PIVOT
+@pytest.mark.parametrize(
+    "dantzig_limit, tiny", [(None, 1e-11), (0, 1e-11), (0, 0.3)]
+)
+def test_run_phase_state_arrays_match_bitwise(av, dantzig_limit, tiny):
     rng = np.random.default_rng(77)
-    for _ in range(40):
-        c, A, rels, b, lo, hi = synth.random_lp(rng)
-        m, n = A.shape
+    statuses = set()
+    for _ in range(400):
+        lp = synth.random_lp(rng)
         states = {}
         for name, kern in av.items():
-            T, xB, basis, vstat, lo_all, hi_all, n_art = _initial_state(
-                c, A, rels, b, lo, hi
-            )
-            if n_art == 0:
-                continue
-            n_all = T.shape[1]
-            c1 = np.zeros(n_all)
-            c1[n + m :] = 1.0
-            z = c1 - np.dot(c1[basis], T)
-            z[basis] = 0.0
+            args = _phase1_args(*lp)
+            if args is None:
+                break
+            arrays, n_art_start = args
+            limit = 10 * sum(arrays[0].shape) if dantzig_limit is None else dantzig_limit
             status, iters = kern(
-                T, z, xB, basis, vstat, lo_all, hi_all,
-                n + m, 1, 1e-9, 10 * (m + n_all), 50_000, 1e-7, 1e-11,
+                *arrays, n_art_start, 1, 1e-9, limit, 50_000, 1e-7, tiny
             )
-            states[name] = (status, iters, T, xB, basis.copy(), vstat.copy())
+            states[name] = (status, iters, arrays)
         if not states:
             continue
         s_py, s_ext = states["py"], states["ext"]
-        assert s_py[0] == s_ext[0] and s_py[1] == s_ext[1]
-        assert np.array_equal(s_py[2], s_ext[2])  # tableau, every byte
-        assert np.array_equal(s_py[3], s_ext[3])
-        assert np.array_equal(s_py[4], s_ext[4])
-        assert np.array_equal(s_py[5], s_ext[5])
+        statuses.add(s_py[0])
+        assert s_py[:2] == s_ext[:2]
+        for a_py, a_ext in zip(s_py[2], s_ext[2]):
+            assert a_py.tobytes() == a_ext.tobytes()  # every byte, zero signs too
+    assert kernels.REACHED_STOP in statuses
+    if tiny == 0.3:
+        assert kernels.TINY_PIVOT in statuses
+
+
+def _refused_args():
+    """Phase-1 arguments of an LP with at least 2 rows and 2 columns."""
+    rng = np.random.default_rng(5)
+    while True:
+        args = _phase1_args(*synth.random_lp(rng))
+        if args is not None and min(args[0][0].shape) >= 2:
+            return args
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["fortran_T", "int32_basis", "int64_T", "flat_T", "short_z", "long_xB", "bad_basis"],
+)
+def test_ext_refuses_malformed_arrays(av, case):
+    arrays, n_art_start = _refused_args()
+    T, z, xB, basis, vstat, lo, hi = arrays
+    if case == "fortran_T":
+        T = np.asfortranarray(T)
+    elif case == "int32_basis":
+        basis = basis.astype(np.int32)
+    elif case == "int64_T":
+        T = T.astype(np.int64)
+    elif case == "flat_T":
+        T = T.ravel()
+    elif case == "short_z":
+        z = z[:-1].copy()
+    elif case == "long_xB":
+        xB = np.append(xB, 0.0)
+    elif case == "bad_basis":
+        basis = basis.copy()
+        basis[0] = T.shape[1]
+    bad = [T, z, xB, basis, vstat, lo, hi]
+    before = [a.copy() for a in bad]
+    with pytest.raises((ValueError, BufferError)):
+        av["ext"](*bad, n_art_start, 1, 1e-9, 100, 50_000, 1e-7, 1e-11)
+    for a, a0 in zip(bad, before):
+        assert a.tobytes() == a0.tobytes()
