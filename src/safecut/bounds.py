@@ -35,6 +35,15 @@ class InputBox:
         return self.lo.shape[0]
 
 
+def _refuse_nan(**vectors: np.ndarray) -> None:
+    """ParseError naming the first NaN entry; a NaN bound compares false both
+    ways, so it would silently contain everything.  Infinities are bounds."""
+    for name, v in vectors.items():
+        nan = np.flatnonzero(np.isnan(v))
+        if nan.size:
+            raise ParseError(f"bounds {name}[{nan[0]}] is NaN")
+
+
 @dataclass(frozen=True)
 class ActivationBounds:
     layer: int
@@ -50,6 +59,7 @@ class ActivationBounds:
         hi = np.asarray(self.hi, dtype=np.float64)
         if lo.shape != hi.shape or lo.ndim != 1:
             raise ShapeError("bounds lo/hi must be vectors of equal length")
+        _refuse_nan(lo=lo, hi=hi)
         if (lo > hi).any():
             raise ShapeError("bounds have lo > hi")
         object.__setattr__(self, "lo", lo)
@@ -61,6 +71,7 @@ class ActivationBounds:
             dhi = np.asarray(self.diff_hi, dtype=np.float64)
             if dlo.shape != dhi.shape or dlo.shape != (lo.shape[0] - 1,):
                 raise ShapeError("diff bounds must have length d_l - 1")
+            _refuse_nan(diff_lo=dlo, diff_hi=dhi)
             if (dlo > dhi).any():
                 raise ShapeError("diff bounds have lo > hi")
             object.__setattr__(self, "diff_lo", dlo)

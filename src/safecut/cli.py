@@ -154,34 +154,40 @@ def _report_line(report, sample_id: int) -> str:
     return json.dumps(_jsonable(obj), sort_keys=True) + "\n"
 
 
-def _monitor_chunk(net, b, rows: list, args: argparse.Namespace, first_id: int) -> str:
-    """The report lines of one chunk of stdin rows, sample ids from first_id.
+def _monitor_chunk(net, b, lines: list, args: argparse.Namespace, first_id: int) -> str:
+    """The report lines of one chunk of stdin lines, sample ids from first_id.
 
-    One parse, one forward and one containment test for the whole chunk; a
-    chunk with a row that does not parse or has the wrong width goes through
-    `monitor_stream` row by row, whose StreamError lines name the bad rows.
+    One parse (`np.loadtxt`, in C), one forward and one containment test for
+    the whole chunk.  The parser accepts a subset of what `float()` does (no
+    `1_0`, no non-ASCII digits) and rounds the same; a chunk it refuses, or
+    one with a row of the wrong width, goes through `monitor_stream` row by
+    row on the split cells, which parses with `float()` and whose
+    StreamError lines name the bad rows.
     """
+    width = b.dim if args.activations else net.input_dim
     try:
-        m = np.array(rows, dtype=np.float64)
-        width = b.dim if args.activations else net.input_dim
-        if m.shape[1:] != (width,):
-            raise ShapeError(f"rows of {m.shape[1:]} cells, expected {width}")
+        m = np.loadtxt(lines, dtype=np.float64, delimiter=",", comments=None, ndmin=2)
+        if m.shape != (len(lines), width):
+            raise ShapeError(f"chunk of shape {m.shape}, expected ({len(lines)}, {width})")
         acts = m if args.activations else forward_batch(net, m, 0, b.layer)
         found = monitor_mod.violations(b, acts, args.tolerance)
     except (ShapeError, ValueError):
+        # raw string cells: non-numeric or wrong-length rows become
+        # StreamError lines
+        rows = [[p.strip() for p in line.split(",")] for line in lines]
         stream = monitor_mod.monitor_stream(
             net, b, rows, tolerance=args.tolerance, precomputed=args.activations
         )
         return "".join(_report_line(rep, first_id + k) for k, rep in enumerate(stream))
-    lines = []
-    for k in range(len(rows)):
+    out = []
+    for k in range(len(lines)):
         bad = found.get(k)
         if bad is None:
-            lines.append(_CONTAINED_LINE % (first_id + k))
+            out.append(_CONTAINED_LINE % (first_id + k))
         else:
             report = monitor_mod.MonitorReport(contained=False, violations=bad)
-            lines.append(_report_line(report, first_id + k))
-    return "".join(lines)
+            out.append(_report_line(report, first_id + k))
+    return "".join(out)
 
 
 def cmd_monitor(args: argparse.Namespace) -> int:
@@ -200,17 +206,11 @@ def cmd_monitor(args: argparse.Namespace) -> int:
         text = block.decode(sys.stdin.encoding, sys.stdin.errors)
         # universal newlines, as text-mode stdin reads them
         text = text.replace("\r\n", "\n").replace("\r", "\n")
-        # raw string cells: non-numeric or wrong-length rows become
-        # StreamError lines
-        rows = [
-            [p.strip() for p in line.split(",")]
-            for line in map(str.strip, text.split("\n"))
-            if line
-        ]
-        if rows:
-            sys.stdout.write(_monitor_chunk(net, b, rows, args, first_id))
+        lines = [line for line in map(str.strip, text.split("\n")) if line]
+        if lines:
+            sys.stdout.write(_monitor_chunk(net, b, lines, args, first_id))
             sys.stdout.flush()
-            first_id += len(rows)
+            first_id += len(lines)
         if not data:
             return _EXIT_OK
 

@@ -10,9 +10,13 @@ candidate fails replay is re-solved once with a logit-maximizing objective
 to pull the candidate into the interior of the phi region.  A leaf that
 still produces no replayable point poisons any Safe conclusion: the final
 verdict degrades to unknown instead (never discard-and-certify).
-Exploration is one depth-first loop, branching on the binary nearest 0.5
-(lowest index on ties) with the closer phase first, so witnesses surface
-early; the node order, the witness and every stat are deterministic.
+Exploration is one depth-first loop.  It branches on the unfixed binary
+whose ReLU the node's LP point violates most, weighted by the width of its
+pre-activation interval: ``(y - max(x, 0)) * (xhi - xlo)`` for pre-activation
+x and output y (lowest index on ties), and takes the phase nearer the
+binary's LP value first, so witnesses surface early; the node order, the
+witness and every stat are deterministic.  ``stats["max_depth"]`` is the
+largest number of fixed binaries at any node solved.
 The root LP is solved cold; every child, and the polish re-solve of a leaf,
 starts from the final simplex basis of the node it came from (lp.py's warm
 start), so it repairs one fixed binary in a few pivots.  A warm solve that
@@ -85,11 +89,20 @@ def replay_witness(
     }
 
 
-def _pick_branch(vals: np.ndarray, fixed: np.ndarray) -> int:
-    """Unfixed binary nearest 0.5; lowest index breaks ties."""
-    dist = np.abs(vals - 0.5)
-    dist[fixed] = np.inf
-    return int(np.argmin(dist))
+def _pick_branch(
+    x: np.ndarray, pre: np.ndarray, post: np.ndarray, width: np.ndarray, fixed: np.ndarray
+) -> int:
+    """Unfixed binary whose ReLU the LP point `x` violates most, by width.
+
+    The score of binary j is ``(x[post[j]] - max(x[pre[j]], 0)) * width[j]``:
+    how far the relaxed output sits above the true ReLU of its input, times
+    the width of the pre-activation interval (BaBSR-style, Bunel et al.,
+    JMLR 2020).  The lowest index breaks ties; an all-zero score still
+    returns an unfixed binary.
+    """
+    score = (x[post] - np.maximum(x[pre], 0.0)) * width
+    score[fixed] = -np.inf
+    return int(np.argmax(score))
 
 
 class _Search:
@@ -104,9 +117,15 @@ class _Search:
         lp = prob.lp
         self.c, self.A, self.rels, self.b = lp.c, lp.A, lp.rels, lp.b
         self.bin_cols = np.array(prob.binaries, dtype=np.int64)
+        split = [r for r in prob.relus if r.binary_col is not None]
+        assert tuple(r.binary_col for r in split) == prob.binaries
+        self.pre_cols = np.array([r.pre_col for r in split], dtype=np.int64)
+        self.post_cols = np.array([r.post_col for r in split], dtype=np.int64)
+        self.widths = np.array([r.xhi - r.xlo for r in split], dtype=np.float64)
         self.cut_dim = len(prob.cut_cols)
         self.t0 = time.monotonic()
         self.nodes = 0
+        self.max_depth = 0
         self.lp_solves = 0
         self.pivots = 0
         self.warnings: List[str] = []
@@ -142,6 +161,8 @@ class _Search:
         """Solve one node; returns child nodes (near phase last = popped first)."""
         self.nodes += 1
         self.lp_solves += 1
+        fixed = lo[self.bin_cols] == hi[self.bin_cols]
+        self.max_depth = max(self.max_depth, int(fixed.sum()))
         try:
             out = self._solve(self.c, lo, hi, start)
         except NumericalBreakdownError as exc:
@@ -151,16 +172,8 @@ class _Search:
         if out.status == INFEASIBLE:
             return []
         x = out.point
-
-        k = self.bin_cols.shape[0]
-        if k:
-            vals = x[self.bin_cols]
-            fixed = lo[self.bin_cols] == hi[self.bin_cols]
-            integral = np.abs(vals - np.round(vals)) <= INTEGRALITY_TOL
-        else:
-            vals = np.zeros(0)
-            fixed = np.ones(0, dtype=bool)
-            integral = np.ones(0, dtype=bool)
+        vals = x[self.bin_cols]
+        integral = np.abs(vals - np.round(vals)) <= INTEGRALITY_TOL
 
         if integral.all():
             w, rep, ok = self._try_witness(x[: self.cut_dim])
@@ -182,7 +195,7 @@ class _Search:
                 return []
             # integral by luck but not yet fixed — keep branching
 
-        j = _pick_branch(vals, fixed)
+        j = _pick_branch(x, self.pre_cols, self.post_cols, self.widths, fixed)
         near = 1.0 if vals[j] > 0.5 else 0.0
         col = self.bin_cols[j]
         children = []
@@ -257,6 +270,7 @@ def verify(
         "nodes_explored": search.nodes,
         "lp_solves": search.lp_solves,
         "pivots": search.pivots,
+        "max_depth": search.max_depth,
         "wall_time": wall,
     }
     conditional = query.bounds.provenance == "dataset"

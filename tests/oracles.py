@@ -4,14 +4,15 @@ Everything here is deliberately built on different machinery than the package
 under test: interval arithmetic is restated from scratch, LP feasibility goes
 through scipy's HiGHS instead of the in-tree simplex, optima come from brute
 vertex enumeration, and safety verdicts come from exhaustive ReLU phase
-enumeration instead of branch-and-bound.  Slow on purpose; trustworthy on
-purpose.
+enumeration instead of branch-and-bound (or, where 2^k phase patterns are too
+many, from HiGHS's own MILP solver on a big-M model built here).  Slow on
+purpose; trustworthy on purpose.
 """
 
 import itertools
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
 from safecut.network import BatchNorm, Dense, Relu
 
@@ -182,13 +183,12 @@ def _affine_vars(ref, layer, cols):
     return out
 
 
-def oracle_verify(net, query):
-    """Ground-truth Safe/Unsafe by trying every phase of every unstable ReLU.
+def _reference_model(net, query):
+    """The query as LP rows, minus the phase rows of its split ReLUs.
 
-    Stable neurons (interval fully on one side of zero) are fixed to their
-    only possible phase, which is exact, so only the straddling ones are
-    enumerated.  Returns ("unsafe", cut_witness) on the first feasible phase
-    pattern, ("safe", None) if all patterns are infeasible.
+    Returns (ref, cut, splits), splits holding (x, y, pre_lo, pre_hi) for each
+    ReLU whose interval straddles zero (y >= 0 is its only constraint so far),
+    or None when a constant risk clause already fails.
     """
     bounds = query.bounds
     ref = _RefLp()
@@ -215,7 +215,7 @@ def oracle_verify(net, query):
                     elif pre_lo[k] >= 0.0:
                         ref.eq.append(({y: 1.0, x: -1.0}, 0.0))
                     else:
-                        splits.append((x, y))
+                        splits.append((x, y, float(pre_lo[k]), float(pre_hi[k])))
                     nxt.append(y)
                 cols = nxt
             else:
@@ -234,17 +234,31 @@ def oracle_verify(net, query):
             # all-zero row: the clause is a constant, either vacuous or fatal
             holds = 0.0 <= clause.rhs if clause.relaxed_rel == "<=" else 0.0 >= clause.rhs
             if not holds:
-                return "safe", None
+                return None
             continue
         if clause.relaxed_rel == "<=":
             ref.le.append((coeffs, float(clause.rhs)))
         else:
             ref.le.append(({j: -v for j, v in coeffs.items()}, -float(clause.rhs)))
+    return ref, cut, splits
 
+
+def oracle_verify(net, query):
+    """Ground-truth Safe/Unsafe by trying every phase of every unstable ReLU.
+
+    Stable neurons (interval fully on one side of zero) are fixed to their
+    only possible phase, which is exact, so only the straddling ones are
+    enumerated.  Returns ("unsafe", cut_witness) on the first feasible phase
+    pattern, ("safe", None) if all patterns are infeasible.
+    """
+    model = _reference_model(net, query)
+    if model is None:
+        return "safe", None
+    ref, cut, splits = model
     for pattern in itertools.product((1, 0), repeat=len(splits)):
         eq = list(ref.eq)
         le = list(ref.le)
-        for (x, y), active in zip(splits, pattern):
+        for (x, y, _, _), active in zip(splits, pattern):
             if active:
                 eq.append(({y: 1.0, x: -1.0}, 0.0))
                 le.append(({x: -1.0}, 0.0))  # x >= 0
@@ -255,3 +269,42 @@ def oracle_verify(net, query):
         if point is not None:
             return "unsafe", point[: len(cut)]
     return "safe", None
+
+
+def milp_verify(net, query):
+    """Safe/Unsafe from `scipy.optimize.milp` (HiGHS) on a big-M model.
+
+    The same rows as `oracle_verify`, each split ReLU getting a binary and
+    the three big-M rows from this module's own intervals; for queries whose
+    2^k phase patterns are too many to enumerate.
+    """
+    model = _reference_model(net, query)
+    if model is None:
+        return "safe"
+    ref, _, splits = model
+    n = len(ref.lb) + len(splits)
+    rows = [(coeffs, rhs, rhs) for coeffs, rhs in ref.eq]
+    rows += [(coeffs, -np.inf, rhs) for coeffs, rhs in ref.le]
+    for i, (x, y, lo, hi) in enumerate(splits):
+        a = len(ref.lb) + i
+        rows.append(({y: 1.0, x: -1.0}, 0.0, np.inf))  # y >= x
+        rows.append(({y: 1.0, x: -1.0, a: -lo}, -np.inf, -lo))  # y <= x - lo (1 - a)
+        rows.append(({y: 1.0, a: -hi}, -np.inf, 0.0))  # y <= hi a
+    A = np.zeros((len(rows), n))
+    for i, (coeffs, _, _) in enumerate(rows):
+        for j, v in coeffs.items():
+            A[i, j] += v
+    res = milp(
+        np.zeros(n),
+        constraints=LinearConstraint(A, [r[1] for r in rows], [r[2] for r in rows]),
+        integrality=np.r_[np.zeros(len(ref.lb)), np.ones(len(splits))],
+        bounds=Bounds(
+            [-np.inf if v is None else v for v in ref.lb] + [0.0] * len(splits),
+            [np.inf if v is None else v for v in ref.ub] + [1.0] * len(splits),
+        ),
+    )
+    if res.status == 2:
+        return "safe"
+    if res.status == 0:
+        return "unsafe"
+    raise RuntimeError(f"reference MILP ended with status {res.status}: {res.message}")

@@ -12,7 +12,7 @@ from safecut.bounds import (
     static_bounds,
     widen,
 )
-from safecut.errors import EmptyDatasetError, ShapeError
+from safecut.errors import EmptyDatasetError, ParseError, ShapeError
 from safecut.network import Dataset, Dense, Network, forward, forward_batch
 
 import synth
@@ -133,6 +133,17 @@ def test_bounds_validation():
         )
     with pytest.raises(EmptyDatasetError):
         dataset_bounds(_identity_net(1), Dataset(inputs=np.zeros((0, 1))), 1)
+
+
+@pytest.mark.parametrize("field", ["lo", "hi", "diff_lo", "diff_hi"])
+def test_bounds_refuse_nan_accept_inf(field):
+    vectors = {"lo": np.zeros(3), "hi": np.ones(3),
+               "diff_lo": -np.ones(2), "diff_hi": np.ones(2)}
+    vectors[field][1] = np.nan
+    with pytest.raises(ParseError, match=rf"{field}\[1\] is NaN"):
+        ActivationBounds(layer=1, **vectors)
+    vectors[field][1] = -np.inf if field.endswith("lo") else np.inf
+    assert ActivationBounds(layer=1, **vectors).dim == 3
 
 
 def test_bounds_json_roundtrip(tmp_path, tiny_net):

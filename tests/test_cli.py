@@ -1,5 +1,9 @@
-"""End-to-end CLI checks, all through subprocesses (real exit codes)."""
+"""End-to-end CLI checks, through subprocesses (real exit codes); the
+monitor's chunk parser is also checked in process, against the row path."""
 
+import argparse
+import contextlib
+import io
 import json
 import select
 import subprocess
@@ -7,7 +11,9 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from safecut import cli
 from safecut.bounds import load_bounds
 from safecut.monitor import monitor_stream, report_to_obj
 from safecut.network import (
@@ -303,6 +309,79 @@ def test_monitor_crlf_and_malformed_rows_in_one_chunk(workdir):
                 stdin_text="1,2,3\r\n4,5,6\r\n")
     assert r.stdout.splitlines() == _stream_lines(workdir, [["1", "2", "3"], ["4", "5", "6"]])
     assert all("error" in json.loads(line) for line in r.stdout.splitlines())
+
+
+# cells the chunk parser must read as float() does, or hand to the row path
+_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False, width=64).map(lambda v: "%.16e" % v),
+    st.floats(-2.0, 2.0).map(repr),
+    st.floats(-2.0, 2.0).map(lambda v: " %r\t" % v),
+    st.sampled_from(["1_0", "\u0967", "nan", "inf", "-inf", "#1", "0x10", "", " "]),
+)
+_ROWS = st.lists(
+    st.one_of(st.lists(_CELLS, min_size=2, max_size=2), st.lists(_CELLS, max_size=3)),
+    min_size=1, max_size=12,
+)
+
+
+def _monitor_in_process(net_path, bounds_path, text, activations):
+    """`safecut monitor` stdout for stdin `text`, without a child process."""
+    args = argparse.Namespace(
+        network=net_path, bounds=bounds_path, tolerance=0.0, activations=activations
+    )
+    stdin, out = sys.stdin, io.StringIO()
+    sys.stdin = io.TextIOWrapper(io.BufferedReader(io.BytesIO(text.encode())), "utf-8")
+    try:
+        with contextlib.redirect_stdout(out):
+            assert cli.cmd_monitor(args) == 0
+    finally:
+        sys.stdin = stdin
+    return out.getvalue()
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf cells
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(rows=_ROWS, eol=st.sampled_from(["\n", "\r\n"]), activations=st.booleans())
+@example(rows=[["0.5", "0.5"], ["#1", "0.2"], ["9.0", "9.0"]], eol="\n", activations=False)
+@example(rows=[["1_0", " 0.5"], ["0.1", "\u0967"], ["9.0", "9.0"]], eol="\n", activations=False)
+def test_monitor_chunk_parse_matches_row_by_row_path(workdir, rows, eol, activations):
+    text = eol.join(",".join(r) for r in rows) + eol
+    lines = [line for line in map(str.strip, text.replace("\r\n", "\n").split("\n")) if line]
+    want = _stream_lines(
+        workdir, [[p.strip() for p in line.split(",")] for line in lines],
+        precomputed=activations,
+    )
+    got = _monitor_in_process(
+        str(workdir / "net.json"), str(workdir / "bounds.json"), text, activations
+    )
+    assert got.splitlines() == want
+
+
+def test_monitor_and_verify_refuse_nan_envelope(tiny_path, tmp_path):
+    r = run_cli(["bounds", tiny_path, "b.json", "--static", "--box=-1,1", "--layer", 1],
+                tmp_path)
+    assert r.returncode == 0, r.stderr
+    b = json.loads((tmp_path / "b.json").read_text())
+    b["lo"][0] = float("nan")
+    (tmp_path / "nan.json").write_text(json.dumps(b))  # writes a bare NaN
+    head = {
+        "property_id": "p", "decision_rule": "logit_ge_zero", "achieved_accuracy": 1.0,
+        "network": {"input_dim": 3, "layers": [
+            {"type": "dense", "weights": [[1.0, 0.0, 0.0]], "bias": [0.0]}]},
+    }
+    (tmp_path / "q.json").write_text(json.dumps({
+        "cut_layer": 1, "bounds": "nan.json", "characterizer": head,
+        "risk": [{"coeffs": [1.0, 0.0], "op": ">=", "rhs": 5.0}],
+    }))
+    for args, stdin in (
+        (["monitor", tiny_path, "nan.json"], "-7.0,0.0\n"),
+        (["verify", tiny_path, "q.json", "v.json"], None),
+    ):
+        r = run_cli(args, tmp_path, stdin_text=stdin)
+        assert r.returncode == 2, (args, r.stderr)
+        assert "lo[0] is NaN" in r.stderr and "unbounded" not in r.stderr
+        assert r.stdout == ""
+    assert not (tmp_path / "v.json").exists()
 
 
 def test_monitor_reports_each_row_before_the_next_arrives(workdir):

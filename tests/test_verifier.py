@@ -4,7 +4,7 @@ import pytest
 from safecut import kernels, verifier
 from safecut.bounds import ActivationBounds
 from safecut.characterizer import Characterizer
-from safecut.milp import RiskClause, RiskCondition, SafetyQuery
+from safecut.milp import RiskClause, RiskCondition, SafetyQuery, encode
 from safecut.network import Dense, Network, Relu
 from safecut.verifier import Budget, replay_witness, verify
 
@@ -225,6 +225,8 @@ def test_verify_deterministic_rerun():
     assert a.stats["nodes_explored"] == b.stats["nodes_explored"]
     assert a.stats["lp_solves"] == b.stats["lp_solves"]
     assert a.stats["pivots"] == b.stats["pivots"] > 0
+    assert a.stats["max_depth"] == b.stats["max_depth"]
+    assert a.stats["max_depth"] <= len(encode(net, query).binaries)
     if a.witness is not None:
         assert np.array_equal(a.witness, b.witness)
         assert np.array_equal(a.witness_output, b.witness_output)
@@ -235,6 +237,7 @@ def test_mini_oracle_sweep():
     for _ in range(25):
         net, query = synth.random_suffix_instance(rng)
         want, _ = oracles.oracle_verify(net, query)
+        assert oracles.milp_verify(net, query) == want
         got = verify(net, query)
         assert got.status == want
 
@@ -245,3 +248,42 @@ def test_replay_rejects_wrong_shape():
     net, query = _scalar_query(-0.1, 0.6, 0.0, 1.0, ">=", 0.5)
     with pytest.raises(ShapeError):
         replay_witness(net, query, np.zeros(3))
+
+
+def test_pick_branch_prefers_widest_violation():
+    # binaries 0..3: pre-activations in x[0:4], ReLU outputs in x[4:8]
+    pre, post = np.arange(4), np.arange(4, 8)
+    x = np.array([-1.0, 0.5, 2.0, -0.5, 0.5, 1.0, 2.0, 0.5])
+    # violations 0.5, 0.5, 0, 0.5: the widths decide (violation alone would
+    # take 0, width alone 2)
+    width = np.array([1.0, 4.0, 10.0, 2.0])
+    none = np.zeros(4, dtype=bool)
+    assert verifier._pick_branch(x, pre, post, width, none) == 1
+    # a fixed binary is never picked, whatever its score
+    assert verifier._pick_branch(x, pre, post, width, np.array([0, 1, 0, 0], bool)) == 3
+    # equal scores (2.0 and 2.0): the lowest index
+    assert verifier._pick_branch(x, pre, post, np.array([1.0, 4.0, 10.0, 4.0]), none) == 1
+    # no violation at all, even one rounded below zero: still an unfixed binary
+    flat = np.r_[x[:4], np.maximum(x[:4], 0.0) - np.array([0.0, 1e-17, 0.0, 0.0])]
+    assert verifier._pick_branch(flat, pre, post, width, np.array([1, 0, 1, 1], bool)) == 1
+    assert verifier._pick_branch(flat, pre, post, width, np.array([1, 1, 0, 1], bool)) == 2
+
+
+def test_branching_closes_wide_member_within_budget(monkeypatch):
+    # 24 unstable ReLUs: the violation-times-width rule closes the tree in 155
+    # nodes, branching on the binary nearest 0.5 needs 591
+    net, query = synth.ladder_member()
+    bins = np.array(encode(net, query).binaries)
+    budget = Budget(max_nodes=200)
+
+    got = verify(net, query, budget=budget)
+    assert got.status == oracles.milp_verify(net, query) == "safe"
+    assert 0 < got.stats["max_depth"] <= len(bins) == synth.LADDER_UNSTABLE
+
+    def nearest_half(x, pre, post, width, fixed):
+        dist = np.abs(x[bins] - 0.5)
+        dist[fixed] = np.inf
+        return int(np.argmin(dist))
+
+    monkeypatch.setattr(verifier, "_pick_branch", nearest_half)
+    assert verify(net, query, budget=budget).status == "unknown"
