@@ -165,17 +165,18 @@ def violation_masks(bounds: ActivationBounds, acts: np.ndarray, tol: float = 0.0
     Returns ``(box, diff)``: ``box[r, i]`` marks ``acts[r, i]`` outside
     ``[lo[i] - tol, hi[i] + tol]``, and ``diff[r, i]`` marks the adjacent
     difference ``acts[r, i+1] - acts[r, i]`` outside the diff bounds widened
-    by ``tol`` (``diff`` is None for bounds without diffs).
+    by ``tol`` (``diff`` is None for bounds without diffs).  NaN is outside
+    every interval.
     """
     if acts.ndim != 2 or acts.shape[1:] != bounds.lo.shape:
         raise ShapeError(
             f"activation batch shape {acts.shape} does not match bounds dim {bounds.lo.shape}"
         )
-    box = (acts < bounds.lo - tol) | (acts > bounds.hi + tol)
+    box = ~((acts >= bounds.lo - tol) & (acts <= bounds.hi + tol))
     if not bounds.has_diffs:
         return box, None
     d = np.diff(acts, axis=1)
-    return box, (d < bounds.diff_lo - tol) | (d > bounds.diff_hi + tol)
+    return box, ~((d >= bounds.diff_lo - tol) & (d <= bounds.diff_hi + tol))
 
 
 def as_activation(bounds: ActivationBounds, activation) -> np.ndarray:

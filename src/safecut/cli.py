@@ -160,16 +160,19 @@ def _monitor_chunk(net, b, lines: list, args: argparse.Namespace, first_id: int)
     One parse (`np.loadtxt`, in C), one forward and one containment test for
     the whole chunk.  The parser accepts a subset of what `float()` does (no
     `1_0`, no non-ASCII digits) and rounds the same; a chunk it refuses, or
-    one with a row of the wrong width, goes through `monitor_stream` row by
-    row on the split cells, which parses with `float()` and whose
-    StreamError lines name the bad rows.
+    one with a row of the wrong width or a non-finite cell or activation,
+    goes through `monitor_stream` row by row on the split cells, which parses
+    with `float()` and whose StreamError lines name the bad rows.
     """
     width = b.dim if args.activations else net.input_dim
     try:
         m = np.loadtxt(lines, dtype=np.float64, delimiter=",", comments=None, ndmin=2)
         if m.shape != (len(lines), width):
             raise ShapeError(f"chunk of shape {m.shape}, expected ({len(lines)}, {width})")
-        acts = m if args.activations else forward_batch(net, m, 0, b.layer)
+        with np.errstate(over="ignore", invalid="ignore"):
+            acts = m if args.activations else forward_batch(net, m, 0, b.layer)
+        if not (np.isfinite(m).all() and np.isfinite(acts).all()):
+            raise ValueError("chunk has a non-finite cell or activation")
         found = monitor_mod.violations(b, acts, args.tolerance)
     except (ShapeError, ValueError):
         # raw string cells: non-numeric or wrong-length rows become

@@ -7,22 +7,22 @@ and `LinearProgram` holds them (with column names) for the MILP encoder,
 the verifier and `format_lp`.
 
 Standardization: one slack per row turns every relation into an equality
-(<= gives slack in [0,inf), >= in (-inf,0], = pinned at [0,0]); rows whose
-initial residual the slack cannot absorb get a phase-1 artificial column.
-Dantzig pricing switches to Bland's rule after 10*(m+n) iterations; feasibility
+(<= gives slack in [0,inf), >= in (-inf,0], = pinned at [0,0]).  Dantzig
+pricing switches to Bland's rule after 10*(m+n) iterations; feasibility
 tolerance 1e-7, reduced-cost tolerance 1e-7, pivots below 1e-11 are never
 taken (NumericalBreakdown when no alternative exists).  Optimal points are
 re-checked against every constraint independently of the solver state —
 a failed recheck raises rather than returning a silently wrong answer.
 
-Warm start: an optimal outcome carries its final tableau state, and
-``solve_dense(..., start=out.state)`` re-solves the same rows under new
-column bounds (and any objective) from it.  Nonbasic columns whose bounds
-changed move to the nearest new bound; every basic variable then outside its
-bounds is parked at its nearest bound and a fresh artificial, a unit column
-of the current tableau carrying the gap, takes its place in that row.  The
-unchanged phase 1 / phase 2 then finish the solve, so a child that differs
-from its parent in one bound costs a few pivots instead of a cold phase 1.
+One start path: every solve re-seats a basis on the LP's column bounds, its
+parent's final state (``start=out.state``, same rows, new column bounds, any
+objective) or else the all-slack basis ``[A | I]``.  Nonbasic columns whose
+bounds changed move to the nearest new bound; every basic variable then
+outside its bounds is parked at its nearest bound and a fresh artificial, a
+unit column of the current tableau carrying the gap, takes its place in that
+row, the row scaled by the gap's sign, so ``T[:, n:n+m]`` stays B^-1.  Phase
+1 / phase 2 then finish the solve, so a child that differs from its parent in
+one bound costs a few pivots instead of a cold phase 1.
 """
 
 from __future__ import annotations
@@ -93,45 +93,30 @@ class LpOutcome:
     state: Optional[tuple] = field(default=None, repr=False, compare=False)
 
 
-def _initial_state(c, A, rels, b, lo, hi):
-    """Build tableau, basis, and statuses for the initial (slack) basis."""
-    m, n = A.shape
-    slack_lo = np.where(rels == REL_LE, 0.0, np.where(rels == REL_GE, -np.inf, 0.0))
-    slack_hi = np.where(rels == REL_LE, np.inf, np.where(rels == REL_GE, 0.0, 0.0))
+def _slack_basis(A, rels, b, lo, hi):
+    """The all-slack basis, as a state for `_warm_state` to re-seat.
 
+    Each structural sits at its finite lower bound, else its finite upper
+    bound, else free at 0; each row's slack is basic at the residual.
+    """
+    m, n = A.shape
+    slack_lo = np.where(rels == REL_GE, -np.inf, 0.0)
+    slack_hi = np.where(rels == REL_LE, np.inf, 0.0)
     vstat_x = np.where(np.isfinite(lo), 1, np.where(np.isfinite(hi), 2, 3))
     val = np.where(vstat_x == 1, lo, np.where(vstat_x == 2, hi, 0.0))
-    resid = b - A @ val if n > 0 else b.copy()
-
-    # rows whose slack can absorb the residual keep the slack basic; the
-    # rest park the slack at its nearest bound and get an artificial
-    feas = (resid >= slack_lo) & (resid <= slack_hi)
-    s_val = np.minimum(np.maximum(resid, slack_lo), slack_hi)
-    leftover = resid - s_val
-    art_rows = np.nonzero(~feas)[0]
-    n_art = art_rows.shape[0]
-    sigma = np.where(leftover[art_rows] > 0, 1.0, -1.0)
-
-    vstat_s = np.where(feas, 0, np.where(resid < slack_lo, 1, 2)).astype(np.int64)
-    basis = np.where(feas, n + np.arange(m), 0).astype(np.int64)
-    basis[art_rows] = n + m + np.arange(n_art)
-    xB = np.where(feas, resid, np.abs(leftover))
-
-    N = n + m + n_art
-    T = np.zeros((m, N))
-    T[:, :n] = A
-    T[:, n : n + m] = np.eye(m)
-    T[art_rows, basis[art_rows]] = sigma
-    T[art_rows, :] *= sigma[:, None]  # B^-1 row scaling; artificial col -> +1
-
-    lo_all = np.concatenate([lo, slack_lo, np.zeros(n_art)])
-    hi_all = np.concatenate([hi, slack_hi, np.full(n_art, np.inf)])
-    vstat_all = np.concatenate([vstat_x.astype(np.int64), vstat_s, np.zeros(n_art, dtype=np.int64)])
-    return T, xB, basis, vstat_all, lo_all, hi_all, n_art
+    T = np.concatenate([A, np.eye(m)], axis=1)
+    vstat = np.concatenate([vstat_x, np.zeros(m, dtype=np.int64)])
+    return (
+        T, b - A @ val, n + np.arange(m, dtype=np.int64), vstat,
+        np.concatenate([lo, slack_lo]), np.concatenate([hi, slack_hi]),
+    )
 
 
 def _warm_state(start, A, lo, hi):
-    """Re-seat a previous solve's final state (same rows) on new column bounds."""
+    """Re-seat a solve's state (same rows) on new column bounds.
+
+    Returns the re-seated state and its number of artificials.
+    """
     T, xB, basis, vstat, lo_all, hi_all = start
     m, n = A.shape
     nm = n + m
@@ -182,7 +167,7 @@ def _warm_state(start, A, lo, hi):
     lo_all = np.concatenate([lo_all[keep], np.zeros(n_art)])
     hi_all = np.concatenate([hi_all[keep], np.full(n_art, np.inf)])
     vstat = np.concatenate([vstat[keep], np.zeros(n_art, dtype=np.int64)])
-    return T_new, xB, basis, vstat, lo_all, hi_all, n_art
+    return (T_new, xB, basis, vstat, lo_all, hi_all), n_art
 
 
 def _extract(vstat, lo_all, hi_all, basis, xB, n):
@@ -192,6 +177,8 @@ def _extract(vstat, lo_all, hi_all, basis, xB, n):
 
 
 def _recheck(x, A, rels, b, lo, hi) -> Optional[str]:
+    if not np.isfinite(x).all():
+        return "point is not finite"
     if ((x < lo - FEAS_TOL) | (x > hi + FEAS_TOL)).any():
         return "variable bound violated beyond 1e-7"
     ax = A @ x if x.shape[0] > 0 else np.zeros(A.shape[0])
@@ -209,13 +196,23 @@ def _recheck(x, A, rels, b, lo, hi) -> Optional[str]:
     return f"row {i}: {_STR_OF_REL[int(rels[i])]} violated by {excess[i]:.3e}"
 
 
-def solve_dense(
-    c, A, rels, b, lo, hi, kernel=None, check: bool = True, start=None
-) -> LpOutcome:
+def _phase(run, cost, state, nm, phase, stop, dantzig_limit):
+    """Price `cost` against the state's basis and run one kernel phase on it."""
+    T, xB, basis, vstat, lo_all, hi_all = state
+    z = cost - np.dot(cost[basis], T)
+    z[basis] = 0.0
+    return run(
+        T, z, xB, basis, vstat, lo_all, hi_all,
+        nm, phase, stop, dantzig_limit, MAX_ITER, OPT_TOL, TINY,
+    )
+
+
+def solve_dense(c, A, rels, b, lo, hi, kernel=None, start=None) -> LpOutcome:
     """Solve one dense LP; raises NumericalBreakdownError, never lies.
 
     ``start`` is the ``state`` of an earlier optimal outcome over the same
-    ``A, rels, b``; the solve then begins from its basis (see module doc).
+    ``A, rels, b``; the solve then begins from its basis instead of the
+    all-slack one (see module doc).
     """
     run = kernels.run_phase if kernel is None else kernel
     c = np.ascontiguousarray(c, dtype=np.float64)
@@ -229,15 +226,13 @@ def solve_dense(
         raise ShapeError("objective/rhs/relation shapes do not match A")
     if lo.shape != (n,) or hi.shape != (n,):
         raise ShapeError("bound shapes do not match variable count")
-    if np.isnan(c).any() or np.isnan(A).any() or np.isnan(b).any():
+    if any(np.isnan(a).any() for a in (c, A, b, lo, hi)):
         raise ValueError("LP contains NaN data")
     if (lo > hi).any():
         return LpOutcome(INFEASIBLE)
 
-    if start is None:
-        T, xB, basis, vstat, lo_all, hi_all, n_art = _initial_state(c, A, rels, b, lo, hi)
-    else:
-        T, xB, basis, vstat, lo_all, hi_all, n_art = _warm_state(start, A, lo, hi)
+    state, n_art = _warm_state(start or _slack_basis(A, rels, b, lo, hi), A, lo, hi)
+    T, xB, basis, vstat, lo_all, hi_all = state
     N = T.shape[1]
     dantzig_limit = 10 * (m + N)
     pivots = 0
@@ -245,12 +240,7 @@ def solve_dense(
     if n_art > 0:
         c1 = np.zeros(N)
         c1[n + m :] = 1.0
-        z = c1 - np.dot(c1[basis], T)
-        z[basis] = 0.0
-        status, iters = run(
-            T, z, xB, basis, vstat, lo_all, hi_all,
-            n + m, 1, STOP_SUM, dantzig_limit, MAX_ITER, OPT_TOL, TINY,
-        )
+        status, iters = _phase(run, c1, state, n + m, 1, STOP_SUM, dantzig_limit)
         pivots += iters
         if status in (kernels.TINY_PIVOT, kernels.ITER_LIMIT):
             raise NumericalBreakdownError(f"phase 1 stalled (kernel status {status})")
@@ -264,12 +254,7 @@ def solve_dense(
 
     if np.any(c != 0.0):
         c2 = np.concatenate([c, np.zeros(N - n)])
-        z = c2 - np.dot(c2[basis], T)
-        z[basis] = 0.0
-        status, iters = run(
-            T, z, xB, basis, vstat, lo_all, hi_all,
-            n + m, 0, -1.0, dantzig_limit, MAX_ITER, OPT_TOL, TINY,
-        )
+        status, iters = _phase(run, c2, state, n + m, 0, -1.0, dantzig_limit)
         pivots += iters
         if status == kernels.UNBOUNDED:
             return LpOutcome(UNBOUNDED, pivots=pivots)
@@ -277,11 +262,9 @@ def solve_dense(
             raise NumericalBreakdownError(f"phase 2 stalled (kernel status {status})")
 
     x = _extract(vstat, lo_all, hi_all, basis, xB, n)
-    if check:
-        msg = _recheck(x, A, rels, b, lo, hi)
-        if msg is not None:
-            raise NumericalBreakdownError(f"optimal point failed recheck: {msg}")
-    state = (T, xB, basis, vstat, lo_all, hi_all)
+    msg = _recheck(x, A, rels, b, lo, hi)
+    if msg is not None:
+        raise NumericalBreakdownError(f"optimal point failed recheck: {msg}")
     return LpOutcome(OPTIMAL, x, float(np.dot(c, x)), pivots, state)
 
 

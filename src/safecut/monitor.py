@@ -114,6 +114,9 @@ def monitor_stream(
 ) -> Iterator[Union[MonitorReport, StreamError]]:
     """One report per row, in order; malformed rows yield StreamError.
 
+    So is a row with a non-finite cell or cut activation, whose report would
+    print NaN or Infinity, which strict JSON refuses.
+
     Rows are network inputs run through f^(l) unless `precomputed` marks them
     as cut-layer activations already.
     """
@@ -121,12 +124,17 @@ def monitor_stream(
         sid = str(idx)
         try:
             v = np.asarray(row, dtype=np.float64)
+            if not np.isfinite(v).all():
+                raise ValueError("row has a non-finite value")
             if precomputed:
                 act = v
             else:
                 if net is None:
                     raise ShapeError("a network is required to map inputs to the cut")
-                act = forward(net, v, 0, bounds.layer)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    act = forward(net, v, 0, bounds.layer)
+                if not np.isfinite(act).all():
+                    raise ValueError("cut activation is not finite")
             yield check(bounds, act, tolerance, sample_id=sid)
         except (ShapeError, ValueError) as exc:
             yield StreamError(sample_id=sid, message=str(exc))

@@ -234,18 +234,18 @@ def adjacent_differences(activation: Sequence[float]) -> np.ndarray:
 # serialization
 
 
-def _layer_from_obj(obj: dict, index: int) -> Layer:
+def _layer_from_obj(obj: dict, index: int, prev: int) -> Layer:
+    """Layer `index` (1-based) of a network file; `prev` is its input dimension."""
     try:
         kind = obj["type"]
     except (TypeError, KeyError):
         raise ParseError(f"layer {index}: missing 'type'") from None
+    if kind == "relu":
+        return Relu(prev)
     try:
         if kind == "dense":
             return Dense(np.array(obj["weights"], dtype=np.float64),
                          np.array(obj["bias"], dtype=np.float64))
-        if kind == "relu":
-            # dimension is implied by context; caller patches it in
-            return obj  # type: ignore[return-value]
         if kind == "batchnorm":
             return BatchNorm(
                 np.array(obj["scale"], dtype=np.float64),
@@ -275,15 +275,9 @@ def network_from_obj(obj: dict) -> Network:
     layers: List[Layer] = []
     prev = input_dim
     for i, lobj in enumerate(layer_objs, start=1):
-        layer = _layer_from_obj(lobj, i)
-        if isinstance(layer, dict):  # relu placeholder — dimension from context
-            layer = Relu(prev)
-        layers.append(layer)
-        prev = layer.out_dim
-    try:
-        return Network(tuple(layers), input_dim)
-    except ShapeError as exc:
-        raise ShapeError(str(exc)) from None
+        layers.append(_layer_from_obj(lobj, i, prev))
+        prev = layers[-1].out_dim
+    return Network(tuple(layers), input_dim)
 
 
 def load_network(path: str) -> Network:

@@ -339,7 +339,6 @@ def _monitor_in_process(net_path, bounds_path, text, activations):
     return out.getvalue()
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf cells
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(rows=_ROWS, eol=st.sampled_from(["\n", "\r\n"]), activations=st.booleans())
 @example(rows=[["0.5", "0.5"], ["#1", "0.2"], ["9.0", "9.0"]], eol="\n", activations=False)
@@ -355,6 +354,24 @@ def test_monitor_chunk_parse_matches_row_by_row_path(workdir, rows, eol, activat
         str(workdir / "net.json"), str(workdir / "bounds.json"), text, activations
     )
     assert got.splitlines() == want
+
+
+def _refuse_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+def test_monitor_reports_non_finite_rows_as_errors(tiny_path, tmp_path):
+    r = run_cli(["bounds", tiny_path, "b.json", "--static", "--box=-1,1", "--layer", 1],
+                tmp_path)
+    assert r.returncode == 0, r.stderr
+    # -1.7e308 - 1.7e308 overflows to -inf in the third cut unit
+    rows = ["0.1,0.2", "1e-3,nan", "inf,-inf", "-1.7e308,1.7e308", "9,9", "0.5,0.5"]
+    r = run_cli(["monitor", tiny_path, "b.json"], tmp_path, stdin_text="\n".join(rows))
+    assert r.returncode == 0 and r.stderr == ""
+    out = [json.loads(line, parse_constant=_refuse_constant) for line in r.stdout.splitlines()]
+    assert [o["sample_id"] for o in out] == [str(k) for k in range(len(rows))]
+    assert ["error" in o for o in out] == [False, True, True, True, False, False]
+    assert [o.get("contained") for o in out] == [True, None, None, None, False, True]
 
 
 def test_monitor_and_verify_refuse_nan_envelope(tiny_path, tmp_path):

@@ -18,7 +18,7 @@ import pytest
 
 import safecut
 from safecut import _simplex_py, kernels
-from safecut.lp import OPTIMAL, solve_dense, _initial_state
+from safecut.lp import OPTIMAL, solve_dense, _slack_basis, _warm_state
 
 import synth
 from harness import child_env
@@ -121,7 +121,8 @@ def test_outcomes_bitwise_identical_on_random_lps(av):
 def _phase1_args(c, A, rels, b, lo, hi):
     """Phase-1 run_phase arrays of the LP's slack start, or None if feasible."""
     m, n = A.shape
-    T, xB, basis, vstat, lo_all, hi_all, n_art = _initial_state(c, A, rels, b, lo, hi)
+    state, n_art = _warm_state(_slack_basis(A, rels, b, lo, hi), A, lo, hi)
+    T, xB, basis, vstat, lo_all, hi_all = state
     if n_art == 0:
         return None
     c1 = np.zeros(T.shape[1])

@@ -233,6 +233,59 @@ def test_nan_rejected():
         _solve([1.0], [[float("nan")]], [REL_LE], [1.0], [0.0], [1.0])
     with pytest.raises(ValueError):
         _solve([1.0], [[1.0]], [REL_LE], [float("nan")], [0.0], [1.0])
+    # NaN column bounds: NaN compares false, so lo > hi would not catch them
+    with pytest.raises(ValueError):
+        _solve([1.0], [[1.0]], [REL_LE], [5.0], [float("nan")], [1.0])
+    with pytest.raises(ValueError):
+        _solve([1.0], [[1.0]], [REL_LE], [5.0], [0.0], [float("nan")])
+
+
+def test_recheck_fails_a_non_finite_point():
+    A, rels, b = np.array([[1.0]]), np.array([REL_LE], np.int8), np.array([5.0])
+    lo, hi = np.array([-np.inf]), np.array([np.inf])
+    assert _recheck(np.array([1.0]), A, rels, b, lo, hi) is None
+    for v in (np.nan, np.inf, -np.inf):
+        assert _recheck(np.array([v]), A, rels, b, lo, hi) == "point is not finite"
+
+
+def _free_bounds_lp(rng):
+    """A random_lp with some column bounds made infinite on one or both sides."""
+    c, A, rels, b, lo, hi = synth.random_lp(rng)
+    r = rng.random(len(c))
+    lo[r < 0.3] = -np.inf
+    hi[(r > 0.2) & (r < 0.5)] = np.inf
+    return c, A, rels, b, lo, hi
+
+
+def test_slack_block_is_the_basis_inverse():
+    # T = B^-1 [A | I | artificials]: the slack block times A must give the
+    # structural block, for cold solves and for warm ones that add
+    # artificials (whose rows are sign-scaled, and B^-1 with them)
+    def assert_layout(out, A):
+        m, n = A.shape
+        T = out.state[0]
+        scale = max(1.0, np.abs(T[:, :n]).max(initial=0.0))
+        assert np.abs(T[:, n : n + m] @ A - T[:, :n]).max(initial=0.0) <= 1e-9 * scale
+
+    rng = np.random.default_rng(41)
+    n_cold = n_warm_art = 0
+    for k in range(400):
+        c, A, rels, b, lo, hi = (synth.random_lp if k % 2 else _free_bounds_lp)(rng)
+        parent = solve_dense(c, A, rels, b, lo, hi)
+        if parent.status != OPTIMAL:
+            continue
+        assert_layout(parent, A)
+        n_cold += 1
+        m, n = A.shape
+        j = int(rng.integers(n))
+        v = parent.point[j]
+        for clo, chi in ((lo, np.where(np.arange(n) == j, np.floor(v), hi)),
+                         (np.where(np.arange(n) == j, np.floor(v) + 1, lo), hi)):
+            warm = solve_dense(c, A, rels, b, clo, chi, start=parent.state)
+            if warm.status == OPTIMAL:
+                assert_layout(warm, A)
+                n_warm_art += warm.state[0].shape[1] > n + m
+    assert n_cold >= 50 and n_warm_art >= 20
 
 
 def test_format_lp_mentions_every_row():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -111,12 +113,12 @@ def _check_loop(bounds, v, tolerance):
     # the per-index reference loop the batch containment test replaces
     found = []
     for i in range(v.shape[0]):
-        if v[i] < bounds.lo[i] - tolerance or v[i] > bounds.hi[i] + tolerance:
+        if not bounds.lo[i] - tolerance <= v[i] <= bounds.hi[i] + tolerance:
             found.append(Violation("box", i, float(v[i]), float(bounds.lo[i]), float(bounds.hi[i])))
     if bounds.has_diffs:
         d = np.diff(v)
         for i in range(d.shape[0]):
-            if d[i] < bounds.diff_lo[i] - tolerance or d[i] > bounds.diff_hi[i] + tolerance:
+            if not bounds.diff_lo[i] - tolerance <= d[i] <= bounds.diff_hi[i] + tolerance:
                 found.append(
                     Violation(
                         "diff", i, float(d[i]), float(bounds.diff_lo[i]), float(bounds.diff_hi[i])
@@ -136,15 +138,17 @@ def test_batch_violations_match_per_index_loop(with_diffs):
         with_diffs=with_diffs,
     )
     acts = X * rng.uniform(0.8, 1.3, X.shape)
-    acts[::7, 2] = np.nan  # compares false on both sides: never a violation
+    acts[::7, 2] = np.nan  # compares false on both sides: outside every interval
     for tol in (0.0, 0.05):
         found = violations(b, acts, tol)
         want = {r: _check_loop(b, acts[r], tol) for r in range(len(acts))}
-        assert found == {r: v for r, v in want.items() if v}
+        # repr, since a NaN value never equals itself
+        assert repr(found) == repr({r: v for r, v in want.items() if v})
         assert 0 < len(found) < len(acts)
+        assert all(r in found for r in range(0, len(acts), 7))
         for r in range(len(acts)):
             rep = check(b, acts[r], tol, sample_id=str(r))
-            assert rep.violations == want[r] and rep.sample_id == str(r)
+            assert repr(rep.violations) == repr(want[r]) and rep.sample_id == str(r)
 
 
 def test_stream_maps_inputs_through_network():
@@ -156,6 +160,23 @@ def test_stream_maps_inputs_through_network():
     reports = list(monitor_stream(net, b, [[0.25], [0.75]]))
     assert reports[0].contained is True   # 2*0.25 = 0.5
     assert reports[1].contained is False  # 2*0.75 = 1.5
+
+
+def test_stream_refuses_non_finite_cells_and_activations():
+    net = Network(
+        layers=(Dense(weights=np.array([[1.0, 1.0]]), bias=np.array([0.0])),),
+        input_dim=2,
+    )
+    b = _scalar_bounds(lo=0.0, hi=1.0)
+    rows = [[0.25, 0.25], [np.nan, 0.0], [np.inf, 0.0], [1e308, 1e308], [0.0, 9.0]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the overflow is reported, not warned
+        out = list(monitor_stream(net, b, rows))
+    assert [type(r) for r in out] == [MonitorReport] + [StreamError] * 3 + [MonitorReport]
+    assert "non-finite value" in out[1].message and "non-finite value" in out[2].message
+    assert "activation is not finite" in out[3].message
+    out = list(monitor_stream(None, b, [[np.nan], [-np.inf], [0.5]], precomputed=True))
+    assert [type(r) for r in out] == [StreamError, StreamError, MonitorReport]
 
 
 def test_stream_precomputed_rows_skip_network():
