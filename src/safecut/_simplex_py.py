@@ -19,6 +19,16 @@ State arrays (owned by the driver in lp.py):
 Columns >= n_art_start are phase-1 artificials; they are pinned to [0, 0]
 the moment they leave the basis and are never eligible to re-enter.
 
+Kept in step for the whole call, not rebuilt per pivot: the entry masks
+``may_inc`` (nonbasic, lo != hi, vstat 1 or 3) and ``may_dec`` (vstat 2 or
+3), and the basic bounds ``blo = lo[basis]`` and ``bhi = hi[basis]``.  A
+pivot updates them at the entering column, the leaving column (an
+artificial that leaves is pinned, so it closes) and the pivot row; a bound
+flip at the entering column.  A column banned on the TINY_PIVOT path is
+cleared in masked copies.  Each call allocates these once, with its work
+vectors and one (m, N) buffer for the rank-1 update; the pivot loop writes
+into them with ``out=``.
+
 Return status codes (shared with the compiled kernel):
   0 OPTIMAL        no eligible entering column
   1 REACHED_STOP   phase-1 infeasibility sum fell to <= stop_sum
@@ -71,7 +81,22 @@ def run_phase(
     """Run simplex iterations in place; returns (status, iters)."""
     m, n = T.shape
     iters = 0
-    banned = np.zeros(n, dtype=np.int8)
+    # entry masks, kept in step with vstat/lo/hi at the columns a step touches
+    is_open = (vstat != 0) & (lo != hi)
+    may_inc = is_open & ((vstat == 1) | (vstat == 3))
+    may_dec = is_open & ((vstat == 2) | (vstat == 3))
+    blo = lo[basis]  # bounds of the basic variables, kept in step with basis
+    bhi = hi[basis]
+    can_inc = np.empty(n, dtype=bool)
+    can_dec = np.empty(n, dtype=bool)
+    score = np.empty(n)
+    zrow = np.empty(n)
+    alpha = np.empty(m)
+    big = np.empty(m, dtype=bool)
+    tt = np.empty(m)
+    step = np.empty(m)
+    col = np.empty(m)
+    outer = np.empty((m, n))
 
     while True:
         if phase1 and infeasibility(xB, basis, n_art_start) <= stop_sum:
@@ -80,50 +105,50 @@ def run_phase(
             return ITER_LIMIT, iters
 
         bland = iters >= dantzig_limit
-        if banned.any():
-            banned[:] = 0
+        inc_ok, dec_ok = may_inc, may_dec  # masked copies once a column is banned
         banned_any = False
 
         while True:
             # ---- pricing ----
-            open_col = (vstat != 0) & (lo != hi) & (banned == 0)
-            can_inc = open_col & ((vstat == 1) | (vstat == 3)) & (z < -opt_tol)
-            can_dec = open_col & ((vstat == 2) | (vstat == 3)) & (z > opt_tol)
+            np.less(z, -opt_tol, out=can_inc)
+            can_inc &= inc_ok
+            np.greater(z, opt_tol, out=can_dec)
+            can_dec &= dec_ok
             if bland:
                 elig = can_inc | can_dec
                 if not elig.any():
                     return (TINY_PIVOT if banned_any else OPTIMAL), iters
-                q = int(np.argmax(elig))
+                q = int(elig.argmax())
             else:
-                score = np.where(can_inc, -z, np.where(can_dec, z, -_INF))
-                q = int(np.argmax(score))
+                score.fill(-_INF)
+                np.copyto(score, z, where=can_dec)
+                np.negative(z, out=score, where=can_inc)
+                q = int(score.argmax())
                 if not score[q] > opt_tol:
                     return (TINY_PIVOT if banned_any else OPTIMAL), iters
-            d = 1.0 if (vstat[q] == 1 or (vstat[q] == 3 and z[q] < 0.0)) else -1.0
+            sq = vstat[q]
+            d = 1.0 if (sq == 1 or (sq == 3 and z[q] < 0.0)) else -1.0
 
             # ---- ratio test ----
-            alpha = d * T[:, q]
-            blo = lo[basis]
-            bhi = hi[basis]
-            tt = np.full(m, _INF)
-            pos = alpha > tiny
-            neg = alpha < -tiny
-            tt[pos] = (xB[pos] - blo[pos]) / alpha[pos]
-            tt[neg] = (xB[neg] - bhi[neg]) / alpha[neg]
+            Tq = T[:, q]
+            np.multiply(Tq, d, out=alpha)
+            np.greater(np.absolute(alpha), tiny, out=big)
+            tt.fill(_INF)
+            np.subtract(xB, np.where(alpha > 0.0, blo, bhi), out=tt, where=big)
+            np.divide(tt, alpha, out=tt, where=big)
             np.maximum(tt, 0.0, out=tt)
 
-            span = hi[q] - lo[q]
-            t_limit = span  # inf when either bound is infinite
+            t_limit = hi[q] - lo[q]  # inf when either bound is infinite
             r = -1
             if m > 0:
                 if bland:
                     tmin = tt.min()
                     if tmin < t_limit:
-                        ties = np.nonzero(tt == tmin)[0]
-                        r = int(ties[np.argmin(basis[ties])])
+                        ties = np.flatnonzero(tt == tmin)
+                        r = int(ties[basis[ties].argmin()])
                         t_limit = tmin
                 else:
-                    rmin = int(np.argmin(tt))
+                    rmin = int(tt.argmin())
                     if tt[rmin] < t_limit:
                         r = rmin
                         t_limit = tt[rmin]
@@ -131,47 +156,58 @@ def run_phase(
             if t_limit == _INF:
                 # a row with a sub-tiny nonzero coefficient may still block;
                 # never report unbounded over an ignored tiny pivot
-                small_pos = (alpha > 0.0) & ~pos
-                small_neg = (alpha < 0.0) & ~neg
+                small_pos = (alpha > 0.0) & ~big
+                small_neg = (alpha < 0.0) & ~big
                 if (small_pos & np.isfinite(blo)).any() or (
                     small_neg & np.isfinite(bhi)
                 ).any():
-                    banned[q] = 1
-                    banned_any = True
+                    if not banned_any:
+                        inc_ok, dec_ok = may_inc.copy(), may_dec.copy()
+                        banned_any = True
+                    inc_ok[q] = dec_ok[q] = False
                     continue
                 return UNBOUNDED, iters
             break
 
         t = t_limit
+        tstep = d * t
+        np.multiply(Tq, tstep, out=step)
         if r < 0:
             # ---- bound flip ----
-            tstep = d * t
-            xB -= tstep * T[:, q]
+            xB -= step
             vstat[q] = 2 if d > 0.0 else 1
+            may_inc[q] = d < 0.0
+            may_dec[q] = d > 0.0
         else:
             # ---- pivot ----
             leaving = int(basis[r])
             leave_to = 1 if alpha[r] > 0.0 else 2
-            if vstat[q] == 1:
+            if sq == 1:
                 vq = lo[q]
-            elif vstat[q] == 2:
+            elif sq == 2:
                 vq = hi[q]
             else:
                 vq = 0.0
-            tstep = d * t
-            xB -= tstep * T[:, q]
+            xB -= step
             xB[r] = vq + d * t
-            piv = T[r, q]
-            T[r, :] /= piv
-            zq = z[q]
-            z -= zq * T[r, :]
-            col = T[:, q].copy()
+            row = T[r]
+            row /= T[r, q]
+            np.multiply(row, z[q], out=zrow)
+            z -= zrow
+            np.copyto(col, Tq)
             col[r] = 0.0
-            T -= col[:, None] * T[r, :]
+            np.multiply(col[:, None], row, out=outer)
+            T -= outer
             basis[r] = q
             vstat[q] = 0
             vstat[leaving] = leave_to
             if leaving >= n_art_start:
                 lo[leaving] = 0.0
                 hi[leaving] = 0.0
+            may_inc[q] = may_dec[q] = False
+            open_leaving = lo[leaving] != hi[leaving]
+            may_inc[leaving] = open_leaving and leave_to == 1
+            may_dec[leaving] = open_leaving and leave_to == 2
+            blo[r] = lo[q]
+            bhi[r] = hi[q]
         iters += 1

@@ -30,7 +30,7 @@ from .characterizer import load_characterizer
 from .errors import ParseError, SafecutError, ShapeError
 from .lp import format_lp
 from .milp import encode, load_query, risk_from_obj
-from .network import Dataset, forward_batch, load_dataset, load_network
+from .network import forward_batch, load_dataset, load_network
 from .verifier import Budget, SAFE, UNKNOWN, UNSAFE, verify
 
 _EXIT_OK = 0

@@ -22,7 +22,11 @@ outside its bounds is parked at its nearest bound and a fresh artificial, a
 unit column of the current tableau carrying the gap, takes its place in that
 row, the row scaled by the gap's sign, so ``T[:, n:n+m]`` stays B^-1.  Phase
 1 / phase 2 then finish the solve, so a child that differs from its parent in
-one bound costs a few pivots instead of a cold phase 1.
+one bound costs a few pivots instead of a cold phase 1.  The re-seat copies
+the structural and slack block ``T[:, :n+m]`` by slice, gathers only the
+artificials still basic (nonbasic ones sit pinned at 0 and are dropped) and
+renumbers only the basis entries that name an artificial; the tests hold it
+byte-equal to a whole-tableau gather (``oracles.gather_warm_state``).
 """
 
 from __future__ import annotations
@@ -127,16 +131,16 @@ def _warm_state(start, A, lo, hi):
 
     # nonbasic structurals whose bounds changed move to the nearest new bound
     vs = vstat[:n]
-    old_val = np.where(vs == 1, lo_all[:n], np.where(vs == 2, hi_all[:n], 0.0))
-    moved = (vs != 0) & ((lo != lo_all[:n]) | (hi != hi_all[:n]))
-    nearer_lo = np.abs(old_val - lo) <= np.abs(hi - old_val)
-    to_lo = np.isfinite(lo) & (nearer_lo | ~np.isfinite(hi))
-    new_stat = np.where(to_lo, 1, np.where(np.isfinite(hi), 2, 3))
-    new_val = np.where(new_stat == 1, lo, np.where(new_stat == 2, hi, 0.0))
-    cols = np.nonzero(moved)[0]
+    cols = np.flatnonzero((vs != 0) & ((lo != lo_all[:n]) | (hi != hi_all[:n])))
     if cols.shape[0]:
-        xB -= T[:, cols] @ (new_val[cols] - old_val[cols])
-        vstat[cols] = new_stat[cols]
+        vc, lc, hc = vs[cols], lo[cols], hi[cols]
+        old_val = np.where(vc == 1, lo_all[cols], np.where(vc == 2, hi_all[cols], 0.0))
+        nearer_lo = np.abs(old_val - lc) <= np.abs(hc - old_val)
+        to_lo = np.isfinite(lc) & (nearer_lo | ~np.isfinite(hc))
+        new_stat = np.where(to_lo, 1, np.where(np.isfinite(hc), 2, 3))
+        new_val = np.where(new_stat == 1, lc, np.where(new_stat == 2, hc, 0.0))
+        xB -= T[:, cols] @ (new_val - old_val)
+        vstat[cols] = new_stat
     lo_all[:n] = lo
     hi_all[:n] = hi
 
@@ -149,24 +153,27 @@ def _warm_state(start, A, lo, hi):
     sigma = np.where(gap > 0, 1.0, -1.0)
     vstat[basis[rows]] = np.where(below[rows], 1, 2)
 
-    # nonbasic artificials sit at 0 for good: drop them, then add one fresh
-    # artificial per parked row, which pivots in as a +1 unit column
-    keep = np.concatenate([np.arange(nm), nm + np.nonzero(vstat[nm:] == 0)[0]])
-    renum = np.zeros(T.shape[1], dtype=np.int64)
-    renum[keep] = np.arange(keep.shape[0])
+    # nonbasic artificials sit at 0 for good: keep the basic ones, then add
+    # one fresh artificial per parked row, which pivots in as a +1 unit column
+    kept = nm + np.flatnonzero(vstat[nm:] == 0)
+    K = nm + kept.shape[0]
     n_art = rows.shape[0]
-    N = keep.shape[0] + n_art
-    T_new = np.zeros((m, N))
-    T_new[:, : keep.shape[0]] = T[:, keep]
+    T_new = np.empty((m, K + n_art))
+    T_new[:, :nm] = T[:, :nm]
+    T_new[:, nm:K] = T[:, kept]
+    T_new[:, K:] = 0.0
     T_new[rows, :] *= sigma[:, None]
-    basis = renum[basis]
-    basis[rows] = keep.shape[0] + np.arange(n_art)
+    # a kept artificial moves to nm + its rank among the kept; a parked row's
+    # entry, whatever this gives it, is replaced by its fresh artificial next
+    art = np.flatnonzero(basis >= nm)
+    basis[art] = nm + np.searchsorted(kept, basis[art])
+    basis[rows] = K + np.arange(n_art)
     T_new[rows, basis[rows]] = 1.0
     xB[rows] = np.abs(gap)
 
-    lo_all = np.concatenate([lo_all[keep], np.zeros(n_art)])
-    hi_all = np.concatenate([hi_all[keep], np.full(n_art, np.inf)])
-    vstat = np.concatenate([vstat[keep], np.zeros(n_art, dtype=np.int64)])
+    lo_all = np.concatenate([lo_all[:nm], lo_all[kept], np.zeros(n_art)])
+    hi_all = np.concatenate([hi_all[:nm], hi_all[kept], np.full(n_art, np.inf)])
+    vstat = np.concatenate([vstat[:nm], vstat[kept], np.zeros(n_art, dtype=np.int64)])
     return (T_new, xB, basis, vstat, lo_all, hi_all), n_art
 
 

@@ -14,7 +14,7 @@ an envelope was built from is contained at tolerance 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np

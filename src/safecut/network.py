@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 

@@ -10,7 +10,6 @@ sets cannot overstate the claim.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 

@@ -118,6 +118,67 @@ def vertex_lp_optimum(c, A, rels, b, lo, hi, tol=1e-9):
 
 
 # ---------------------------------------------------------------------------
+# warm re-seat by whole-tableau gather (reference for safecut.lp._warm_state)
+
+
+def gather_warm_state(start, A, lo, hi):
+    """Re-seat a simplex state on new column bounds, the plain way.
+
+    Same contract as ``safecut.lp._warm_state``: nonbasic structurals whose
+    bounds changed move to the nearest new bound, out-of-bounds basic
+    variables are parked behind a fresh sign-scaled artificial, and nonbasic
+    artificials are dropped.  The kept columns are gathered with one fancy
+    index over the whole tableau and every basis entry is renumbered through
+    a full-width map.  Returns (state, number of fresh artificials).
+    """
+    T, xB, basis, vstat, lo_all, hi_all = start
+    m, n = A.shape
+    nm = n + m
+    xB, basis, vstat = xB.copy(), basis.copy(), vstat.copy()
+    lo_all, hi_all = lo_all.copy(), hi_all.copy()
+
+    vs = vstat[:n]
+    old_val = np.where(vs == 1, lo_all[:n], np.where(vs == 2, hi_all[:n], 0.0))
+    moved = (vs != 0) & ((lo != lo_all[:n]) | (hi != hi_all[:n]))
+    nearer_lo = np.abs(old_val - lo) <= np.abs(hi - old_val)
+    to_lo = np.isfinite(lo) & (nearer_lo | ~np.isfinite(hi))
+    new_stat = np.where(to_lo, 1, np.where(np.isfinite(hi), 2, 3))
+    new_val = np.where(new_stat == 1, lo, np.where(new_stat == 2, hi, 0.0))
+    cols = np.nonzero(moved)[0]
+    if cols.shape[0]:
+        xB -= T[:, cols] @ (new_val[cols] - old_val[cols])
+        vstat[cols] = new_stat[cols]
+    lo_all[:n] = lo
+    hi_all[:n] = hi
+
+    blo, bhi = lo_all[basis], hi_all[basis]
+    below, above = xB < blo, xB > bhi
+    rows = np.nonzero(below | above)[0]
+    target = np.where(below, blo, bhi)[rows]
+    gap = xB[rows] - target
+    sigma = np.where(gap > 0, 1.0, -1.0)
+    vstat[basis[rows]] = np.where(below[rows], 1, 2)
+
+    keep = np.concatenate([np.arange(nm), nm + np.nonzero(vstat[nm:] == 0)[0]])
+    renum = np.zeros(T.shape[1], dtype=np.int64)
+    renum[keep] = np.arange(keep.shape[0])
+    n_art = rows.shape[0]
+    N = keep.shape[0] + n_art
+    T_new = np.zeros((m, N))
+    T_new[:, : keep.shape[0]] = T[:, keep]
+    T_new[rows, :] *= sigma[:, None]
+    basis = renum[basis]
+    basis[rows] = keep.shape[0] + np.arange(n_art)
+    T_new[rows, basis[rows]] = 1.0
+    xB[rows] = np.abs(gap)
+
+    lo_all = np.concatenate([lo_all[keep], np.zeros(n_art)])
+    hi_all = np.concatenate([hi_all[keep], np.full(n_art, np.inf)])
+    vstat = np.concatenate([vstat[keep], np.zeros(n_art, dtype=np.int64)])
+    return (T_new, xB, basis, vstat, lo_all, hi_all), n_art
+
+
+# ---------------------------------------------------------------------------
 # safety verdict by exhaustive ReLU phase enumeration
 
 

@@ -17,8 +17,8 @@ import numpy as np
 import pytest
 
 import safecut
-from safecut import _simplex_py, kernels
-from safecut.lp import OPTIMAL, solve_dense, _slack_basis, _warm_state
+from safecut import _simplex_py, kernels, verify
+from safecut.lp import OPTIMAL, UNBOUNDED, solve_dense, _slack_basis, _warm_state
 
 import synth
 from harness import child_env
@@ -116,6 +116,90 @@ def test_outcomes_bitwise_identical_on_random_lps(av):
                 assert warm_py.objective_value == warm_ext.objective_value
                 assert np.array_equal(warm_py.point, warm_ext.point)
     assert OPTIMAL in statuses
+
+
+def _gaussian_lp(rng):
+    """A Gaussian LP, some columns with an infinite bound or none at all."""
+    n, m = int(rng.integers(1, 7)), int(rng.integers(0, 8))
+    c = rng.normal(size=n)
+    A = rng.normal(size=(m, n))
+    rels = rng.choice(np.array([-1, 0, 1], dtype=np.int8), m)
+    lo = rng.normal(size=n) - 1.0
+    hi = lo + rng.exponential(2.0, n)
+    lo[rng.random(n) < 0.25] = -np.inf
+    hi[rng.random(n) < 0.25] = np.inf
+    return c, A, rels, rng.normal(size=m), lo, hi
+
+
+class _Recorder:
+    """A kernel wrapper that counts what each call exercised."""
+
+    def __init__(self, run):
+        self.run = run
+        self.seen = dict(phase2=0, free=0, flips=0)
+
+    def __call__(self, T, z, xB, basis, vstat, lo, hi, n_art_start, phase1, *rest):
+        before = vstat.copy()
+        status, iters = self.run(T, z, xB, basis, vstat, lo, hi, n_art_start, phase1, *rest)
+        self.seen["phase2"] += not phase1 and iters > 0
+        self.seen["free"] += bool((before == 3).any())
+        # a nonbasic column that ends at its other bound: mostly bound flips
+        self.seen["flips"] += int((before * vstat == 2).sum())
+        return status, iters
+
+
+def _assert_same_outcome(a, b):
+    assert (a.status, a.pivots) == (b.status, b.pivots)
+    if a.status == OPTIMAL:
+        assert a.point.tobytes() == b.point.tobytes()
+        assert a.objective_value == b.objective_value
+        for x, y in zip(a.state, b.state):
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+def test_phase2_and_warm_chain_states_match_bitwise(av):
+    # every solve of a cold start and three warm children in a row, each
+    # kernel from its own previous state: the same outcome, point and six
+    # state arrays to the byte after phase 2, not only after phase 1
+    rng = np.random.default_rng(8)
+    rec = {name: _Recorder(run) for name, run in av.items()}
+    statuses = set()
+    for k in range(300):
+        c, A, rels, b, lo, hi = (synth.random_lp if k % 2 else _gaussian_lp)(rng)
+        outs = {name: solve_dense(c, A, rels, b, lo, hi, kernel=rec[name]) for name in av}
+        for depth in range(4):  # the cold solve, then three warm children
+            _assert_same_outcome(outs["py"], outs["ext"])
+            statuses.add(outs["py"].status)
+            if depth == 3 or outs["py"].status != OPTIMAL:
+                break
+            j = int(rng.integers(len(c)))
+            x = outs["py"].point[j]
+            lo, hi = lo.copy(), hi.copy()
+            if rng.random() < 0.5:
+                hi[j] = max(lo[j], np.floor(x)) if np.floor(x) < x else x - 0.5
+            else:
+                lo[j] = min(hi[j], np.ceil(x)) if np.ceil(x) > x else x + 0.5
+            if rng.random() < 0.3:  # a new objective, as the witness polish sets
+                c = rng.normal(size=len(c))
+            outs = {
+                name: solve_dense(c, A, rels, b, lo, hi, kernel=rec[name], start=out.state)
+                for name, out in outs.items()
+            }
+    assert rec["py"].seen == rec["ext"].seen
+    assert min(rec["py"].seen.values()) >= 20, rec["py"].seen
+    assert {OPTIMAL, UNBOUNDED} <= statuses
+
+
+def test_verify_searches_alike_with_both_kernels(av):
+    # the whole branch-and-bound run of a pinned 24-unstable member: the same
+    # verdict, and the same search, node for node and pivot for pivot
+    net, query = synth.ladder_member()
+    by_kernel = {name: verify(net, query, kernel=run) for name, run in av.items()}
+    py, ext = by_kernel["py"], by_kernel["ext"]
+    assert py.status == ext.status
+    keys = ("nodes_explored", "lp_solves", "pivots", "max_depth")
+    assert [py.stats[k] for k in keys] == [ext.stats[k] for k in keys]
+    assert py.stats["nodes_explored"] >= 100
 
 
 def _phase1_args(c, A, rels, b, lo, hi):

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import safecut.lp as lp_module
+from safecut import verify
 from safecut._simplex_py import infeasibility
 from safecut.errors import NumericalBreakdownError
 from safecut.lp import (
@@ -15,6 +17,8 @@ from safecut.lp import (
     UNBOUNDED,
     LinearProgram,
     _recheck,
+    _slack_basis,
+    _warm_state,
     format_lp,
     solve_dense,
 )
@@ -286,6 +290,113 @@ def test_slack_block_is_the_basis_inverse():
                 assert_layout(warm, A)
                 n_warm_art += warm.state[0].shape[1] > n + m
     assert n_cold >= 50 and n_warm_art >= 20
+
+
+def _child_bounds(rng, lo, hi, x):
+    """Bounds a child LP might carry: a column pinned, split, freed or kept."""
+    lo, hi = lo.copy(), hi.copy()
+    j = int(rng.integers(lo.shape[0]))
+    kind = int(rng.integers(4))
+    if kind == 0:
+        lo[j] = hi[j] = np.clip(np.round(x[j]), lo[j], hi[j])
+    elif kind == 1:
+        if rng.random() < 0.5:
+            hi[j] = np.floor(x[j]) if np.floor(x[j]) >= lo[j] else x[j] - 0.5
+        else:
+            lo[j] = np.ceil(x[j]) if np.ceil(x[j]) <= hi[j] else x[j] + 0.5
+    elif kind == 2:
+        lo[j], hi[j] = -np.inf, np.inf
+    return lo, hi
+
+
+class _ReseatCheck:
+    """Re-seats a start with `_warm_state` and with the gather reference.
+
+    The re-seat copies the structural/slack block by slice, gathers only the
+    kept basic artificials and renumbers only artificial basis entries; it
+    must give the state the whole-tableau gather gives, byte for byte.
+    ``seen`` counts the cases each re-seat exercised.
+    """
+
+    def __init__(self):
+        self.seen = dict(
+            kept=0, parked_art=0, parked_below=0, parked_above=0,
+            moved=0, free=0, no_rows=0,
+        )
+
+    def __call__(self, start, A, lo, hi):
+        before = [a.tobytes() for a in start]
+        got, n_art = _warm_state(start, A, lo, hi)
+        want, n_want = oracles.gather_warm_state(start, A, lo, hi)
+        assert [a.tobytes() for a in start] == before  # the start is not written
+        assert n_art == n_want
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert g.tobytes() == w.tobytes()  # zero signs and NaN bits too
+        m, n = A.shape
+        T, basis, vstat = got[0], got[2], got[3]
+        K = T.shape[1] - n_art  # columns before the fresh artificials
+        parked = start[2][basis >= K]  # the old basic column of each parked row
+        seen = self.seen
+        seen["kept"] += int((basis[basis < K] >= n + m).sum())
+        seen["parked_art"] += int((parked >= n + m).sum())
+        parked = parked[parked < n + m]
+        seen["parked_below"] += int((vstat[parked] == 1).sum())
+        seen["parked_above"] += int((vstat[parked] == 2).sum())
+        was = start[3][:n]
+        seen["moved"] += bool(((was != 0) & ((lo != start[4][:n]) | (hi != start[5][:n]))).any())
+        seen["free"] += bool((vstat[:n] == 3).any())
+        seen["no_rows"] += m == 0
+        return got, n_art
+
+
+def test_warm_state_matches_gather_reference():
+    check = _ReseatCheck()
+    rng = np.random.default_rng(17)
+    for k in range(300):
+        c, A, rels, b, lo, hi = (synth.random_lp if k % 2 else _free_bounds_lp)(rng)
+        if k % 10 == 0:
+            A, rels, b = A[:0], rels[:0], b[:0]
+        check(_slack_basis(A, rels, b, lo, hi), A, lo, hi)
+        out = solve_dense(c, A, rels, b, lo, hi)
+        for _ in range(3):  # down a chain of children, each from its parent
+            if out.status != OPTIMAL:
+                break
+            clo, chi = _child_bounds(rng, lo, hi, out.point)
+            check(out.state, A, clo, chi)
+            if (clo > chi).any():
+                break
+            out = solve_dense(c, A, rels, b, clo, chi, start=out.state)
+            lo, hi = clo, chi
+    # a basic artificial in a final state is rare in these small LPs; the
+    # branch-and-bound test below covers kept and parked artificials
+    seen = {k: v for k, v in check.seen.items() if k not in ("kept", "parked_art")}
+    assert min(seen.values()) >= 5, check.seen
+
+
+def test_warm_state_matches_gather_reference_in_branch_and_bound(monkeypatch):
+    # a branch-and-bound child starts from a degenerate parent whose basis
+    # still holds artificials (frozen at [0, 0]) at phase 1's residual, so
+    # the solve parks them again; each start is also re-seated with those
+    # residuals set to +-0.0, which keeps and renumbers them, or to +-1e-12
+    check = _ReseatCheck()
+    rng = np.random.default_rng(3)
+
+    def reseat(start, A, lo, hi):
+        T, xB, basis = start[:3]
+        art = basis >= A.shape[0] + A.shape[1]
+        if art.any():
+            resid = rng.choice([0.0, -0.0, 1e-12, -1e-12], xB.shape[0])
+            check((T, np.where(art, resid, xB)) + tuple(start[2:]), A, lo, hi)
+        return check(start, A, lo, hi)
+
+    monkeypatch.setattr(lp_module, "_warm_state", reseat)
+    net, query = synth.ladder_member()
+    verdict = verify(net, query)
+    assert verdict.stats["lp_solves"] >= 100
+    seen = check.seen
+    assert seen["kept"] >= 100 and seen["parked_art"] >= 100, seen
+    assert seen["parked_below"] >= 10 and seen["parked_above"] >= 10, seen
 
 
 def test_format_lp_mentions_every_row():
