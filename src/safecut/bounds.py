@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional
 
@@ -10,6 +9,7 @@ import numpy as np
 
 from . import intervals
 from .errors import EmptyDatasetError, ParseError, ShapeError
+from .jsonio import read_json, write_json
 from .network import Dataset, Network, forward_batch
 
 _BATCH = 4096  # chunk size for dataset scans (row-exact: no bit depends on it)
@@ -214,32 +214,20 @@ def bounds_to_obj(b: ActivationBounds) -> dict:
 def bounds_from_obj(obj: dict) -> ActivationBounds:
     if not isinstance(obj, dict):
         raise ParseError("bounds file must contain a JSON object")
-    try:
-        return ActivationBounds(
-            layer=int(obj["layer"]),
-            lo=np.array(obj["lo"], dtype=np.float64),
-            hi=np.array(obj["hi"], dtype=np.float64),
-            diff_lo=None if obj.get("diff_lo") is None else np.array(obj["diff_lo"], dtype=np.float64),
-            diff_hi=None if obj.get("diff_hi") is None else np.array(obj["diff_hi"], dtype=np.float64),
-            provenance=str(obj["provenance"]),
-            sample_count=int(obj["sample_count"]),
-        )
-    except KeyError as exc:
-        raise ParseError(f"bounds object missing field {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"bounds object malformed: {exc}") from None
+    return ActivationBounds(
+        layer=int(obj["layer"]),
+        lo=np.array(obj["lo"], dtype=np.float64),
+        hi=np.array(obj["hi"], dtype=np.float64),
+        diff_lo=None if obj.get("diff_lo") is None else np.array(obj["diff_lo"], dtype=np.float64),
+        diff_hi=None if obj.get("diff_hi") is None else np.array(obj["diff_hi"], dtype=np.float64),
+        provenance=str(obj["provenance"]),
+        sample_count=int(obj["sample_count"]),
+    )
 
 
 def save_bounds(b: ActivationBounds, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(bounds_to_obj(b), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(bounds_to_obj(b), path)
 
 
 def load_bounds(path: str) -> ActivationBounds:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON ({exc})") from None
-    return bounds_from_obj(obj)
+    return read_json(path, bounds_from_obj)

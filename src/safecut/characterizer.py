@@ -9,7 +9,6 @@ reproducible, which matters more here than speed.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +19,7 @@ from .errors import (
     ShapeError,
     UnlabeledDataError,
 )
+from .jsonio import read_json, write_json
 from .network import (
     Dataset,
     Dense,
@@ -76,10 +76,6 @@ def decide(h: Characterizer, activation) -> int:
     """1 iff the head logit is >= 0 (boundary goes to class 1)."""
     logit = forward(h.head, activation)[0]
     return 1 if logit >= 0.0 else 0
-
-
-def logit(h: Characterizer, activation) -> float:
-    return float(forward(h.head, activation)[0])
 
 
 def extract_features(net: Network, data: Dataset, layer: int) -> Dataset:
@@ -187,29 +183,19 @@ def characterizer_to_obj(h: Characterizer) -> dict:
 def characterizer_from_obj(obj: dict) -> Characterizer:
     if not isinstance(obj, dict):
         raise ParseError("characterizer file must contain a JSON object")
-    try:
-        rule = obj["decision_rule"]
-        if rule != DECISION_RULE:
-            raise ParseError(f"unsupported decision rule {rule!r}")
-        return Characterizer(
-            head=network_from_obj(obj["network"]),
-            property_id=str(obj["property_id"]),
-            achieved_accuracy=float(obj["achieved_accuracy"]),
-        )
-    except KeyError as exc:
-        raise ParseError(f"characterizer object missing field {exc}") from None
+    rule = obj["decision_rule"]
+    if rule != DECISION_RULE:
+        raise ParseError(f"unsupported decision rule {rule!r}")
+    return Characterizer(
+        head=network_from_obj(obj["network"]),
+        property_id=str(obj["property_id"]),
+        achieved_accuracy=float(obj["achieved_accuracy"]),
+    )
 
 
 def save_characterizer(h: Characterizer, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(characterizer_to_obj(h), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(characterizer_to_obj(h), path)
 
 
 def load_characterizer(path: str) -> Characterizer:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON ({exc})") from None
-    return characterizer_from_obj(obj)
+    return read_json(path, characterizer_from_obj)

@@ -6,11 +6,13 @@ MILP search, `monitor` checks a stream of samples against the envelope, and
 `stats` reports the confusion/guarantee numbers.
 
 Exit codes: verify maps Safe=0, Unsafe=1, Unknown=3; 2 is reserved for
-input/usage errors everywhere (argparse's own convention); other commands
-return 0 on success.  All JSON artifacts are written canonically (sorted
-keys, two-space indent, trailing newline) so identical inputs and seed give
-bitwise-identical files; `verify --timing` opts into a wall_time field at
-the cost of that idempotence.
+input/usage errors everywhere (argparse's own convention), a malformed
+artifact among them: invalid JSON or a missing or ill-typed field exits 2
+with a `safecut: error:` line that names the file.  Other commands return 0
+on success.  One module, `jsonio`, reads every JSON artifact and writes it
+canonically (sorted keys, two-space indent, trailing newline) so identical
+inputs and seed give bitwise-identical files; `verify --timing` opts into a
+wall_time field at the cost of that idempotence.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from . import stats as stats_mod
 from .characterizer import TrainConfig, save_characterizer, train_characterizer
 from .characterizer import load_characterizer
 from .errors import ParseError, SafecutError, ShapeError
+from .jsonio import canonical, read_json, write_json
 from .lp import format_lp
 from .milp import encode, load_query, risk_from_obj
 from .network import forward_batch, load_dataset, load_network
@@ -45,26 +48,6 @@ _CONDITIONAL_NOTICE = (
     "it holds only while a runtime monitor (`safecut monitor`) confirms cut-layer "
     "activations stay inside the bounds file"
 )
-
-
-def _jsonable(value):
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
-
-
-def _write_canonical(obj: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_jsonable(obj), fh, sort_keys=True, indent=2)
-        fh.write("\n")
 
 
 def _parse_box(text: str, dim: int) -> bounds_mod.InputBox:
@@ -131,12 +114,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     report = {
         "status": verdict.status,
         "conditional": verdict.conditional,
-        "witness": verdict.witness,
-        "witness_output": verdict.witness_output,
+        "witness": None if verdict.witness is None else verdict.witness.tolist(),
+        "witness_output": (
+            None if verdict.witness_output is None else verdict.witness_output.tolist()
+        ),
         "stats": stats,
         "warnings": list(verdict.warnings),
     }
-    _write_canonical(report, args.out)
+    write_json(report, args.out)
     if verdict.status == SAFE and verdict.conditional:
         print(_CONDITIONAL_NOTICE, file=sys.stderr)
     return _VERDICT_EXIT[verdict.status]
@@ -144,14 +129,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 _MONITOR_READ_BYTES = 1 << 16  # at most this much of stdin per chunk
 
-# json.dumps(report_to_obj(report), sort_keys=True) of a contained row
+# what _report_line prints for a contained row
 _CONTAINED_LINE = '{"contained": true, "sample_id": "%d", "violations": []}\n'
 
 
 def _report_line(report, sample_id: int) -> str:
     obj = monitor_mod.report_to_obj(report)
     obj["sample_id"] = str(sample_id)
-    return json.dumps(_jsonable(obj), sort_keys=True) + "\n"
+    return json.dumps(obj, sort_keys=True) + "\n"
 
 
 def _monitor_chunk(net, b, lines: list, args: argparse.Namespace, first_id: int) -> str:
@@ -225,14 +210,12 @@ def cmd_stats(args: argparse.Namespace) -> int:
     est = stats_mod.estimate_confusion(net, h, args.layer, data)
     premise = False
     if args.risk:
-        with open(args.risk, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-        risk = risk_from_obj(obj["risk"] if isinstance(obj, dict) else obj)
+        risk = read_json(
+            args.risk, lambda obj: risk_from_obj(obj["risk"] if isinstance(obj, dict) else obj)
+        )
         premise = stats_mod.check_premise(net, h, args.layer, data, risk)
     g = stats_mod.guarantee(est, args.delta, premise=premise)
-    print(
-        json.dumps(_jsonable(stats_mod.stats_report_obj(est, g)), sort_keys=True, indent=2)
-    )
+    sys.stdout.write(canonical(stats_mod.stats_report_obj(est, g)))
     return _EXIT_OK
 
 

@@ -191,11 +191,7 @@ def _recheck(x, A, rels, b, lo, hi) -> Optional[str]:
     ax = A @ x if x.shape[0] > 0 else np.zeros(A.shape[0])
     d = ax - b
     # each row's violation: d for <=, -d for >=, |d| for =
-    excess = np.where(
-        rels == REL_LE,
-        d,
-        np.where(rels == REL_GE, -d, np.where(rels == REL_EQ, np.abs(d), -np.inf)),
-    )
+    excess = np.where(rels == REL_LE, d, np.where(rels == REL_GE, -d, np.abs(d)))
     bad = np.flatnonzero(excess > FEAS_TOL)
     if bad.size == 0:
         return None
@@ -224,7 +220,10 @@ def solve_dense(c, A, rels, b, lo, hi, kernel=None, start=None) -> LpOutcome:
     run = kernels.run_phase if kernel is None else kernel
     c = np.ascontiguousarray(c, dtype=np.float64)
     A = np.ascontiguousarray(A, dtype=np.float64)
-    rels = np.asarray(rels, dtype=np.int8)
+    rels = np.asarray(rels)
+    if not ((rels == REL_LE) | (rels == REL_EQ) | (rels == REL_GE)).all():
+        raise ValueError("LP relation codes must be REL_LE, REL_EQ or REL_GE")
+    rels = rels.astype(np.int8, copy=False)
     b = np.ascontiguousarray(b, dtype=np.float64)
     lo = np.array(lo, dtype=np.float64)
     hi = np.array(hi, dtype=np.float64)

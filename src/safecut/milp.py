@@ -15,7 +15,6 @@ given.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -31,6 +30,7 @@ from .errors import (
     UnsupportedLayerError,
 )
 from .intervals import propagate_layer
+from .jsonio import read_json
 from .lp import REL_EQ, REL_GE, REL_LE, LinearProgram
 from .network import BatchNorm, Dense, Network, Relu
 
@@ -354,33 +354,28 @@ def risk_from_obj(obj: list) -> RiskCondition:
 
 def load_query(path: str) -> SafetyQuery:
     """Load a query JSON; path-valued fields resolve relative to the file."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON ({exc})") from None
-    if not isinstance(obj, dict):
-        raise ParseError(f"{path}: query must be a JSON object")
     base = os.path.dirname(os.path.abspath(path))
 
     def resolve(v):
         return v if os.path.isabs(v) else os.path.join(base, v)
 
-    try:
+    def decode(obj) -> SafetyQuery:
+        if not isinstance(obj, dict):
+            raise ParseError(f"{path}: query must be a JSON object")
         cut_layer = int(obj["cut_layer"])
         bounds_field = obj["bounds"]
         char_field = obj["characterizer"]
         risk = risk_from_obj(obj["risk"])
-    except KeyError as exc:
-        raise ParseError(f"{path}: query missing field {exc}") from None
-    bounds = (
-        bounds_from_obj(bounds_field)
-        if isinstance(bounds_field, dict)
-        else load_bounds(resolve(str(bounds_field)))
-    )
-    h = (
-        characterizer_from_obj(char_field)
-        if isinstance(char_field, dict)
-        else load_characterizer(resolve(str(char_field)))
-    )
-    return SafetyQuery(cut_layer=cut_layer, bounds=bounds, characterizer=h, risk=risk)
+        bounds = (
+            bounds_from_obj(bounds_field)
+            if isinstance(bounds_field, dict)
+            else load_bounds(resolve(str(bounds_field)))
+        )
+        h = (
+            characterizer_from_obj(char_field)
+            if isinstance(char_field, dict)
+            else load_characterizer(resolve(str(char_field)))
+        )
+        return SafetyQuery(cut_layer=cut_layer, bounds=bounds, characterizer=h, risk=risk)
+
+    return read_json(path, decode)

@@ -16,13 +16,13 @@ in any chunk of a stream, and in the batch a dataset envelope was built from.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import ParseError, ShapeError
+from .jsonio import read_json, write_json
 
 
 @dataclass(frozen=True)
@@ -222,14 +222,6 @@ def forward_batch(
     return _run(layers, m)
 
 
-def adjacent_differences(activation: Sequence[float]) -> np.ndarray:
-    """n_{i+1} - n_i for each adjacent neuron pair."""
-    v = np.asarray(activation, dtype=np.float64)
-    if v.ndim != 1 or v.shape[0] < 2:
-        raise ShapeError("adjacent_differences needs a vector of length >= 2")
-    return np.diff(v)
-
-
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -256,7 +248,7 @@ def _layer_from_obj(obj: dict, index: int, prev: int) -> Layer:
             )
     except KeyError as exc:
         raise ParseError(f"layer {index} ({kind}): missing field {exc}") from None
-    except (ValueError, ShapeError) as exc:
+    except (TypeError, ValueError, ShapeError) as exc:
         raise type(exc)(f"layer {index}: {exc}") from None
     raise ParseError(f"layer {index}: unknown layer type {kind!r}")
 
@@ -264,11 +256,8 @@ def _layer_from_obj(obj: dict, index: int, prev: int) -> Layer:
 def network_from_obj(obj: dict) -> Network:
     if not isinstance(obj, dict):
         raise ParseError("network file must contain a JSON object")
-    try:
-        input_dim = int(obj["input_dim"])
-        layer_objs = obj["layers"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"network object missing/invalid field: {exc}") from None
+    input_dim = int(obj["input_dim"])
+    layer_objs = obj["layers"]
     if not isinstance(layer_objs, list) or not layer_objs:
         raise ParseError("'layers' must be a nonempty list")
 
@@ -281,12 +270,7 @@ def network_from_obj(obj: dict) -> Network:
 
 
 def load_network(path: str) -> Network:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON ({exc})") from None
-    return network_from_obj(obj)
+    return read_json(path, network_from_obj)
 
 
 def network_to_obj(net: Network) -> dict:
@@ -313,9 +297,7 @@ def network_to_obj(net: Network) -> dict:
 
 
 def save_network(net: Network, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(network_to_obj(net), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(network_to_obj(net), path)
 
 
 # ---------------------------------------------------------------------------

@@ -273,39 +273,31 @@ def verify(
         "max_depth": search.max_depth,
         "wall_time": wall,
     }
-    conditional = query.bounds.provenance == "dataset"
-
+    warnings = search.warnings
     if search.witness is not None:
-        warnings = list(search.warnings)
+        status = UNSAFE
         boundary = query.risk.boundary_clauses(search.witness_output)
         if boundary:
             warnings.append(
                 "boundary_witness: witness sits exactly on the boundary of "
                 f"strict clause(s) {boundary}"
             )
-        return Verdict(
-            status=UNSAFE,
-            conditional=conditional,
-            witness=search.witness,
-            witness_output=search.witness_output,
-            stats=stats,
-            warnings=warnings,
-        )
-    if search.exhausted_budget:
-        search.warnings.append("budget exhausted before the tree was closed")
-        return Verdict(
-            status=UNKNOWN, conditional=conditional, stats=stats,
-            warnings=search.warnings,
-        )
-    if search.breakdown or search.incomplete:
-        search.warnings.append(
+    elif search.exhausted_budget:
+        status = UNKNOWN
+        warnings.append("budget exhausted before the tree was closed")
+    elif search.breakdown or search.incomplete:
+        status = UNKNOWN
+        warnings.append(
             "search tree incomplete (numerical breakdown or unreplayable "
             "leaf); cannot certify"
         )
-        return Verdict(
-            status=UNKNOWN, conditional=conditional, stats=stats,
-            warnings=search.warnings,
-        )
+    else:
+        status = SAFE
     return Verdict(
-        status=SAFE, conditional=conditional, stats=stats, warnings=search.warnings,
+        status=status,
+        conditional=query.bounds.provenance == "dataset",
+        witness=search.witness,
+        witness_output=search.witness_output,
+        stats=stats,
+        warnings=warnings,
     )

@@ -8,13 +8,12 @@ from safecut.characterizer import (
     characterizer_to_obj,
     decide,
     load_characterizer,
-    logit,
     save_characterizer,
     train,
     train_characterizer,
 )
 from safecut.errors import DegenerateLabelsError, ShapeError, UnlabeledDataError
-from safecut.network import Dataset, Dense, Network, Relu
+from safecut.network import Dataset, Dense, Network, Relu, forward
 
 XOR = Dataset(
     inputs=np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]),
@@ -44,7 +43,7 @@ def test_decision_rule_is_logit_ge_zero():
         layers=(Dense(weights=np.zeros((1, 2)), bias=np.zeros(1)),), input_dim=2
     )
     h = Characterizer(head=head, property_id="p", achieved_accuracy=1.0)
-    assert logit(h, np.array([3.0, -4.0])) == 0.0
+    assert forward(head, np.array([3.0, -4.0]))[0] == 0.0
     assert decide(h, np.array([3.0, -4.0])) == 1
 
 
@@ -122,4 +121,4 @@ def test_save_load_roundtrip(tmp_path):
     assert back.achieved_accuracy == h.achieved_accuracy
     assert characterizer_to_obj(back) == characterizer_to_obj(h)
     x = ds.inputs[0]
-    assert logit(back, x) == logit(h, x)
+    assert forward(back.head, x)[0] == forward(h.head, x)[0]

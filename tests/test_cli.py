@@ -205,6 +205,52 @@ def test_garbage_query_is_input_error(workdir, tmp_path):
     assert r.returncode == 2
 
 
+def _malformed(workdir, tmp_path, case):
+    """Write one malformed artifact into tmp_path; returns (its name, argv)."""
+    for f in ("net.json", "bounds.json", "head.json", "data.csv"):
+        (tmp_path / f).write_bytes((workdir / f).read_bytes())
+    query = {
+        "cut_layer": 1,
+        "bounds": "bounds.json",
+        "characterizer": "head.json",
+        "risk": [{"coeffs": [1.0], "op": ">=", "rhs": 2.5}],
+    }
+    verify = ["verify", "net.json", "q.json", "v.json"]
+    if case == "query-cut-layer-list":
+        name, obj = "q.json", dict(query, cut_layer=[2])
+    elif case == "head-accuracy-list":  # referenced by a valid query
+        head = json.loads((workdir / "head.json").read_text())
+        name, obj = "h.json", dict(head, achieved_accuracy=[1])
+        (tmp_path / "q.json").write_text(json.dumps(dict(query, characterizer=name)))
+    elif case == "dense-weights-object":
+        name, obj = "n.json", json.loads((workdir / "net.json").read_text())
+        obj["layers"][0]["weights"] = {}
+        (tmp_path / "q.json").write_text(json.dumps(query))
+        verify[1] = name
+    else:
+        name, obj = "r.json", {"cut_layer": 1}
+        verify = ["stats", "net.json", "head.json", "data.csv", "--layer", 1, "--risk", name]
+    (tmp_path / name).write_text(json.dumps(obj))
+    return name, verify
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["query-cut-layer-list", "head-accuracy-list", "dense-weights-object", "risk-missing"],
+)
+def test_malformed_artifact_is_input_error_naming_the_file(workdir, tmp_path, case):
+    name, argv = _malformed(workdir, tmp_path, case)
+    r = run_cli(argv, tmp_path)
+    assert r.returncode == 2, r.stderr
+    assert "Traceback" not in r.stderr
+    # the message starts with the malformed file's own path, even when it is
+    # nested in a valid query
+    errors = [line.split(": ")[2] for line in r.stderr.splitlines()
+              if line.startswith("safecut: error: ")]
+    assert len(errors) == 1 and errors[0].endswith(name), r.stderr
+    assert not (tmp_path / "v.json").exists()
+
+
 def test_static_without_box_is_usage_error(workdir):
     r = run_cli(
         ["bounds", "net.json", "x.json", "--static", "--layer", 1], workdir

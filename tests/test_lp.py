@@ -244,6 +244,16 @@ def test_nan_rejected():
         _solve([1.0], [[1.0]], [REL_LE], [5.0], [0.0], [float("nan")])
 
 
+@pytest.mark.parametrize("rel", [2, 1.5, -2, float("nan")])
+def test_unknown_relation_code_rejected(rel):
+    # an int8 cast would solve 2 as an equality and 1.5 as >=; refuse both
+    with pytest.raises(ValueError, match="relation"):
+        solve_dense(
+            np.zeros(1), np.ones((1, 1)), np.array([rel]), np.ones(1),
+            np.zeros(1), np.full(1, 5.0),
+        )
+
+
 def test_recheck_fails_a_non_finite_point():
     A, rels, b = np.array([[1.0]]), np.array([REL_LE], np.int8), np.array([5.0])
     lo, hi = np.array([-np.inf]), np.array([np.inf])

@@ -3,14 +3,16 @@ import json
 import numpy as np
 import pytest
 
+from safecut.bounds import load_bounds
+from safecut.characterizer import load_characterizer
 from safecut.errors import ParseError, ShapeError
+from safecut.milp import load_query
 from safecut.network import (
     BatchNorm,
     Dataset,
     Dense,
     Network,
     Relu,
-    adjacent_differences,
     forward,
     forward_batch,
     load_dataset,
@@ -100,15 +102,6 @@ def test_batchnorm_matches_textbook_formula():
     assert np.allclose(a * x + c, want, atol=1e-12)
 
 
-def test_adjacent_differences_reconstruct():
-    v = np.array([1.0, -2.0, 0.5, 0.5])
-    d = adjacent_differences(v)
-    assert d.shape == (3,)
-    assert np.allclose(v[0] + np.cumsum(d), v[1:])
-    with pytest.raises(ShapeError):
-        adjacent_differences([1.0])
-
-
 def test_dim_at_and_suffix(tiny_net):
     assert [tiny_net.dim_at(p) for p in range(4)] == [2, 3, 3, 2]
     suf = tiny_net.suffix(2)
@@ -140,11 +133,20 @@ def test_network_json_roundtrip(tiny_net, tmp_path):
 def test_load_network_rejects_garbage(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps({"input_dim": 2, "layers": [{"type": "conv"}]}))
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="layer 1: unknown layer type 'conv'"):
         load_network(str(p))
+
+
+@pytest.mark.parametrize(
+    "load", [load_network, load_bounds, load_characterizer, load_query],
+    ids=lambda f: f.__name__,
+)
+def test_loaders_name_the_file_of_invalid_json(tmp_path, load):
+    p = tmp_path / "bad.json"
     p.write_text("{not json")
-    with pytest.raises(ParseError):
-        load_network(str(p))
+    with pytest.raises(ParseError, match="invalid JSON") as err:
+        load(str(p))
+    assert str(p) in str(err.value)
 
 
 def test_dense_rejects_nonfinite():
