@@ -2,15 +2,18 @@
  *
  * run_phase mirrors _simplex_py.run_phase operation for operation; the
  * contract, the state arrays and the status codes are documented there.
- * Every floating-point update is the same mul-then-sub or divide sequence
- * (built with -ffp-contract=off, so no fused multiply-add), reductions run
- * sequentially in row order, and ties break by strict inequality and lowest
- * index, which keeps the two kernels bitwise interchangeable.
+ * The tableau D holds only the nonbasic columns, nb naming the variable of
+ * each; a pivot hands the entering variable's column to the leaving one as
+ * e_r before the row division and the rank-1 update.  Every floating-point
+ * update is the same mul-then-sub or divide sequence (built with
+ * -ffp-contract=off, so no fused multiply-add), reductions run sequentially
+ * in row order, and ties break by strict inequality and the lowest variable
+ * id (or row), which keeps the two kernels bitwise interchangeable.
  *
  * The arrays arrive through the buffer protocol.  Their dtype, layout and
- * lengths, and the basis indices, are checked before any raw pointer is
- * read: a wrong argument raises ValueError or BufferError and leaves every
- * array as it was.
+ * lengths, and the basis and nb indices, are checked before any raw pointer
+ * is read: a wrong argument raises ValueError or BufferError and leaves
+ * every array as it was.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -23,10 +26,14 @@
 
 enum { OPTIMAL, REACHED_STOP, UNBOUNDED, TINY_PIVOT, ITER_LIMIT };
 
+/* how a nonbasic column may move, numbered like its variable's vstat:
+ * its score is none, -z, z or |z| */
+enum { CLOSED, INC, DEC, FREE };
+
 typedef struct {
-    double *T, *z, *xB, *lo, *hi;
-    int64_t *basis, *vstat;
-    Py_ssize_t m, n, n_art_start;
+    double *D, *z, *xB, *lo, *hi;
+    int64_t *basis, *nb, *vstat;
+    Py_ssize_t m, w, n_art_start;
 } State;
 
 static double infeasibility(const State *s)
@@ -38,16 +45,27 @@ static double infeasibility(const State *s)
     return sum;
 }
 
-static int run(const State *s, char *banned, int phase1, double stop_sum,
-               long long dantzig_limit, long long max_iter, double opt_tol,
-               double tiny, long long *iters_out)
+/* the column's kind from its variable's status and bounds */
+static char kind_of(const State *s, int64_t v)
 {
-    double *T = s->T, *z = s->z, *xB = s->xB, *lo = s->lo, *hi = s->hi;
-    int64_t *basis = s->basis, *vstat = s->vstat;
-    const Py_ssize_t m = s->m, n = s->n;
+    const int64_t st = s->vstat[v];
+    return s->lo[v] == s->hi[v] || st < INC || st > FREE ? CLOSED : (char)st;
+}
+
+static int run(const State *s, char *kind, char *banned, int phase1,
+               double stop_sum, long long dantzig_limit, long long max_iter,
+               double opt_tol, double tiny, long long *iters_out)
+{
+    double *D = s->D, *z = s->z, *xB = s->xB, *lo = s->lo, *hi = s->hi;
+    int64_t *basis = s->basis, *nb = s->nb, *vstat = s->vstat;
+    const Py_ssize_t m = s->m, w = s->w;
     long long iters = 0;
-    Py_ssize_t q, r, i, j;
+    Py_ssize_t p, r, i, j;
+    int64_t q;
     double d, t_limit;
+
+    for (p = 0; p < w; p++)
+        kind[p] = kind_of(s, nb[p]);
 
     for (;; iters++) {
         *iters_out = iters;
@@ -58,41 +76,37 @@ static int run(const State *s, char *banned, int phase1, double stop_sum,
 
         const int bland = iters >= dantzig_limit;
         int banned_any = 0;
-        memset(banned, 0, (size_t)n);
+        memset(banned, 0, (size_t)w);
 
         for (;;) {
-            /* ---- pricing ---- */
-            q = -1;
+            /* ---- pricing: score > opt_tol is eligible; ties go to the lowest id ---- */
+            p = -1;
             double best = opt_tol;
-            for (j = 0; j < n; j++) {
-                if (vstat[j] == 0 || banned[j] || lo[j] == hi[j])
+            for (j = 0; j < w; j++) {
+                if (kind[j] == CLOSED || banned[j])
                     continue;
                 const double zj = z[j];
-                double score;
-                if ((vstat[j] == 1 || vstat[j] == 3) && zj < -opt_tol)
-                    score = -zj;
-                else if ((vstat[j] == 2 || vstat[j] == 3) && zj > opt_tol)
-                    score = zj;
-                else
+                const double score = kind[j] == INC ? -zj : kind[j] == DEC ? zj : fabs(zj);
+                if (!(score > opt_tol))
                     continue;
-                if (bland) { /* first eligible column */
-                    q = j;
-                    break;
-                }
-                if (score > best) {
+                if (bland) { /* the eligible column of the lowest id */
+                    if (p < 0 || nb[j] < nb[p])
+                        p = j;
+                } else if (score > best || (score == best && p >= 0 && nb[j] < nb[p])) {
                     best = score;
-                    q = j;
+                    p = j;
                 }
             }
-            if (q < 0)
+            if (p < 0)
                 return banned_any ? TINY_PIVOT : OPTIMAL;
-            d = (vstat[q] == 1 || (vstat[q] == 3 && z[q] < 0.0)) ? 1.0 : -1.0;
+            q = nb[p];
+            d = (vstat[q] == 1 || (vstat[q] == 3 && z[p] < 0.0)) ? 1.0 : -1.0;
 
             /* ---- ratio test ---- */
             t_limit = hi[q] - lo[q];
             r = -1;
             for (i = 0; i < m; i++) {
-                const double a = d * T[i * n + q];
+                const double a = d * D[i * w + p];
                 double bound;
                 if (a > tiny) {
                     bound = lo[basis[i]];
@@ -121,13 +135,13 @@ static int run(const State *s, char *banned, int phase1, double stop_sum,
                  * never report unbounded over an ignored tiny pivot */
                 int skipped = 0;
                 for (i = 0; i < m && !skipped; i++) {
-                    const double a = d * T[i * n + q];
+                    const double a = d * D[i * w + p];
                     skipped = (a > 0.0 && a <= tiny && lo[basis[i]] > -INFINITY)
                               || (a < 0.0 && a >= -tiny && hi[basis[i]] < INFINITY);
                 }
                 if (!skipped)
                     return UNBOUNDED;
-                banned[q] = 1;
+                banned[p] = 1;
                 banned_any = 1;
                 continue;
             }
@@ -138,23 +152,26 @@ static int run(const State *s, char *banned, int phase1, double stop_sum,
         if (r < 0) {
             /* ---- bound flip ---- */
             for (i = 0; i < m; i++)
-                xB[i] -= tstep * T[i * n + q];
+                xB[i] -= tstep * D[i * w + p];
             vstat[q] = d > 0.0 ? 2 : 1;
+            kind[p] = d > 0.0 ? DEC : INC;
             continue;
         }
-        /* ---- pivot ---- */
+        /* ---- pivot: the leaving variable takes column p as e_r ---- */
         const int64_t leaving = basis[r];
-        const int64_t leave_to = d * T[r * n + q] > 0.0 ? 1 : 2;
+        const int64_t leave_to = d * D[r * w + p] > 0.0 ? 1 : 2;
         const double vq = vstat[q] == 1 ? lo[q] : vstat[q] == 2 ? hi[q] : 0.0;
         for (i = 0; i < m; i++)
-            xB[i] -= tstep * T[i * n + q];
+            xB[i] -= tstep * D[i * w + p];
         xB[r] = vq + d * t_limit;
-        double *row = T + r * n;
-        const double piv = row[q];
-        for (j = 0; j < n; j++)
+        double *row = D + r * w;
+        const double piv = row[p];
+        row[p] = 1.0;
+        for (j = 0; j < w; j++)
             row[j] /= piv;
-        const double zq = z[q];
-        for (j = 0; j < n; j++)
+        const double zq = z[p];
+        z[p] = 0.0;
+        for (j = 0; j < w; j++)
             z[j] -= zq * row[j];
         /* The NumPy kernel subtracts one outer product with row r's factor
          * masked to 0, so every row sees the divided row r before r's own
@@ -162,19 +179,23 @@ static int run(const State *s, char *banned, int phase1, double stop_sum,
         for (i = 0; i < m; i++) {
             if (i == r)
                 continue;
-            const double fac = T[i * n + q];
-            for (j = 0; j < n; j++)
-                T[i * n + j] -= fac * row[j];
+            double *di = D + i * w;
+            const double fac = di[p];
+            di[p] = 0.0;
+            for (j = 0; j < w; j++)
+                di[j] -= fac * row[j];
         }
-        for (j = 0; j < n; j++)
+        for (j = 0; j < w; j++)
             row[j] -= 0.0 * row[j];
         basis[r] = q;
+        nb[p] = leaving;
         vstat[q] = 0;
         vstat[leaving] = leave_to;
         if (leaving >= s->n_art_start) {
             lo[leaving] = 0.0;
             hi[leaving] = 0.0;
         }
+        kind[p] = kind_of(s, leaving);
     }
 }
 
@@ -199,36 +220,41 @@ static int get_buffer(PyObject *obj, Py_buffer *view, const char *name,
     return 0;
 }
 
-enum { NBUF = 7 };
-static const char *const names[NBUF] = {"T", "z", "xB", "basis", "vstat", "lo", "hi"};
+enum { NBUF = 8 };
+static const char *const names[NBUF] = {"D", "z", "xB", "basis", "nb", "vstat", "lo", "hi"};
 
-/* Check the lengths and the basis indices of the acquired buffers, then run. */
+/* Check the lengths and the basis and nb indices of the acquired buffers,
+ * then run. */
 static PyObject *run_views(Py_buffer *view, Py_ssize_t n_art_start, int phase1,
                            double stop_sum, long long dantzig_limit,
                            long long max_iter, double opt_tol, double tiny)
 {
-    const Py_ssize_t m = view[0].shape[0], n = view[0].shape[1];
-    const Py_ssize_t expect[NBUF] = {0, n, m, m, n, n, n};
+    const Py_ssize_t m = view[0].shape[0], w = view[0].shape[1], n = w + m;
+    const Py_ssize_t expect[NBUF] = {0, w, m, m, w, n, n, n};
     for (int k = 1; k < NBUF; k++)
         if (view[k].shape[0] != expect[k])
-            return PyErr_Format(PyExc_ValueError, "%s has length %zd, T.shape gives %zd",
+            return PyErr_Format(PyExc_ValueError, "%s has length %zd, D.shape gives %zd",
                                 names[k], view[k].shape[0], expect[k]);
-    const State s = {.T = view[0].buf, .z = view[1].buf, .xB = view[2].buf,
-                     .basis = view[3].buf, .vstat = view[4].buf,
-                     .lo = view[5].buf, .hi = view[6].buf,
-                     .m = m, .n = n, .n_art_start = n_art_start};
+    const State s = {.D = view[0].buf, .z = view[1].buf, .xB = view[2].buf,
+                     .basis = view[3].buf, .nb = view[4].buf, .vstat = view[5].buf,
+                     .lo = view[6].buf, .hi = view[7].buf,
+                     .m = m, .w = w, .n_art_start = n_art_start};
     for (Py_ssize_t i = 0; i < m; i++)
         if (s.basis[i] < 0 || s.basis[i] >= n)
-            return PyErr_Format(PyExc_ValueError, "basis[%zd] = %lld is not a column of T",
+            return PyErr_Format(PyExc_ValueError, "basis[%zd] = %lld is not a variable",
                                 i, (long long)s.basis[i]);
+    for (Py_ssize_t p = 0; p < w; p++)
+        if (s.nb[p] < 0 || s.nb[p] >= n)
+            return PyErr_Format(PyExc_ValueError, "nb[%zd] = %lld is not a variable",
+                                p, (long long)s.nb[p]);
 
-    char *banned = malloc((size_t)n + 1);
-    if (banned == NULL)
+    char *work = malloc(2 * (size_t)w + 1);
+    if (work == NULL)
         return PyErr_NoMemory();
     long long iters = 0;
-    const int status = run(&s, banned, phase1, stop_sum, dantzig_limit, max_iter,
-                           opt_tol, tiny, &iters);
-    free(banned);
+    const int status = run(&s, work, work + w, phase1, stop_sum, dantzig_limit,
+                           max_iter, opt_tol, tiny, &iters);
+    free(work);
     return Py_BuildValue("(iL)", status, iters);
 }
 
@@ -240,8 +266,8 @@ static PyObject *run_phase(PyObject *self, PyObject *args)
     int phase1;
     double stop_sum, opt_tol, tiny;
     long long dantzig_limit, max_iter;
-    if (!PyArg_ParseTuple(args, "OOOOOOOnidLLdd:run_phase", &obj[0], &obj[1],
-                          &obj[2], &obj[3], &obj[4], &obj[5], &obj[6],
+    if (!PyArg_ParseTuple(args, "OOOOOOOOnidLLdd:run_phase", &obj[0], &obj[1],
+                          &obj[2], &obj[3], &obj[4], &obj[5], &obj[6], &obj[7],
                           &n_art_start, &phase1, &stop_sum, &dantzig_limit,
                           &max_iter, &opt_tol, &tiny))
         return NULL;
@@ -250,7 +276,7 @@ static PyObject *run_phase(PyObject *self, PyObject *args)
     PyObject *result = NULL;
     int held = 0;
     while (held < NBUF) {
-        const int is_index = held == 3 || held == 4;
+        const int is_index = held >= 3 && held <= 5;
         if (get_buffer(obj[held], &view[held], names[held], held == 0 ? 2 : 1,
                        is_index ? "lq" : "d") < 0)
             break;

@@ -5,29 +5,38 @@ implementations are kept *bitwise* interchangeable: every floating-point
 expression is written as the same sequence of elementwise multiply/divide/
 subtract operations (the extension is compiled with -ffp-contract=off so no
 FMA contraction sneaks in), every reduction is sequential in row
-order, and all tie-breaking is strict-inequality / lowest-index.  The
-benchmark and parity tests assert identical pivot sequences and end states.
+order, and every tie breaks by strict inequality and the lowest variable id
+(or row).  The benchmark and parity tests assert identical pivot sequences
+and end states.
 
-State arrays (owned by the driver in lp.py):
-  T     (m, N) float64  tableau B^-1 A over all columns
-  z     (N,)   float64  reduced costs for the current basis
+The tableau keeps only the nonbasic columns (the dictionary form): a basic
+column is a unit vector that a pivot leaves unchanged, so storing it would
+only double the rank-1 update.  State arrays (owned by the driver in lp.py):
+  D     (m, W) float64  B^-1 N: the tableau columns of the nonbasic variables
+  z     (W,)   float64  reduced costs of those columns
   xB    (m,)   float64  values of the basic variables
-  basis (m,)   int64    basic column per row
+  basis (m,)   int64    basic variable per row
+  nb    (W,)   int64    nonbasic variable per column of D
   vstat (N,)   int64    0 basic, 1 at lower bound, 2 at upper bound, 3 free
-  lo,hi (N,)   float64  column bounds (+-inf allowed); lo==hi means pinned
+  lo,hi (N,)   float64  variable bounds (+-inf allowed); lo==hi means pinned
+with N = W + m variables.  A pivot puts the leaving variable in the
+entering one's column of D: that column becomes e_r, then goes through the
+same row division and rank-1 update as every other column, which are the
+operations the full tableau applies to the leaving variable's unit column.
 
-Columns >= n_art_start are phase-1 artificials; they are pinned to [0, 0]
+Variables >= n_art_start are phase-1 artificials; they are pinned to [0, 0]
 the moment they leave the basis and are never eligible to re-enter.
 
-Kept in step for the whole call, not rebuilt per pivot: the entry masks
-``may_inc`` (nonbasic, lo != hi, vstat 1 or 3) and ``may_dec`` (vstat 2 or
-3), and the basic bounds ``blo = lo[basis]`` and ``bhi = hi[basis]``.  A
-pivot updates them at the entering column, the leaving column (an
-artificial that leaves is pinned, so it closes) and the pivot row; a bound
-flip at the entering column.  A column banned on the TINY_PIVOT path is
-cleared in masked copies.  Each call allocates these once, with its work
-vectors and one (m, N) buffer for the rank-1 update; the pivot loop writes
-into them with ``out=``.
+Kept in step for the whole call, not rebuilt per pivot: one score sign per
+column of D (-1 may increase, +1 may decrease, 0 closed; a free column is
+flagged apart and scores |z|), and the basic bounds ``blo = lo[basis]`` and
+``bhi = hi[basis]``.  Dantzig pricing is one multiply and an ``argmax``.  A
+pivot updates them at the entering column, which the leaving variable now
+holds (an artificial that leaves is pinned, so it closes), and the pivot
+row; a bound flip at the entering column.  A column banned on the
+TINY_PIVOT path is cleared in masked copies.  Each call allocates these
+once, with its work vectors and one (m, W) buffer for the rank-1 update;
+the pivot loop writes into them with ``out=``.
 
 Return status codes (shared with the compiled kernel):
   0 OPTIMAL        no eligible entering column
@@ -63,10 +72,11 @@ def infeasibility(xB: np.ndarray, basis: np.ndarray, n_art_start: int) -> float:
 
 
 def run_phase(
-    T: np.ndarray,
+    D: np.ndarray,
     z: np.ndarray,
     xB: np.ndarray,
     basis: np.ndarray,
+    nb: np.ndarray,
     vstat: np.ndarray,
     lo: np.ndarray,
     hi: np.ndarray,
@@ -79,24 +89,25 @@ def run_phase(
     tiny: float,
 ) -> tuple:
     """Run simplex iterations in place; returns (status, iters)."""
-    m, n = T.shape
+    m, w = D.shape
     iters = 0
-    # entry masks, kept in step with vstat/lo/hi at the columns a step touches
-    is_open = (vstat != 0) & (lo != hi)
-    may_inc = is_open & ((vstat == 1) | (vstat == 3))
-    may_dec = is_open & ((vstat == 2) | (vstat == 3))
+    # score signs and free flags, kept in step with vstat/lo/hi at the
+    # column a step touches
+    vs = vstat[nb]
+    is_open = lo[nb] != hi[nb]
+    sign = np.where(is_open & (vs == 1), -1.0, np.where(is_open & (vs == 2), 1.0, 0.0))
+    free = is_open & (vs == 3)
+    any_free = bool(free.any())
     blo = lo[basis]  # bounds of the basic variables, kept in step with basis
     bhi = hi[basis]
-    can_inc = np.empty(n, dtype=bool)
-    can_dec = np.empty(n, dtype=bool)
-    score = np.empty(n)
-    zrow = np.empty(n)
+    score = np.empty(w)
+    zrow = np.empty(w)
     alpha = np.empty(m)
     big = np.empty(m, dtype=bool)
     tt = np.empty(m)
     step = np.empty(m)
     col = np.empty(m)
-    outer = np.empty((m, n))
+    outer = np.empty((m, w))
 
     while True:
         if phase1 and infeasibility(xB, basis, n_art_start) <= stop_sum:
@@ -105,33 +116,33 @@ def run_phase(
             return ITER_LIMIT, iters
 
         bland = iters >= dantzig_limit
-        inc_ok, dec_ok = may_inc, may_dec  # masked copies once a column is banned
+        sign_ok, free_ok = sign, free  # masked copies once a column is banned
         banned_any = False
 
         while True:
-            # ---- pricing ----
-            np.less(z, -opt_tol, out=can_inc)
-            can_inc &= inc_ok
-            np.greater(z, opt_tol, out=can_dec)
-            can_dec &= dec_ok
+            # ---- pricing: score > opt_tol is eligible; ties go to the lowest id ----
+            np.multiply(z, sign_ok, out=score)
+            if any_free:
+                np.absolute(z, out=score, where=free_ok)
             if bland:
-                elig = can_inc | can_dec
-                if not elig.any():
+                elig = np.flatnonzero(score > opt_tol)
+                if not elig.shape[0]:
                     return (TINY_PIVOT if banned_any else OPTIMAL), iters
-                q = int(elig.argmax())
+                p = int(elig[nb[elig].argmin()])
             else:
-                score.fill(-_INF)
-                np.copyto(score, z, where=can_dec)
-                np.negative(z, out=score, where=can_inc)
-                q = int(score.argmax())
-                if not score[q] > opt_tol:
+                p = int(score.argmax()) if w else 0
+                if not (w and score[p] > opt_tol):
                     return (TINY_PIVOT if banned_any else OPTIMAL), iters
+                ties = np.flatnonzero(score == score[p])
+                if ties.shape[0] > 1:
+                    p = int(ties[nb[ties].argmin()])
+            q = int(nb[p])
             sq = vstat[q]
-            d = 1.0 if (sq == 1 or (sq == 3 and z[q] < 0.0)) else -1.0
+            d = 1.0 if (sq == 1 or (sq == 3 and z[p] < 0.0)) else -1.0
 
             # ---- ratio test ----
-            Tq = T[:, q]
-            np.multiply(Tq, d, out=alpha)
+            Dp = D[:, p]
+            np.multiply(Dp, d, out=alpha)
             np.greater(np.absolute(alpha), tiny, out=big)
             tt.fill(_INF)
             np.subtract(xB, np.where(alpha > 0.0, blo, bhi), out=tt, where=big)
@@ -162,24 +173,24 @@ def run_phase(
                     small_neg & np.isfinite(bhi)
                 ).any():
                     if not banned_any:
-                        inc_ok, dec_ok = may_inc.copy(), may_dec.copy()
+                        sign_ok, free_ok = sign.copy(), free.copy()
                         banned_any = True
-                    inc_ok[q] = dec_ok[q] = False
+                    sign_ok[p] = 0.0
+                    free_ok[p] = False
                     continue
                 return UNBOUNDED, iters
             break
 
         t = t_limit
         tstep = d * t
-        np.multiply(Tq, tstep, out=step)
+        np.multiply(Dp, tstep, out=step)
         if r < 0:
             # ---- bound flip ----
             xB -= step
             vstat[q] = 2 if d > 0.0 else 1
-            may_inc[q] = d < 0.0
-            may_dec[q] = d > 0.0
+            sign[p] = d
         else:
-            # ---- pivot ----
+            # ---- pivot: the leaving variable takes column p as e_r ----
             leaving = int(basis[r])
             leave_to = 1 if alpha[r] > 0.0 else 2
             if sq == 1:
@@ -190,24 +201,30 @@ def run_phase(
                 vq = 0.0
             xB -= step
             xB[r] = vq + d * t
-            row = T[r]
-            row /= T[r, q]
-            np.multiply(row, z[q], out=zrow)
+            np.copyto(col, Dp)
+            Dp.fill(0.0)
+            Dp[r] = 1.0
+            row = D[r]
+            row /= col[r]
+            zq = z[p]
+            z[p] = 0.0
+            np.multiply(row, zq, out=zrow)
             z -= zrow
-            np.copyto(col, Tq)
             col[r] = 0.0
             np.multiply(col[:, None], row, out=outer)
-            T -= outer
+            D -= outer
             basis[r] = q
+            nb[p] = leaving
             vstat[q] = 0
             vstat[leaving] = leave_to
             if leaving >= n_art_start:
                 lo[leaving] = 0.0
                 hi[leaving] = 0.0
-            may_inc[q] = may_dec[q] = False
-            open_leaving = lo[leaving] != hi[leaving]
-            may_inc[leaving] = open_leaving and leave_to == 1
-            may_dec[leaving] = open_leaving and leave_to == 2
+            if lo[leaving] == hi[leaving]:
+                sign[p] = 0.0
+            else:
+                sign[p] = -1.0 if leave_to == 1 else 1.0
+            free[p] = False
             blo[r] = lo[q]
             bhi[r] = hi[q]
         iters += 1

@@ -9,7 +9,7 @@ import numpy as np
 
 from . import intervals
 from .errors import EmptyDatasetError, ParseError, ShapeError
-from .jsonio import read_json, write_json
+from .jsonio import integer, read_json, write_json
 from .network import Dataset, Network, forward_batch
 
 _BATCH = 4096  # chunk size for dataset scans (row-exact: no bit depends on it)
@@ -215,13 +215,13 @@ def bounds_from_obj(obj: dict) -> ActivationBounds:
     if not isinstance(obj, dict):
         raise ParseError("bounds file must contain a JSON object")
     return ActivationBounds(
-        layer=int(obj["layer"]),
+        layer=integer(obj, "layer"),
         lo=np.array(obj["lo"], dtype=np.float64),
         hi=np.array(obj["hi"], dtype=np.float64),
         diff_lo=None if obj.get("diff_lo") is None else np.array(obj["diff_lo"], dtype=np.float64),
         diff_hi=None if obj.get("diff_hi") is None else np.array(obj["diff_hi"], dtype=np.float64),
         provenance=str(obj["provenance"]),
-        sample_count=int(obj["sample_count"]),
+        sample_count=integer(obj, "sample_count"),
     )
 
 

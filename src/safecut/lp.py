@@ -14,19 +14,25 @@ taken (NumericalBreakdown when no alternative exists).  Optimal points are
 re-checked against every constraint independently of the solver state —
 a failed recheck raises rather than returning a silently wrong answer.
 
+The tableau keeps only its nonbasic columns: a state is
+``(D, xB, basis, nb, vstat, lo_all, hi_all)`` with ``D = B^-1 N`` of shape
+m x (N - m) over the N structurals, slacks and artificials, ``nb`` naming
+the variable of each column of D (see ``_simplex_py``).  A basic variable's
+tableau column is a unit vector, so ``B^-1`` is recoverable: a nonbasic
+slack's column is in D and a basic slack's is e_i.
+
 One start path: every solve re-seats a basis on the LP's column bounds, its
 parent's final state (``start=out.state``, same rows, new column bounds, any
-objective) or else the all-slack basis ``[A | I]``.  Nonbasic columns whose
-bounds changed move to the nearest new bound; every basic variable then
-outside its bounds is parked at its nearest bound and a fresh artificial, a
-unit column of the current tableau carrying the gap, takes its place in that
-row, the row scaled by the gap's sign, so ``T[:, n:n+m]`` stays B^-1.  Phase
-1 / phase 2 then finish the solve, so a child that differs from its parent in
-one bound costs a few pivots instead of a cold phase 1.  The re-seat copies
-the structural and slack block ``T[:, :n+m]`` by slice, gathers only the
-artificials still basic (nonbasic ones sit pinned at 0 and are dropped) and
-renumbers only the basis entries that name an artificial; the tests hold it
-byte-equal to a whole-tableau gather (``oracles.gather_warm_state``).
+objective) or else the all-slack basis, whose D is A itself.  Nonbasic
+columns whose bounds changed move to the nearest new bound; every basic
+variable then outside its bounds is parked at its nearest bound, with the
+column e_i, and a fresh artificial takes its place in that row, the row
+scaled by the gap's sign.  A nonbasic artificial is pinned at 0 for good and
+loses its column; a parked artificial gets none.  Phase 1 / phase 2 then
+finish the solve, so a child that differs from its parent in one bound costs
+a few pivots instead of a cold phase 1.  Phase 1 stops once its artificials
+sum to at most STOP_SUM; the basic ones are then snapped to 0 before they
+freeze, so a child does not park them again for that residual.
 """
 
 from __future__ import annotations
@@ -93,7 +99,7 @@ class LpOutcome:
     point: Optional[np.ndarray] = None
     objective_value: Optional[float] = None
     pivots: int = 0  # kernel iterations (pivots and bound flips) of this solve
-    # (T, xB, basis, vstat, lo_all, hi_all) of an optimal solve, for start=
+    # (D, xB, basis, nb, vstat, lo_all, hi_all) of an optimal solve, for start=
     state: Optional[tuple] = field(default=None, repr=False, compare=False)
 
 
@@ -101,18 +107,18 @@ def _slack_basis(A, rels, b, lo, hi):
     """The all-slack basis, as a state for `_warm_state` to re-seat.
 
     Each structural sits at its finite lower bound, else its finite upper
-    bound, else free at 0; each row's slack is basic at the residual.
+    bound, else free at 0; each row's slack is basic at the residual, so the
+    nonbasic columns are A itself (the re-seat copies it).
     """
     m, n = A.shape
     slack_lo = np.where(rels == REL_GE, -np.inf, 0.0)
     slack_hi = np.where(rels == REL_LE, np.inf, 0.0)
     vstat_x = np.where(np.isfinite(lo), 1, np.where(np.isfinite(hi), 2, 3))
     val = np.where(vstat_x == 1, lo, np.where(vstat_x == 2, hi, 0.0))
-    T = np.concatenate([A, np.eye(m)], axis=1)
     vstat = np.concatenate([vstat_x, np.zeros(m, dtype=np.int64)])
     return (
-        T, b - A @ val, n + np.arange(m, dtype=np.int64), vstat,
-        np.concatenate([lo, slack_lo]), np.concatenate([hi, slack_hi]),
+        A, b - A @ val, n + np.arange(m, dtype=np.int64), np.arange(n, dtype=np.int64),
+        vstat, np.concatenate([lo, slack_lo]), np.concatenate([hi, slack_hi]),
     )
 
 
@@ -121,10 +127,10 @@ def _warm_state(start, A, lo, hi):
 
     Returns the re-seated state and its number of artificials.
     """
-    T, xB, basis, vstat, lo_all, hi_all = start
+    D, xB, basis, nb, vstat, lo_all, hi_all = start
     m, n = A.shape
     nm = n + m
-    if T.shape[0] != m or T.shape[1] < nm:
+    if D.shape[0] != m or nb.shape[0] != D.shape[1] or vstat.shape[0] < nm:
         raise ShapeError("start state does not match the LP's rows and columns")
     xB, basis, vstat = xB.copy(), basis.copy(), vstat.copy()
     lo_all, hi_all = lo_all.copy(), hi_all.copy()
@@ -139,7 +145,9 @@ def _warm_state(start, A, lo, hi):
         to_lo = np.isfinite(lc) & (nearer_lo | ~np.isfinite(hc))
         new_stat = np.where(to_lo, 1, np.where(np.isfinite(hc), 2, 3))
         new_val = np.where(new_stat == 1, lc, np.where(new_stat == 2, hc, 0.0))
-        xB -= T[:, cols] @ (new_val - old_val)
+        slot = np.empty(vstat.shape[0], dtype=np.int64)
+        slot[nb] = np.arange(nb.shape[0])
+        xB -= D[:, slot[cols]] @ (new_val - old_val)
         vstat[cols] = new_stat
     lo_all[:n] = lo
     hi_all[:n] = hi
@@ -153,28 +161,34 @@ def _warm_state(start, A, lo, hi):
     sigma = np.where(gap > 0, 1.0, -1.0)
     vstat[basis[rows]] = np.where(below[rows], 1, 2)
 
-    # nonbasic artificials sit at 0 for good: keep the basic ones, then add
-    # one fresh artificial per parked row, which pivots in as a +1 unit column
+    # nonbasic artificials sit at 0 for good and lose their columns; a parked
+    # structural or slack gets its unit column e_i, a parked artificial none;
+    # each parked row is then scaled by the gap's sign and takes a fresh
+    # artificial, basic at |gap|
+    keep = np.flatnonzero(nb < nm)
+    parked = rows[basis[rows] < nm]
+    k = keep.shape[0]
+    D_new = np.empty((m, k + parked.shape[0]))
+    D_new[:, :k] = D if k == nb.shape[0] else D[:, keep]
+    D_new[:, k:] = 0.0
+    D_new[parked, k + np.arange(parked.shape[0])] = 1.0
+    D_new[rows, :] *= sigma[:, None]
+    nb = np.concatenate([nb[keep], basis[parked]])
+
+    # a kept artificial moves to nm + its rank among the kept; a parked row's
+    # entry, whatever this gives it, is replaced by its fresh artificial next
     kept = nm + np.flatnonzero(vstat[nm:] == 0)
     K = nm + kept.shape[0]
     n_art = rows.shape[0]
-    T_new = np.empty((m, K + n_art))
-    T_new[:, :nm] = T[:, :nm]
-    T_new[:, nm:K] = T[:, kept]
-    T_new[:, K:] = 0.0
-    T_new[rows, :] *= sigma[:, None]
-    # a kept artificial moves to nm + its rank among the kept; a parked row's
-    # entry, whatever this gives it, is replaced by its fresh artificial next
     art = np.flatnonzero(basis >= nm)
     basis[art] = nm + np.searchsorted(kept, basis[art])
     basis[rows] = K + np.arange(n_art)
-    T_new[rows, basis[rows]] = 1.0
     xB[rows] = np.abs(gap)
 
     lo_all = np.concatenate([lo_all[:nm], lo_all[kept], np.zeros(n_art)])
     hi_all = np.concatenate([hi_all[:nm], hi_all[kept], np.full(n_art, np.inf)])
     vstat = np.concatenate([vstat[:nm], vstat[kept], np.zeros(n_art, dtype=np.int64)])
-    return (T_new, xB, basis, vstat, lo_all, hi_all), n_art
+    return (D_new, xB, basis, nb, vstat, lo_all, hi_all), n_art
 
 
 def _extract(vstat, lo_all, hi_all, basis, xB, n):
@@ -201,11 +215,10 @@ def _recheck(x, A, rels, b, lo, hi) -> Optional[str]:
 
 def _phase(run, cost, state, nm, phase, stop, dantzig_limit):
     """Price `cost` against the state's basis and run one kernel phase on it."""
-    T, xB, basis, vstat, lo_all, hi_all = state
-    z = cost - np.dot(cost[basis], T)
-    z[basis] = 0.0
+    D, xB, basis, nb, vstat, lo_all, hi_all = state
+    z = cost[nb] - np.dot(cost[basis], D)
     return run(
-        T, z, xB, basis, vstat, lo_all, hi_all,
+        D, z, xB, basis, nb, vstat, lo_all, hi_all,
         nm, phase, stop, dantzig_limit, MAX_ITER, OPT_TOL, TINY,
     )
 
@@ -238,8 +251,8 @@ def solve_dense(c, A, rels, b, lo, hi, kernel=None, start=None) -> LpOutcome:
         return LpOutcome(INFEASIBLE)
 
     state, n_art = _warm_state(start or _slack_basis(A, rels, b, lo, hi), A, lo, hi)
-    T, xB, basis, vstat, lo_all, hi_all = state
-    N = T.shape[1]
+    D, xB, basis, nb, vstat, lo_all, hi_all = state
+    N = vstat.shape[0]
     dantzig_limit = 10 * (m + N)
     pivots = 0
 
@@ -254,7 +267,10 @@ def solve_dense(c, A, rels, b, lo, hi, kernel=None, start=None) -> LpOutcome:
             raise NumericalBreakdownError("phase-1 objective reported unbounded")
         if infeasibility(xB, basis, n + m) > STOP_SUM:
             return LpOutcome(INFEASIBLE, pivots=pivots)
-        # freeze artificials (basic or not) so phase 2 cannot reopen them
+        # snap the basic artificials' residuals to 0, so that a child re-seat
+        # finds them inside their bounds, and freeze every artificial so that
+        # phase 2 cannot reopen it
+        xB[basis >= n + m] = 0.0
         lo_all[n + m :] = 0.0
         hi_all[n + m :] = 0.0
 

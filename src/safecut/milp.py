@@ -30,7 +30,7 @@ from .errors import (
     UnsupportedLayerError,
 )
 from .intervals import propagate_layer
-from .jsonio import read_json
+from .jsonio import integer, read_json
 from .lp import REL_EQ, REL_GE, REL_LE, LinearProgram
 from .network import BatchNorm, Dense, Network, Relu
 
@@ -361,8 +361,8 @@ def load_query(path: str) -> SafetyQuery:
 
     def decode(obj) -> SafetyQuery:
         if not isinstance(obj, dict):
-            raise ParseError(f"{path}: query must be a JSON object")
-        cut_layer = int(obj["cut_layer"])
+            raise ParseError("query must be a JSON object")
+        cut_layer = integer(obj, "cut_layer")
         bounds_field = obj["bounds"]
         char_field = obj["characterizer"]
         risk = risk_from_obj(obj["risk"])

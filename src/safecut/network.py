@@ -22,7 +22,7 @@ from typing import List, Optional, Sequence, Union
 import numpy as np
 
 from .errors import ParseError, ShapeError
-from .jsonio import read_json, write_json
+from .jsonio import integer, read_json, write_json
 
 
 @dataclass(frozen=True)
@@ -256,7 +256,7 @@ def _layer_from_obj(obj: dict, index: int, prev: int) -> Layer:
 def network_from_obj(obj: dict) -> Network:
     if not isinstance(obj, dict):
         raise ParseError("network file must contain a JSON object")
-    input_dim = int(obj["input_dim"])
+    input_dim = integer(obj, "input_dim")
     layer_objs = obj["layers"]
     if not isinstance(layer_objs, list) or not layer_objs:
         raise ParseError("'layers' must be a nonempty list")

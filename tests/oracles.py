@@ -6,7 +6,9 @@ through scipy's HiGHS instead of the in-tree simplex, optima come from brute
 vertex enumeration, and safety verdicts come from exhaustive ReLU phase
 enumeration instead of branch-and-bound (or, where 2^k phase patterns are too
 many, from HiGHS's own MILP solver on a big-M model built here).  Slow on
-purpose; trustworthy on purpose.
+purpose; trustworthy on purpose.  The one exception is the full-tableau
+simplex, kept whole as the bit-exact reference of the nonbasic-only one: it
+shares the package's start rules, tolerances and recheck on purpose.
 """
 
 import itertools
@@ -14,6 +16,14 @@ import itertools
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
+from safecut._simplex_py import (
+    ITER_LIMIT, OPTIMAL as K_OPTIMAL, REACHED_STOP, TINY_PIVOT, UNBOUNDED as K_UNBOUNDED,
+    infeasibility,
+)
+from safecut.lp import (
+    INFEASIBLE, MAX_ITER, OPT_TOL, OPTIMAL, STOP_SUM, TINY, UNBOUNDED,
+    _extract, _recheck, _slack_basis,
+)
 from safecut.network import BatchNorm, Dense, Relu
 
 # ---------------------------------------------------------------------------
@@ -118,18 +128,23 @@ def vertex_lp_optimum(c, A, rels, b, lo, hi, tol=1e-9):
 
 
 # ---------------------------------------------------------------------------
-# warm re-seat by whole-tableau gather (reference for safecut.lp._warm_state)
+# the full-tableau simplex (reference for safecut.lp and both kernels)
+#
+# The solver over the full tableau T = B^-1 [A | I | artificials], the
+# unit columns of the basic variables included.  The nonbasic-only kernels
+# must reproduce it bit for bit: the same pivots, points and basic values,
+# and D equal to T[:, nb] to the byte.
 
 
-def gather_warm_state(start, A, lo, hi):
-    """Re-seat a simplex state on new column bounds, the plain way.
+def tableau_warm_state(start, A, lo, hi):
+    """Re-seat a full-tableau state on new column bounds, the plain way.
 
-    Same contract as ``safecut.lp._warm_state``: nonbasic structurals whose
-    bounds changed move to the nearest new bound, out-of-bounds basic
-    variables are parked behind a fresh sign-scaled artificial, and nonbasic
-    artificials are dropped.  The kept columns are gathered with one fancy
-    index over the whole tableau and every basis entry is renumbered through
-    a full-width map.  Returns (state, number of fresh artificials).
+    Nonbasic structurals whose bounds changed move to the nearest new bound,
+    out-of-bounds basic variables are parked behind a fresh sign-scaled
+    artificial, and nonbasic artificials are dropped.  The kept columns are
+    gathered with one fancy index over the whole tableau and every basis
+    entry is renumbered through a full-width map.  Returns (state, number of
+    fresh artificials).
     """
     T, xB, basis, vstat, lo_all, hi_all = start
     m, n = A.shape
@@ -176,6 +191,212 @@ def gather_warm_state(start, A, lo, hi):
     hi_all = np.concatenate([hi_all[keep], np.full(n_art, np.inf)])
     vstat = np.concatenate([vstat[keep], np.zeros(n_art, dtype=np.int64)])
     return (T_new, xB, basis, vstat, lo_all, hi_all), n_art
+
+
+def tableau_run_phase(
+    T, z, xB, basis, vstat, lo, hi, n_art_start, phase1, stop_sum,
+    dantzig_limit, max_iter, opt_tol, tiny,
+):
+    """The full-tableau NumPy kernel; same contract and status codes as
+    ``safecut._simplex_py.run_phase`` with T (m, N) in place of D and nb."""
+    m, n = T.shape
+    iters = 0
+    is_open = (vstat != 0) & (lo != hi)
+    may_inc = is_open & ((vstat == 1) | (vstat == 3))
+    may_dec = is_open & ((vstat == 2) | (vstat == 3))
+    blo = lo[basis]
+    bhi = hi[basis]
+    can_inc = np.empty(n, dtype=bool)
+    can_dec = np.empty(n, dtype=bool)
+    score = np.empty(n)
+    zrow = np.empty(n)
+    alpha = np.empty(m)
+    big = np.empty(m, dtype=bool)
+    tt = np.empty(m)
+    step = np.empty(m)
+    col = np.empty(m)
+    outer = np.empty((m, n))
+
+    while True:
+        if phase1 and infeasibility(xB, basis, n_art_start) <= stop_sum:
+            return REACHED_STOP, iters
+        if iters >= max_iter:
+            return ITER_LIMIT, iters
+
+        bland = iters >= dantzig_limit
+        inc_ok, dec_ok = may_inc, may_dec
+        banned_any = False
+
+        while True:
+            np.less(z, -opt_tol, out=can_inc)
+            can_inc &= inc_ok
+            np.greater(z, opt_tol, out=can_dec)
+            can_dec &= dec_ok
+            if bland:
+                elig = can_inc | can_dec
+                if not elig.any():
+                    return (TINY_PIVOT if banned_any else K_OPTIMAL), iters
+                q = int(elig.argmax())
+            else:
+                score.fill(-np.inf)
+                np.copyto(score, z, where=can_dec)
+                np.negative(z, out=score, where=can_inc)
+                q = int(score.argmax())
+                if not score[q] > opt_tol:
+                    return (TINY_PIVOT if banned_any else K_OPTIMAL), iters
+            sq = vstat[q]
+            d = 1.0 if (sq == 1 or (sq == 3 and z[q] < 0.0)) else -1.0
+
+            Tq = T[:, q]
+            np.multiply(Tq, d, out=alpha)
+            np.greater(np.absolute(alpha), tiny, out=big)
+            tt.fill(np.inf)
+            np.subtract(xB, np.where(alpha > 0.0, blo, bhi), out=tt, where=big)
+            np.divide(tt, alpha, out=tt, where=big)
+            np.maximum(tt, 0.0, out=tt)
+
+            t_limit = hi[q] - lo[q]
+            r = -1
+            if m > 0:
+                if bland:
+                    tmin = tt.min()
+                    if tmin < t_limit:
+                        ties = np.flatnonzero(tt == tmin)
+                        r = int(ties[basis[ties].argmin()])
+                        t_limit = tmin
+                else:
+                    rmin = int(tt.argmin())
+                    if tt[rmin] < t_limit:
+                        r = rmin
+                        t_limit = tt[rmin]
+
+            if t_limit == np.inf:
+                small_pos = (alpha > 0.0) & ~big
+                small_neg = (alpha < 0.0) & ~big
+                if (small_pos & np.isfinite(blo)).any() or (
+                    small_neg & np.isfinite(bhi)
+                ).any():
+                    if not banned_any:
+                        inc_ok, dec_ok = may_inc.copy(), may_dec.copy()
+                        banned_any = True
+                    inc_ok[q] = dec_ok[q] = False
+                    continue
+                return K_UNBOUNDED, iters
+            break
+
+        t = t_limit
+        tstep = d * t
+        np.multiply(Tq, tstep, out=step)
+        if r < 0:
+            xB -= step
+            vstat[q] = 2 if d > 0.0 else 1
+            may_inc[q] = d < 0.0
+            may_dec[q] = d > 0.0
+        else:
+            leaving = int(basis[r])
+            leave_to = 1 if alpha[r] > 0.0 else 2
+            if sq == 1:
+                vq = lo[q]
+            elif sq == 2:
+                vq = hi[q]
+            else:
+                vq = 0.0
+            xB -= step
+            xB[r] = vq + d * t
+            row = T[r]
+            row /= T[r, q]
+            np.multiply(row, z[q], out=zrow)
+            z -= zrow
+            np.copyto(col, Tq)
+            col[r] = 0.0
+            np.multiply(col[:, None], row, out=outer)
+            T -= outer
+            basis[r] = q
+            vstat[q] = 0
+            vstat[leaving] = leave_to
+            if leaving >= n_art_start:
+                lo[leaving] = 0.0
+                hi[leaving] = 0.0
+            may_inc[q] = may_dec[q] = False
+            open_leaving = lo[leaving] != hi[leaving]
+            may_inc[leaving] = open_leaving and leave_to == 1
+            may_dec[leaving] = open_leaving and leave_to == 2
+            blo[r] = lo[q]
+            bhi[r] = hi[q]
+        iters += 1
+
+
+def tableau_solve(c, A, rels, b, lo, hi, run=tableau_run_phase, start=None):
+    """The two-phase solve over the full tableau: (status, pivots, point, state).
+
+    The driver of ``safecut.lp.solve_dense`` with the tableau pieces above;
+    status is "breakdown" where solve_dense raises NumericalBreakdownError.
+    Like solve_dense it snaps the basic artificials to 0 after phase 1.
+    """
+    m, n = A.shape
+    nm = n + m
+    if (lo > hi).any():
+        return INFEASIBLE, 0, None, None
+    start = start or tableau_state(_slack_basis(A, rels, b, lo, hi))
+    state, n_art = tableau_warm_state(start, A, lo, hi)
+    T, xB, basis, vstat, lo_all, hi_all = state
+    N = T.shape[1]
+    limit = 10 * (m + N)
+
+    def phase(cost, phase1, stop):
+        z = cost - np.dot(cost[basis], T)
+        z[basis] = 0.0
+        return run(T, z, xB, basis, vstat, lo_all, hi_all, nm, phase1, stop, limit, MAX_ITER, OPT_TOL, TINY)
+
+    pivots = 0
+    if n_art > 0:
+        c1 = np.zeros(N)
+        c1[nm:] = 1.0
+        status, iters = phase(c1, 1, STOP_SUM)
+        pivots += iters
+        if status in (TINY_PIVOT, ITER_LIMIT, K_UNBOUNDED):
+            return "breakdown", pivots, None, None
+        if infeasibility(xB, basis, nm) > STOP_SUM:
+            return INFEASIBLE, pivots, None, None
+        xB[basis >= nm] = 0.0
+        lo_all[nm:] = 0.0
+        hi_all[nm:] = 0.0
+    if np.any(c != 0.0):
+        status, iters = phase(np.concatenate([c, np.zeros(N - n)]), 0, -1.0)
+        pivots += iters
+        if status == K_UNBOUNDED:
+            return UNBOUNDED, pivots, None, None
+        if status != K_OPTIMAL:
+            return "breakdown", pivots, None, None
+    x = _extract(vstat, lo_all, hi_all, basis, xB, n)
+    if _recheck(x, A, rels, b, lo, hi) is not None:
+        return "breakdown", pivots, None, None
+    return OPTIMAL, pivots, x, state
+
+
+def tableau_state(state):
+    """The full-tableau state of a nonbasic-only one: D's columns where nb
+    says, an exact unit column for each basic variable."""
+    D, xB, basis, nb, vstat, lo_all, hi_all = state
+    T = np.zeros((D.shape[0], vstat.shape[0]))
+    T[:, nb] = D
+    T[np.arange(basis.shape[0]), basis] = 1.0
+    return T, xB, basis, vstat, lo_all, hi_all
+
+
+def gather_warm_state(start, A, lo, hi):
+    """``safecut.lp._warm_state`` by way of the full tableau.
+
+    Expands the nonbasic-only start to the full tableau, re-seats that with
+    `tableau_warm_state` and keeps the nonbasic structural and slack columns
+    in variable order.  Returns ((D, xB, basis, nb, vstat, lo, hi), number of
+    fresh artificials); nb is sorted, which the re-seat's need not be.
+    """
+    (T, xB, basis, vstat, lo_all, hi_all), n_art = tableau_warm_state(
+        tableau_state(start), A, lo, hi
+    )
+    nb = np.flatnonzero(vstat[: A.shape[0] + A.shape[1]] != 0)
+    return (T[:, nb], xB, basis, nb, vstat, lo_all, hi_all), n_art
 
 
 # ---------------------------------------------------------------------------

@@ -218,13 +218,22 @@ def _malformed(workdir, tmp_path, case):
     verify = ["verify", "net.json", "q.json", "v.json"]
     if case == "query-cut-layer-list":
         name, obj = "q.json", dict(query, cut_layer=[2])
+    elif case == "query-cut-layer-fraction":  # int() would verify at cut 1
+        name, obj = "q.json", dict(query, cut_layer=1.9)
+    elif case == "bounds-lo-above-hi":  # the decoder's own check, nested
+        name, obj = "b.json", json.loads((workdir / "bounds.json").read_text())
+        obj["lo"] = [v + 1e3 for v in obj["hi"]]
+        (tmp_path / "q.json").write_text(json.dumps(dict(query, bounds=name)))
     elif case == "head-accuracy-list":  # referenced by a valid query
         head = json.loads((workdir / "head.json").read_text())
         name, obj = "h.json", dict(head, achieved_accuracy=[1])
         (tmp_path / "q.json").write_text(json.dumps(dict(query, characterizer=name)))
-    elif case == "dense-weights-object":
+    elif case in ("dense-weights-object", "network-layers-empty"):
         name, obj = "n.json", json.loads((workdir / "net.json").read_text())
-        obj["layers"][0]["weights"] = {}
+        if case == "dense-weights-object":
+            obj["layers"][0]["weights"] = {}
+        else:
+            obj["layers"] = []
         (tmp_path / "q.json").write_text(json.dumps(query))
         verify[1] = name
     else:
@@ -236,7 +245,10 @@ def _malformed(workdir, tmp_path, case):
 
 @pytest.mark.parametrize(
     "case",
-    ["query-cut-layer-list", "head-accuracy-list", "dense-weights-object", "risk-missing"],
+    [
+        "query-cut-layer-list", "head-accuracy-list", "dense-weights-object", "risk-missing",
+        "query-cut-layer-fraction", "bounds-lo-above-hi", "network-layers-empty",
+    ],
 )
 def test_malformed_artifact_is_input_error_naming_the_file(workdir, tmp_path, case):
     name, argv = _malformed(workdir, tmp_path, case)

@@ -17,9 +17,12 @@ import numpy as np
 import pytest
 
 import safecut
+import safecut.verifier
 from safecut import _simplex_py, kernels, verify
-from safecut.lp import OPTIMAL, UNBOUNDED, solve_dense, _slack_basis, _warm_state
+from safecut.errors import NumericalBreakdownError
+from safecut.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_dense, _slack_basis, _warm_state
 
+import oracles
 import synth
 from harness import child_env
 
@@ -138,9 +141,9 @@ class _Recorder:
         self.run = run
         self.seen = dict(phase2=0, free=0, flips=0)
 
-    def __call__(self, T, z, xB, basis, vstat, lo, hi, n_art_start, phase1, *rest):
+    def __call__(self, D, z, xB, basis, nb, vstat, lo, hi, n_art_start, phase1, *rest):
         before = vstat.copy()
-        status, iters = self.run(T, z, xB, basis, vstat, lo, hi, n_art_start, phase1, *rest)
+        status, iters = self.run(D, z, xB, basis, nb, vstat, lo, hi, n_art_start, phase1, *rest)
         self.seen["phase2"] += not phase1 and iters > 0
         self.seen["free"] += bool((before == 3).any())
         # a nonbasic column that ends at its other bound: mostly bound flips
@@ -206,14 +209,13 @@ def _phase1_args(c, A, rels, b, lo, hi):
     """Phase-1 run_phase arrays of the LP's slack start, or None if feasible."""
     m, n = A.shape
     state, n_art = _warm_state(_slack_basis(A, rels, b, lo, hi), A, lo, hi)
-    T, xB, basis, vstat, lo_all, hi_all = state
+    D, xB, basis, nb, vstat, lo_all, hi_all = state
     if n_art == 0:
         return None
-    c1 = np.zeros(T.shape[1])
+    c1 = np.zeros(vstat.shape[0])
     c1[n + m :] = 1.0
-    z = c1 - np.dot(c1[basis], T)
-    z[basis] = 0.0
-    return [T, z, xB, basis, vstat, lo_all, hi_all], n + m
+    z = c1[nb] - np.dot(c1[basis], D)
+    return [D, z, xB, basis, nb, vstat, lo_all, hi_all], n + m
 
 
 # (dantzig_limit, tiny): the solver's Dantzig-then-Bland schedule; Bland's
@@ -233,7 +235,7 @@ def test_run_phase_state_arrays_match_bitwise(av, dantzig_limit, tiny):
             if args is None:
                 break
             arrays, n_art_start = args
-            limit = 10 * sum(arrays[0].shape) if dantzig_limit is None else dantzig_limit
+            limit = 10 * (arrays[0].shape[0] + arrays[5].shape[0]) if dantzig_limit is None else dantzig_limit
             status, iters = kern(
                 *arrays, n_art_start, 1, 1e-9, limit, 50_000, 1e-7, tiny
             )
@@ -261,29 +263,145 @@ def _refused_args():
 
 @pytest.mark.parametrize(
     "case",
-    ["fortran_T", "int32_basis", "int64_T", "flat_T", "short_z", "long_xB", "bad_basis"],
+    [
+        "fortran_T", "int32_basis", "int64_T", "flat_T", "short_z", "long_xB",
+        "bad_basis", "short_nb", "bad_nb", "long_vstat",
+    ],
 )
 def test_ext_refuses_malformed_arrays(av, case):
     arrays, n_art_start = _refused_args()
-    T, z, xB, basis, vstat, lo, hi = arrays
+    D, z, xB, basis, nb, vstat, lo, hi = arrays
+    # "T" in a case id is the tableau, D
     if case == "fortran_T":
-        T = np.asfortranarray(T)
+        D = np.asfortranarray(D)
     elif case == "int32_basis":
         basis = basis.astype(np.int32)
     elif case == "int64_T":
-        T = T.astype(np.int64)
+        D = D.astype(np.int64)
     elif case == "flat_T":
-        T = T.ravel()
+        D = D.ravel()
     elif case == "short_z":
         z = z[:-1].copy()
     elif case == "long_xB":
         xB = np.append(xB, 0.0)
     elif case == "bad_basis":
         basis = basis.copy()
-        basis[0] = T.shape[1]
-    bad = [T, z, xB, basis, vstat, lo, hi]
+        basis[0] = vstat.shape[0]
+    elif case == "short_nb":
+        nb = nb[:-1].copy()
+    elif case == "bad_nb":
+        nb = nb.copy()
+        nb[0] = -1
+    elif case == "long_vstat":
+        vstat = np.append(vstat, 1)
+    bad = [D, z, xB, basis, nb, vstat, lo, hi]
     before = [a.copy() for a in bad]
     with pytest.raises((ValueError, BufferError)):
         av["ext"](*bad, n_art_start, 1, 1e-9, 100, 50_000, 1e-7, 1e-11)
     for a, a0 in zip(bad, before):
         assert a.tobytes() == a0.tobytes()
+
+
+class _Lockstep:
+    """Solves every LP with both kernels and with the full-tableau reference.
+
+    Each of the three walks its own chain of warm starts; the states of one
+    solve are filed under the state its caller will hand back as ``start``
+    (the ``py`` one).  After every phase the kernels must match the
+    reference: status, iterations, xB, basis, vstat and bounds to the byte,
+    and ``D`` equal to ``T[:, nb]``, zero signs included.  The reduced costs
+    are left out: both sides price with a BLAS product whose last bit may
+    depend on a column's position, so they are held to the pivots they pick.
+    """
+
+    def __init__(self, av):
+        self.av = av
+        self.chains = {}  # id(py state) -> (py state, {name: start})
+        self.phases = 0
+        self.statuses = set()
+
+    @staticmethod
+    def _recording(run, log):
+        def recorded(*args):
+            status, iters = run(*args)
+            log.append((status, iters, [a.copy() for a in args[:-7]]))
+            return status, iters
+
+        return recorded
+
+    def solve(self, c, A, rels, b, lo, hi, kernel=None, start=None):
+        starts = {"py": None, "ext": None, "ref": None}
+        if start is not None:
+            starts = self.chains[id(start)][1]
+        logs = {name: [] for name in starts}
+        outs = {}
+        for name, run in self.av.items():
+            try:
+                outs[name] = solve_dense(
+                    c, A, rels, b, lo, hi, kernel=self._recording(run, logs[name]),
+                    start=starts[name],
+                )
+            except NumericalBreakdownError:
+                outs[name] = None
+        ref = oracles.tableau_solve(
+            c, A, rels, b, lo, hi,
+            run=self._recording(oracles.tableau_run_phase, logs["ref"]), start=starts["ref"],
+        )
+        for name in self.av:
+            self._assert_phases_match(logs[name], logs["ref"])
+            out = outs[name]
+            if out is None:
+                assert ref[0] == "breakdown"
+                continue
+            assert (out.status, out.pivots) == ref[:2]
+            if out.status == OPTIMAL:
+                assert out.point.tobytes() == ref[2].tobytes()
+        self.phases += len(logs["ref"])
+        self.statuses.add(ref[0])
+        if outs["py"] is None:
+            raise NumericalBreakdownError("the reference broke down too")
+        if outs["py"].status == OPTIMAL:
+            nxt = {"py": outs["py"].state, "ext": outs["ext"].state, "ref": ref[3]}
+            self.chains[id(outs["py"].state)] = (outs["py"].state, nxt)
+        return outs["py"]
+
+    @staticmethod
+    def _assert_phases_match(got, want):
+        assert len(got) == len(want)
+        for (status, iters, arrays), (w_status, w_iters, w_arrays) in zip(got, want):
+            assert (status, iters) == (w_status, w_iters)
+            D, z, xB, basis, nb, vstat, lo, hi = arrays
+            T, _, wxB, wbasis, wvstat, wlo, whi = w_arrays
+            for a, w in ((xB, wxB), (basis, wbasis), (vstat, wvstat), (lo, wlo), (hi, whi)):
+                assert a.dtype == w.dtype and a.tobytes() == w.tobytes()
+            assert np.array_equal(np.sort(nb), np.flatnonzero(wvstat != 0))
+            assert D.tobytes() == np.ascontiguousarray(T[:, nb]).tobytes()
+
+
+def test_both_kernels_match_the_full_tableau_reference(av, monkeypatch):
+    # random LPs and chains of warm children, then a whole branch and bound:
+    # after every phase both nonbasic-only kernels hold exactly the values
+    # the full tableau holds, and they reach the same outcomes
+    lock = _Lockstep(av)
+    rng = np.random.default_rng(12)
+    for k in range(200):
+        c, A, rels, b, lo, hi = (synth.random_lp if k % 2 else _gaussian_lp)(rng)
+        out = lock.solve(c, A, rels, b, lo, hi)
+        for _ in range(3):
+            if out.status != OPTIMAL:
+                break
+            j = int(rng.integers(len(c)))
+            lo, hi = lo.copy(), hi.copy()
+            if rng.random() < 0.5:
+                hi[j] = max(lo[j], np.floor(out.point[j]))
+            else:
+                lo[j] = min(hi[j], np.ceil(out.point[j]))
+            out = lock.solve(c, A, rels, b, lo, hi, start=out.state)
+    assert {OPTIMAL, INFEASIBLE, UNBOUNDED} <= lock.statuses
+    phases = lock.phases
+    monkeypatch.setattr(safecut.verifier, "solve_dense", lock.solve)
+    net, query = synth.ladder_member()
+    verdict = verify(net, query)
+    assert verdict.status == "safe"
+    assert verdict.stats["lp_solves"] >= 100
+    assert phases >= 400 and lock.phases - phases >= 150

@@ -5,7 +5,7 @@ import pytest
 
 import safecut.lp as lp_module
 from safecut import verify
-from safecut._simplex_py import infeasibility
+from safecut._simplex_py import infeasibility, run_phase
 from safecut.errors import NumericalBreakdownError
 from safecut.lp import (
     FEAS_TOL,
@@ -272,12 +272,14 @@ def _free_bounds_lp(rng):
 
 
 def test_slack_block_is_the_basis_inverse():
-    # T = B^-1 [A | I | artificials]: the slack block times A must give the
-    # structural block, for cold solves and for warm ones that add
-    # artificials (whose rows are sign-scaled, and B^-1 with them)
+    # the full tableau B^-1 [A | I | artificials], rebuilt from the state
+    # (a nonbasic variable's column is in D, a basic one's is e_i): its
+    # slack block times A must give its structural block, for cold solves
+    # and for warm ones that add artificials (whose rows are sign-scaled,
+    # and B^-1 with them)
     def assert_layout(out, A):
         m, n = A.shape
-        T = out.state[0]
+        T = oracles.tableau_state(out.state)[0]
         scale = max(1.0, np.abs(T[:, :n]).max(initial=0.0))
         assert np.abs(T[:, n : n + m] @ A - T[:, :n]).max(initial=0.0) <= 1e-9 * scale
 
@@ -298,7 +300,7 @@ def test_slack_block_is_the_basis_inverse():
             warm = solve_dense(c, A, rels, b, clo, chi, start=parent.state)
             if warm.status == OPTIMAL:
                 assert_layout(warm, A)
-                n_warm_art += warm.state[0].shape[1] > n + m
+                n_warm_art += warm.state[4].shape[0] > n + m
     assert n_cold >= 50 and n_warm_art >= 20
 
 
@@ -320,12 +322,12 @@ def _child_bounds(rng, lo, hi, x):
 
 
 class _ReseatCheck:
-    """Re-seats a start with `_warm_state` and with the gather reference.
+    """Re-seats a start with `_warm_state` and with the full-tableau reference.
 
-    The re-seat copies the structural/slack block by slice, gathers only the
-    kept basic artificials and renumbers only artificial basis entries; it
-    must give the state the whole-tableau gather gives, byte for byte.
-    ``seen`` counts the cases each re-seat exercised.
+    The re-seat keeps the nonbasic columns in an order of its own, so D is
+    compared column by column in variable order; every other array, and D's
+    zero signs, must equal the reference to the byte.  ``seen`` counts the
+    cases each re-seat exercised.
     """
 
     def __init__(self):
@@ -340,21 +342,26 @@ class _ReseatCheck:
         want, n_want = oracles.gather_warm_state(start, A, lo, hi)
         assert [a.tobytes() for a in start] == before  # the start is not written
         assert n_art == n_want
-        for g, w in zip(got, want):
-            assert g.dtype == w.dtype and g.shape == w.shape
-            assert g.tobytes() == w.tobytes()  # zero signs and NaN bits too
+        D, nb = got[0], got[3]
+        order = np.argsort(nb)
+        assert np.array_equal(nb[order], want[3])
+        assert D[:, order].tobytes() == want[0].tobytes()  # zero signs too
+        for g, w in zip(got[1:], want[1:]):
+            if g is not nb:
+                assert g.dtype == w.dtype and g.shape == w.shape
+                assert g.tobytes() == w.tobytes()
         m, n = A.shape
-        T, basis, vstat = got[0], got[2], got[3]
-        K = T.shape[1] - n_art  # columns before the fresh artificials
-        parked = start[2][basis >= K]  # the old basic column of each parked row
+        basis, vstat = got[2], got[4]
+        K = vstat.shape[0] - n_art  # variables before the fresh artificials
+        parked = start[2][basis >= K]  # the old basic variable of each parked row
         seen = self.seen
         seen["kept"] += int((basis[basis < K] >= n + m).sum())
         seen["parked_art"] += int((parked >= n + m).sum())
         parked = parked[parked < n + m]
         seen["parked_below"] += int((vstat[parked] == 1).sum())
         seen["parked_above"] += int((vstat[parked] == 2).sum())
-        was = start[3][:n]
-        seen["moved"] += bool(((was != 0) & ((lo != start[4][:n]) | (hi != start[5][:n]))).any())
+        was = start[4][:n]
+        seen["moved"] += bool(((was != 0) & ((lo != start[5][:n]) | (hi != start[6][:n]))).any())
         seen["free"] += bool((vstat[:n] == 3).any())
         seen["no_rows"] += m == 0
         return got, n_art
@@ -386,18 +393,19 @@ def test_warm_state_matches_gather_reference():
 
 def test_warm_state_matches_gather_reference_in_branch_and_bound(monkeypatch):
     # a branch-and-bound child starts from a degenerate parent whose basis
-    # still holds artificials (frozen at [0, 0]) at phase 1's residual, so
-    # the solve parks them again; each start is also re-seated with those
-    # residuals set to +-0.0, which keeps and renumbers them, or to +-1e-12
+    # still holds artificials, frozen at [0, 0] and snapped to 0, which the
+    # re-seat keeps and renumbers unless the branch moves their row; each
+    # start is also re-seated with those values set to +-0.0, or to +-1e-12,
+    # which parks them
     check = _ReseatCheck()
     rng = np.random.default_rng(3)
 
     def reseat(start, A, lo, hi):
-        T, xB, basis = start[:3]
+        D, xB, basis = start[:3]
         art = basis >= A.shape[0] + A.shape[1]
         if art.any():
             resid = rng.choice([0.0, -0.0, 1e-12, -1e-12], xB.shape[0])
-            check((T, np.where(art, resid, xB)) + tuple(start[2:]), A, lo, hi)
+            check((D, np.where(art, resid, xB)) + tuple(start[2:]), A, lo, hi)
         return check(start, A, lo, hi)
 
     monkeypatch.setattr(lp_module, "_warm_state", reseat)
@@ -407,6 +415,46 @@ def test_warm_state_matches_gather_reference_in_branch_and_bound(monkeypatch):
     seen = check.seen
     assert seen["kept"] >= 100 and seen["parked_art"] >= 100, seen
     assert seen["parked_below"] >= 10 and seen["parked_above"] >= 10, seen
+
+
+def test_phase1_residuals_snap_so_children_park_none(monkeypatch):
+    # phase 1 stops once its artificials sum to at most STOP_SUM; those left
+    # basic at a positive residual are snapped to 0 before they freeze, so a
+    # branch-and-bound child finds them inside [0, 0] and gives none of the
+    # rows its branch leaves alone a fresh artificial
+    residual = {}  # id(xB) -> (xB, rows of artificials at a positive residual)
+
+    def kernel(D, z, xB, basis, nb, vstat, lo, hi, n_art_start, phase1, *rest):
+        status, iters = run_phase(D, z, xB, basis, nb, vstat, lo, hi, n_art_start, phase1, *rest)
+        rows = np.flatnonzero((basis >= n_art_start) & (xB > 0.0))
+        if phase1 and rows.shape[0]:
+            residual[id(xB)] = (xB, rows)
+        return status, iters
+
+    count = dict(children=0, rows=0, n_art=0)
+    reseat = lp_module._warm_state
+
+    def checked(start, A, lo, hi):
+        got, n_art = reseat(start, A, lo, hi)
+        D, xB, basis, nb = start[:4]
+        xB_rows = residual.get(id(xB))
+        if xB_rows is not None and xB_rows[0] is xB:
+            rows = xB_rows[1]
+            assert (xB[rows] == 0.0).all()
+            n = A.shape[1]
+            moved = np.isin(nb, np.flatnonzero((lo != start[5][:n]) | (hi != start[6][:n])))
+            untouched = rows[(D[rows][:, moved] == 0.0).all(axis=1)]
+            fresh = got[4].shape[0] - n_art  # the first fresh artificial
+            count["children"] += 1
+            count["rows"] += untouched.shape[0]
+            count["n_art"] += int((got[2][untouched] >= fresh).sum())
+        return got, n_art
+
+    monkeypatch.setattr(lp_module, "_warm_state", checked)
+    net, query = synth.ladder_member()
+    assert verify(net, query, kernel=kernel).status == "safe"
+    assert count["n_art"] == 0, count
+    assert count["children"] >= 50 and count["rows"] >= 50, count
 
 
 def test_format_lp_mentions_every_row():

@@ -5,6 +5,7 @@ from safecut.bounds import ActivationBounds
 from safecut.characterizer import Characterizer
 from safecut.errors import (
     ParseError,
+    SafecutError,
     ShapeError,
     UnboundedBigMError,
     UnsupportedLayerError,
@@ -293,3 +294,93 @@ def test_load_query_resolves_relative_paths(tmp_path, tiny_net):
     assert query.cut_layer == 2
     assert query.bounds.dim == 3
     assert query.risk.clauses[0].op == ">="
+
+
+def _query_files(tmp_path, tiny_net):
+    """A valid query in q.json over b.json and h.json; returns the three
+    files' JSON objects, keyed by file name."""
+    import json
+
+    from safecut.bounds import bounds_to_obj, dataset_bounds
+    from safecut.characterizer import characterizer_to_obj
+    from safecut.network import Dataset
+
+    ds = Dataset(inputs=np.random.default_rng(0).normal(size=(40, 2)))
+    objs = {
+        "b.json": bounds_to_obj(dataset_bounds(tiny_net, ds, layer=2)),
+        "h.json": characterizer_to_obj(_linear_head(3, w=[1.0, 0.0, 0.0])),
+        "q.json": {
+            "cut_layer": 2,
+            "bounds": "b.json",
+            "characterizer": "h.json",
+            "risk": [{"coeffs": [1.0, 0.0], "op": ">=", "rhs": 1.0}],
+        },
+    }
+    for name, obj in objs.items():
+        (tmp_path / name).write_text(json.dumps(obj))
+    return objs
+
+
+@pytest.mark.parametrize("value", [1.9, 2.5, True, "2", None])
+@pytest.mark.parametrize(
+    "name, field", [("q.json", "cut_layer"), ("b.json", "layer"), ("b.json", "sample_count")]
+)
+def test_fractional_integer_field_is_parse_error(tmp_path, tiny_net, name, field, value):
+    # int() would read 1.9 as 1 and answer a different query than the file asks
+    import json
+
+    objs = _query_files(tmp_path, tiny_net)
+    objs[name][field] = value
+    (tmp_path / name).write_text(json.dumps(objs[name]))
+    with pytest.raises(ParseError, match=f"'{field}' must be an integer") as err:
+        load_query(str(tmp_path / "q.json"))
+    assert str(err.value).startswith(str(tmp_path / name) + ": ")
+
+
+def test_integral_float_reads_as_its_integer(tmp_path, tiny_net):
+    import json
+
+    objs = _query_files(tmp_path, tiny_net)
+    objs["q.json"]["cut_layer"] = 2.0
+    objs["b.json"]["layer"] = 2.0
+    for name in ("q.json", "b.json"):
+        (tmp_path / name).write_text(json.dumps(objs[name]))
+    query = load_query(str(tmp_path / "q.json"))
+    assert query.cut_layer == 2 and type(query.cut_layer) is int
+    assert query.bounds.layer == 2 and type(query.bounds.layer) is int
+
+
+@pytest.mark.parametrize(
+    "change, error",
+    [
+        (lambda b: b.update(lo=[0.0, float("nan"), 0.0]), "lo\\[1\\] is NaN"),
+        (lambda b: b.update(lo=[9.0, 9.0, 9.0]), "lo > hi"),
+        (lambda b: b.pop("lo"), "missing field 'lo'"),
+    ],
+)
+def test_nested_file_error_names_the_nested_file(tmp_path, tiny_net, change, error):
+    # the bounds file's own error starts with the bounds path, not the query's
+    import json
+
+    objs = _query_files(tmp_path, tiny_net)
+    change(objs["b.json"])
+    (tmp_path / "b.json").write_text(json.dumps(objs["b.json"]))
+    with pytest.raises(SafecutError, match=error) as err:
+        load_query(str(tmp_path / "q.json"))
+    message = str(err.value)
+    assert message.startswith(str(tmp_path / "b.json") + ": ")
+    assert "q.json" not in message
+
+
+def test_query_own_error_names_the_query(tmp_path, tiny_net):
+    import json
+
+    objs = _query_files(tmp_path, tiny_net)
+    (tmp_path / "q.json").write_text(json.dumps(dict(objs["q.json"], cut_layer=1)))
+    with pytest.raises(ShapeError) as err:  # the bounds are at layer 2
+        load_query(str(tmp_path / "q.json"))
+    assert str(err.value).startswith(str(tmp_path / "q.json") + ": ")
+    (tmp_path / "q.json").write_text("[]")
+    with pytest.raises(ParseError, match="query must be a JSON object") as err:
+        load_query(str(tmp_path / "q.json"))
+    assert str(err.value) == f"{tmp_path / 'q.json'}: query must be a JSON object"

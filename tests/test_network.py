@@ -200,3 +200,32 @@ def test_dataset_expected_dim(tmp_path):
 def test_dataset_label_values_checked():
     with pytest.raises((ParseError, ValueError, ShapeError)):
         Dataset(inputs=np.zeros((2, 2)), labels=np.array([0, 7]))
+
+
+@pytest.mark.parametrize(
+    "change, error",
+    [
+        (lambda n: n.update(input_dim=2.5), "'input_dim' must be an integer, got 2.5"),
+        (lambda n: n.update(input_dim=True), "'input_dim' must be an integer, got True"),
+        (lambda n: n.update(layers=[]), "'layers' must be a nonempty list"),
+        (lambda n: n.clear(), "missing field 'input_dim'"),
+    ],
+)
+def test_network_decoder_error_names_the_file(tmp_path, tiny_path, change, error):
+    obj = json.loads(open(tiny_path).read())
+    change(obj)
+    p = tmp_path / "n.json"
+    p.write_text(json.dumps(obj))
+    with pytest.raises(ParseError) as err:
+        load_network(str(p))
+    assert str(err.value) == f"{p}: {error}"
+
+
+@pytest.mark.parametrize("load", [load_network, load_bounds, load_characterizer, load_query],
+                         ids=lambda f: f.__name__)
+def test_loaders_name_the_file_of_a_non_object(tmp_path, load):
+    p = tmp_path / "list.json"
+    p.write_text("[1, 2]")
+    with pytest.raises(ParseError, match="must (contain|be) a JSON object") as err:
+        load(str(p))
+    assert str(err.value).startswith(f"{p}: ")
