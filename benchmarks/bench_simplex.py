@@ -1,12 +1,17 @@
 """Compare the simplex kernels (pure NumPy vs compiled) on random LPs.
 
 The kernels pivot identically, so every outcome is asserted bitwise-equal
-before any timing is reported; the table is purely a speed comparison.
-The "node-warm" class branches one variable of each "node" LP away from
-its optimum and re-solves that child from the parent's final state, as
-branch-and-bound does; the parents are solved outside the timed region.
+before any timing is reported: status, pivots, proof row, point and every
+state array; the table is purely a speed comparison.  The "feas" classes
+have a zero objective, so they run the dual phase 1 alone, as each
+branch-and-bound node does; the others add the primal phase 2.  A "-warm"
+class branches one variable of each LP away from its solution and re-solves
+that child from the parent's final state, as branch-and-bound does; the
+parents are solved outside the timed region.  Each class is timed
+``--repeat`` times per kernel, the kernels alternating, and the table gives
+the median rate with its quartiles.
 
-    python3 benchmarks/bench_simplex.py [--count N] [--seed S]
+    python3 benchmarks/bench_simplex.py [--count N] [--repeat R] [--seed S]
 """
 
 import argparse
@@ -17,12 +22,20 @@ import numpy as np
 from safecut import kernels
 from safecut.lp import solve_dense
 
-# (label, n_vars, n_rows) — "node" mirrors a typical branch-and-bound
-# relaxation from the verifier; the larger classes stress the tableau loop
-SIZES = [("node", 12, 18), ("medium", 40, 60), ("large", 90, 140)]
+# (label, n_vars, n_rows, zero objective, warm) — "node" mirrors a typical
+# branch-and-bound relaxation from the verifier; the larger classes stress
+# the tableau loop
+CLASSES = [
+    ("node", 12, 18, False, False),
+    ("medium", 40, 60, False, False),
+    ("large", 90, 140, False, False),
+    ("node-warm", 12, 18, False, True),
+    ("feas", 40, 60, True, False),
+    ("feas-warm", 40, 60, True, True),
+]
 
 
-def random_instances(rng, n, m, count):
+def random_instances(rng, n, m, count, feasibility):
     out = []
     for _ in range(count):
         A = rng.normal(0.0, 1.0, (m, n))
@@ -31,6 +44,8 @@ def random_instances(rng, n, m, count):
         rels = rng.choice([-1, 1], m)
         b = np.where(rels == 1, b - rng.uniform(0.0, 4.0, m), b)
         c = rng.normal(0.0, 1.0, n)
+        if feasibility:
+            c = np.zeros(n)
         lo = np.full(n, -5.0)
         hi = np.full(n, 5.0)
         out.append((c, A, rels, b, lo, hi))
@@ -38,8 +53,8 @@ def random_instances(rng, n, m, count):
 
 
 def warm_children(kernel, parents, cols):
-    """Children that branch column j of each optimal parent at 0, away from
-    the parent's optimum, with the parent states to start them from."""
+    """Children that branch column j of each solved parent at 0, away from
+    the parent's solution, with the parent states to start them from."""
     children, starts = [], []
     for (c, A, rels, b, lo, hi), j in zip(parents, cols):
         out = solve_dense(c, A, rels, b, lo, hi, kernel=kernel)
@@ -64,9 +79,24 @@ def run(kernel, instances, starts):
     return time.perf_counter() - t0, outcomes
 
 
+def assert_identical(base, other):
+    assert len(base) == len(other), "kernel outcomes diverge"
+    for a, o in zip(base, other):
+        assert (a.status, a.pivots, a.proof_row) == (o.status, o.pivots, o.proof_row), (
+            "kernel outcomes diverge"
+        )
+        if a.status == "optimal":
+            assert a.objective_value == o.objective_value
+            assert a.point.tobytes() == o.point.tobytes()
+        assert (a.state is None) == (o.state is None)
+        for x, y in zip(a.state or (), o.state or ()):
+            assert x.tobytes() == y.tobytes(), "kernel states diverge"
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--count", type=int, default=150, help="LPs per size class")
+    ap.add_argument("--repeat", type=int, default=5, help="timed runs per class and kernel")
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
@@ -74,44 +104,43 @@ def main():
     print(f"kernels available: {', '.join(av)}  (active: {kernels.KERNEL_NAME})")
     if len(av) == 1:
         print("compiled kernel not built; timings cover the fallback only")
+    print(f"LPs per second: median [quartiles] of {args.repeat} runs of {args.count} LPs")
 
     rng = np.random.default_rng(args.seed)
-    header = f"{'class':<10} {'size':<8} {'piv/LP':>7} " + "".join(f"{k:>12} " for k in av)
+    header = f"{'class':<10} {'size':<8} {'piv/LP':>7} " + "".join(f"{k:>24} " for k in av)
     if len(av) > 1:
-        header += f"{'speedup':>9}"
+        header += f"{'speedup':>8}"
     print(header)
     print("-" * len(header))
 
-    for label, n, m in SIZES + [("node-warm", 12, 18)]:
-        instances = random_instances(rng, n, m, args.count)
-        if label == "node-warm":
-            cols = rng.integers(0, n, args.count)
-        times, all_outcomes = {}, {}
+    for label, n, m, feasibility, warm in CLASSES:
+        instances = random_instances(rng, n, m, args.count, feasibility)
+        cols = rng.integers(0, n, args.count)
+        work, outcomes, rates = {}, {}, {}
         for name, kern in av.items():
-            if label == "node-warm":
-                insts, starts = warm_children(kern, instances, cols)
+            if warm:
+                work[name] = warm_children(kern, instances, cols)
             else:
-                insts, starts = instances, [None] * len(instances)
-            times[name], all_outcomes[name] = run(kern, insts, starts)
+                work[name] = instances, [None] * len(instances)
+            rates[name] = []
+        for rep in range(args.repeat):
+            order = list(av) if rep % 2 == 0 else list(av)[::-1]
+            for name in order:
+                dt, outs = run(av[name], *work[name])
+                rates[name].append(len(outs) / dt)
+                outcomes.setdefault(name, outs)
 
         names = list(av)
-        base = all_outcomes[names[0]]
+        base = outcomes[names[0]]
         for other in names[1:]:
-            assert len(base) == len(all_outcomes[other]), "kernel outcomes diverge"
-            for a, o in zip(base, all_outcomes[other]):
-                assert a.status == o.status, "kernel outcomes diverge"
-                assert a.pivots == o.pivots, "kernel pivot counts diverge"
-                if a.status == "optimal":
-                    assert a.objective_value == o.objective_value
-                    assert np.array_equal(a.point, o.point)
+            assert_identical(base, outcomes[other])
 
+        q = {k: np.percentile(rates[k], [25, 50, 75]) for k in av}
         pivots = sum(o.pivots for o in base) / len(base)
         row = f"{label:<10} {f'{n}x{m}':<8} {pivots:>7.1f} "
-        row += "".join(
-            f"{len(base) / times[k]:>9.0f} /s " for k in av
-        )
+        row += "".join(f"{q[k][1]:>8.0f} [{q[k][0]:>6.0f}-{q[k][2]:>6.0f}] " for k in av)
         if len(av) > 1:
-            row += f"{times['py'] / times['ext']:>8.2f}x"
+            row += f"{q['ext'][1] / q['py'][1]:>7.2f}x"
         print(row)
 
     print("\nall kernel outcomes bitwise-identical")

@@ -1,8 +1,9 @@
 """Simplex kernel: the compiled extension when it was built, else NumPy.
 
 The compiled kernel (``_simplex_c``) and the NumPy kernel (``_simplex_py``)
-implement the same contract and produce bitwise-identical pivot sequences,
-so the choice changes speed only: the compiled one is used whenever the
+implement the same contract, one ``run_phase`` for the dual phase 1 and the
+primal phase 2, and produce bitwise-identical pivot sequences, so the
+choice changes speed only: the compiled one is used whenever the
 build produced it.  ``verify(kernel=...)`` and ``solve_dense(kernel=...)``
 take any entry of ``available_kernels()``.
 """
@@ -12,7 +13,7 @@ from __future__ import annotations
 from . import _simplex_py
 
 OPTIMAL = _simplex_py.OPTIMAL
-REACHED_STOP = _simplex_py.REACHED_STOP
+INFEASIBLE = _simplex_py.INFEASIBLE
 UNBOUNDED = _simplex_py.UNBOUNDED
 TINY_PIVOT = _simplex_py.TINY_PIVOT
 ITER_LIMIT = _simplex_py.ITER_LIMIT

@@ -1,4 +1,4 @@
-"""Dense bounded-variable two-phase simplex.
+"""Dense bounded-variable simplex: a dual phase 1, a primal phase 2.
 
 minimize c.x  subject to  A x (<=|=|>=) b,  lo <= x <= hi  (+-inf allowed)
 
@@ -6,33 +6,34 @@ An LP is those six dense arrays and nothing else: `solve_dense` takes them,
 and `LinearProgram` holds them (with column names) for the MILP encoder,
 the verifier and `format_lp`.
 
-Standardization: one slack per row turns every relation into an equality
-(<= gives slack in [0,inf), >= in (-inf,0], = pinned at [0,0]).  Dantzig
-pricing switches to Bland's rule after 10*(m+n) iterations; feasibility
-tolerance 1e-7, reduced-cost tolerance 1e-7, pivots below 1e-11 are never
-taken (NumericalBreakdown when no alternative exists).  Optimal points are
-re-checked against every constraint independently of the solver state —
-a failed recheck raises rather than returning a silently wrong answer.
+Standardization: one slack per row turns every relation into the equality
+A x + s = b (<= gives slack in [0,inf), >= in (-inf,0], = pinned at [0,0]).
+Dantzig pricing switches to Bland's rule after 10*(m+N) iterations;
+feasibility tolerance 1e-7, reduced-cost tolerance 1e-7, pivots below 1e-11
+are never taken (in phase 2, NumericalBreakdown when no alternative
+exists).  Optimal points are re-checked against every constraint
+independently of the solver state — a failed recheck raises rather than
+returning a silently wrong answer.
 
 The tableau keeps only its nonbasic columns: a state is
 ``(D, xB, basis, nb, vstat, lo_all, hi_all)`` with ``D = B^-1 N`` of shape
-m x (N - m) over the N structurals, slacks and artificials, ``nb`` naming
-the variable of each column of D (see ``_simplex_py``).  A basic variable's
-tableau column is a unit vector, so ``B^-1`` is recoverable: a nonbasic
-slack's column is in D and a basic slack's is e_i.
+m x n over the N = n + m structurals and slacks, ``nb`` naming the variable
+of each column of D (see ``_simplex_py``).  A basic variable's tableau
+column is a unit vector, so ``B^-1`` is recoverable: a nonbasic slack's
+column is in D and a basic slack's is e_i.
 
 One start path: every solve re-seats a basis on the LP's column bounds, its
 parent's final state (``start=out.state``, same rows, new column bounds, any
-objective) or else the all-slack basis, whose D is A itself.  Nonbasic
-columns whose bounds changed move to the nearest new bound; every basic
-variable then outside its bounds is parked at its nearest bound, with the
-column e_i, and a fresh artificial takes its place in that row, the row
-scaled by the gap's sign.  A nonbasic artificial is pinned at 0 for good and
-loses its column; a parked artificial gets none.  Phase 1 / phase 2 then
-finish the solve, so a child that differs from its parent in one bound costs
-a few pivots instead of a cold phase 1.  Phase 1 stops once its artificials
-sum to at most STOP_SUM; the basic ones are then snapped to 0 before they
-freeze, so a child does not park them again for that residual.
+objective) or else the all-slack basis, whose D is A itself.  The re-seat
+copies the state and moves each nonbasic column whose bounds changed to the
+nearest new bound; a basic variable its new bounds put outside them stays
+where it is.  Phase 1, the dual simplex at zero cost, then repairs those
+rows, so a child that differs from its parent in one bound costs a few
+pivots; a violation of at most VIOL_TOL counts as inside.  When a violated
+row has no column that can repair it, the LP is infeasible and that row is
+the proof: the outcome carries it as ``proof_row`` with the state, and
+``y = e_r B^-1`` gives the row multipliers of a certificate.  Phase 2, the
+primal simplex, then optimizes a nonzero objective.
 """
 
 from __future__ import annotations
@@ -43,12 +44,11 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import kernels
-from ._simplex_py import infeasibility
 from .errors import NumericalBreakdownError, ShapeError
 
 FEAS_TOL = 1e-7
 OPT_TOL = 1e-7
-STOP_SUM = 1e-9  # phase-1 early-exit infeasibility
+VIOL_TOL = 1e-9  # a basic variable this close outside its bounds counts as inside
 TINY = 1e-11  # pivot magnitude floor
 MAX_ITER = 50_000
 
@@ -99,8 +99,10 @@ class LpOutcome:
     point: Optional[np.ndarray] = None
     objective_value: Optional[float] = None
     pivots: int = 0  # kernel iterations (pivots and bound flips) of this solve
-    # (D, xB, basis, nb, vstat, lo_all, hi_all) of an optimal solve, for start=
+    # (D, xB, basis, nb, vstat, lo_all, hi_all) of an optimal solve, for
+    # start=, and of an infeasible one, whose row proof_row proves it so
     state: Optional[tuple] = field(default=None, repr=False, compare=False)
+    proof_row: Optional[int] = None
 
 
 def _slack_basis(A, rels, b, lo, hi):
@@ -123,19 +125,15 @@ def _slack_basis(A, rels, b, lo, hi):
 
 
 def _warm_state(start, A, lo, hi):
-    """Re-seat a solve's state (same rows) on new column bounds.
-
-    Returns the re-seated state and its number of artificials.
-    """
+    """Re-seat a solve's state (same rows) on new column bounds: a copy whose
+    nonbasic columns with changed bounds move to the nearest new bound."""
     D, xB, basis, nb, vstat, lo_all, hi_all = start
     m, n = A.shape
-    nm = n + m
-    if D.shape[0] != m or nb.shape[0] != D.shape[1] or vstat.shape[0] < nm:
+    if D.shape != (m, n) or nb.shape[0] != n or vstat.shape[0] != n + m:
         raise ShapeError("start state does not match the LP's rows and columns")
-    xB, basis, vstat = xB.copy(), basis.copy(), vstat.copy()
+    xB, vstat = xB.copy(), vstat.copy()
     lo_all, hi_all = lo_all.copy(), hi_all.copy()
 
-    # nonbasic structurals whose bounds changed move to the nearest new bound
     vs = vstat[:n]
     cols = np.flatnonzero((vs != 0) & ((lo != lo_all[:n]) | (hi != hi_all[:n])))
     if cols.shape[0]:
@@ -145,50 +143,34 @@ def _warm_state(start, A, lo, hi):
         to_lo = np.isfinite(lc) & (nearer_lo | ~np.isfinite(hc))
         new_stat = np.where(to_lo, 1, np.where(np.isfinite(hc), 2, 3))
         new_val = np.where(new_stat == 1, lc, np.where(new_stat == 2, hc, 0.0))
-        slot = np.empty(vstat.shape[0], dtype=np.int64)
-        slot[nb] = np.arange(nb.shape[0])
+        slot = np.empty(n + m, dtype=np.int64)
+        slot[nb] = np.arange(n)
         xB -= D[:, slot[cols]] @ (new_val - old_val)
         vstat[cols] = new_stat
     lo_all[:n] = lo
     hi_all[:n] = hi
+    return D.copy(), xB, basis.copy(), nb.copy(), vstat, lo_all, hi_all
 
-    # basic variables outside their bounds are parked at the nearest one
+
+def _proof_row(state) -> int:
+    """The violated row of largest violation (lowest row on ties) that no
+    column can repair, which the dual phase found; raises if there is none."""
+    D, xB, basis, nb, vstat, lo_all, hi_all = state
     blo, bhi = lo_all[basis], hi_all[basis]
-    below, above = xB < blo, xB > bhi
-    rows = np.nonzero(below | above)[0]
-    target = np.where(below, blo, bhi)[rows]
-    gap = xB[rows] - target
-    sigma = np.where(gap > 0, 1.0, -1.0)
-    vstat[basis[rows]] = np.where(below[rows], 1, 2)
-
-    # nonbasic artificials sit at 0 for good and lose their columns; a parked
-    # structural or slack gets its unit column e_i, a parked artificial none;
-    # each parked row is then scaled by the gap's sign and takes a fresh
-    # artificial, basic at |gap|
-    keep = np.flatnonzero(nb < nm)
-    parked = rows[basis[rows] < nm]
-    k = keep.shape[0]
-    D_new = np.empty((m, k + parked.shape[0]))
-    D_new[:, :k] = D if k == nb.shape[0] else D[:, keep]
-    D_new[:, k:] = 0.0
-    D_new[parked, k + np.arange(parked.shape[0])] = 1.0
-    D_new[rows, :] *= sigma[:, None]
-    nb = np.concatenate([nb[keep], basis[parked]])
-
-    # a kept artificial moves to nm + its rank among the kept; a parked row's
-    # entry, whatever this gives it, is replaced by its fresh artificial next
-    kept = nm + np.flatnonzero(vstat[nm:] == 0)
-    K = nm + kept.shape[0]
-    n_art = rows.shape[0]
-    art = np.flatnonzero(basis >= nm)
-    basis[art] = nm + np.searchsorted(kept, basis[art])
-    basis[rows] = K + np.arange(n_art)
-    xB[rows] = np.abs(gap)
-
-    lo_all = np.concatenate([lo_all[:nm], lo_all[kept], np.zeros(n_art)])
-    hi_all = np.concatenate([hi_all[:nm], hi_all[kept], np.full(n_art, np.inf)])
-    vstat = np.concatenate([vstat[:nm], vstat[kept], np.zeros(n_art, dtype=np.int64)])
-    return (D_new, xB, basis, nb, vstat, lo_all, hi_all), n_art
+    viol = np.maximum(blo - xB, xB - bhi)
+    rows = np.flatnonzero(viol > VIOL_TOL)
+    # a column repairs a row that must rise if it may rise and its entry is
+    # negative, or may fall and its entry is positive; the reverse for a
+    # row that must fall
+    vs = vstat[nb]
+    is_open = lo_all[nb] != hi_all[nb]
+    sign = np.where(is_open & (vs == 1), -1.0, np.where(is_open & (vs == 2), 1.0, 0.0))
+    R = D[rows] * np.where(xB[rows] < blo[rows], 1.0, -1.0)[:, None]
+    repair = np.where(is_open & (vs == 3), np.abs(R), R * sign) > TINY
+    dead = rows[~repair.any(axis=1)]
+    if not dead.shape[0]:
+        raise NumericalBreakdownError("dual phase reported infeasible, but every row can be repaired")
+    return int(dead[viol[dead].argmax()])
 
 
 def _extract(vstat, lo_all, hi_all, basis, xB, n):
@@ -213,13 +195,22 @@ def _recheck(x, A, rels, b, lo, hi) -> Optional[str]:
     return f"row {i}: {_STR_OF_REL[int(rels[i])]} violated by {excess[i]:.3e}"
 
 
-def _phase(run, cost, state, nm, phase, stop, dantzig_limit):
-    """Price `cost` against the state's basis and run one kernel phase on it."""
+def _phase(run, cost, state, phase, dantzig_limit):
+    """Price `cost` against the state's basis and run one kernel phase on it.
+
+    Phase 1 has zero cost.  Pricing sums ``cost_B * D`` over the rows in
+    order, so a reduced cost does not depend on where its column sits in D
+    (``np.add.reduce`` would sum a single column pairwise).
+    """
     D, xB, basis, nb, vstat, lo_all, hi_all = state
-    z = cost[nb] - np.dot(cost[basis], D)
+    if cost is None:
+        z = np.zeros(nb.shape[0])
+    else:
+        P = cost[basis][:, None] * D
+        z = cost[nb] - (np.add.accumulate(P, axis=0, out=P)[-1] if P.shape[0] else 0.0)
     return run(
         D, z, xB, basis, nb, vstat, lo_all, hi_all,
-        nm, phase, stop, dantzig_limit, MAX_ITER, OPT_TOL, TINY,
+        phase, VIOL_TOL, dantzig_limit, MAX_ITER, OPT_TOL, TINY,
     )
 
 
@@ -250,39 +241,25 @@ def solve_dense(c, A, rels, b, lo, hi, kernel=None, start=None) -> LpOutcome:
     if (lo > hi).any():
         return LpOutcome(INFEASIBLE)
 
-    state, n_art = _warm_state(start or _slack_basis(A, rels, b, lo, hi), A, lo, hi)
-    D, xB, basis, nb, vstat, lo_all, hi_all = state
-    N = vstat.shape[0]
-    dantzig_limit = 10 * (m + N)
-    pivots = 0
+    state = _warm_state(start or _slack_basis(A, rels, b, lo, hi), A, lo, hi)
+    dantzig_limit = 10 * (m + state[4].shape[0])
 
-    if n_art > 0:
-        c1 = np.zeros(N)
-        c1[n + m :] = 1.0
-        status, iters = _phase(run, c1, state, n + m, 1, STOP_SUM, dantzig_limit)
-        pivots += iters
-        if status in (kernels.TINY_PIVOT, kernels.ITER_LIMIT):
-            raise NumericalBreakdownError(f"phase 1 stalled (kernel status {status})")
-        if status == kernels.UNBOUNDED:
-            raise NumericalBreakdownError("phase-1 objective reported unbounded")
-        if infeasibility(xB, basis, n + m) > STOP_SUM:
-            return LpOutcome(INFEASIBLE, pivots=pivots)
-        # snap the basic artificials' residuals to 0, so that a child re-seat
-        # finds them inside their bounds, and freeze every artificial so that
-        # phase 2 cannot reopen it
-        xB[basis >= n + m] = 0.0
-        lo_all[n + m :] = 0.0
-        hi_all[n + m :] = 0.0
+    status, pivots = _phase(run, None, state, 1, dantzig_limit)
+    if status == kernels.INFEASIBLE:
+        return LpOutcome(INFEASIBLE, pivots=pivots, state=state, proof_row=_proof_row(state))
+    if status != kernels.OPTIMAL:
+        raise NumericalBreakdownError(f"phase 1 stalled (kernel status {status})")
 
     if np.any(c != 0.0):
-        c2 = np.concatenate([c, np.zeros(N - n)])
-        status, iters = _phase(run, c2, state, n + m, 0, -1.0, dantzig_limit)
+        c2 = np.concatenate([c, np.zeros(m)])
+        status, iters = _phase(run, c2, state, 2, dantzig_limit)
         pivots += iters
         if status == kernels.UNBOUNDED:
             return LpOutcome(UNBOUNDED, pivots=pivots)
         if status != kernels.OPTIMAL:
             raise NumericalBreakdownError(f"phase 2 stalled (kernel status {status})")
 
+    D, xB, basis, nb, vstat, lo_all, hi_all = state
     x = _extract(vstat, lo_all, hi_all, basis, xB, n)
     msg = _recheck(x, A, rels, b, lo, hi)
     if msg is not None:

@@ -1,9 +1,11 @@
 """Branch-and-bound verification over ReLU indicator variables.
 
 Each node relaxes the remaining binaries to [0,1] and solves the LP
-feasibility problem (phase-1 only — the query asks existence, nothing is
-optimized).  Infeasible nodes prune; a feasible point with all binaries
-integral is replayed through the real network before being believed.
+feasibility problem (the dual phase 1 only — the query asks existence,
+nothing is optimized).  Infeasible nodes prune; the outcome names the row of
+the final basis that proves it (``LpOutcome.proof_row``), a check made in
+floating point only.  A feasible point with all binaries integral is
+replayed through the real network before being believed.
 Feasibility vertices like to sit exactly on the logit = 0 face, where the
 replay's exact decide() can flip on a one-ulp recompute, so a leaf whose
 candidate fails replay is re-solved once with a logit-maximizing objective
@@ -19,7 +21,7 @@ witness and every stat are deterministic.  ``stats["max_depth"]`` is the
 largest number of fixed binaries at any node solved.
 The root LP is solved cold; every child, and the polish re-solve of a leaf,
 starts from the final simplex basis of the node it came from (lp.py's warm
-start), so it repairs one fixed binary in a few pivots.  A warm solve that
+start), so the dual phase repairs the fixed binary in a few pivots.  A warm solve that
 breaks down numerically is retried once cold before the node is given up;
 only a cold breakdown degrades the verdict.
 

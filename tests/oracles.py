@@ -17,11 +17,11 @@ import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
 from safecut._simplex_py import (
-    ITER_LIMIT, OPTIMAL as K_OPTIMAL, REACHED_STOP, TINY_PIVOT, UNBOUNDED as K_UNBOUNDED,
-    infeasibility,
+    INFEASIBLE as K_INFEASIBLE, ITER_LIMIT, OPTIMAL as K_OPTIMAL, TINY_PIVOT,
+    UNBOUNDED as K_UNBOUNDED,
 )
 from safecut.lp import (
-    INFEASIBLE, MAX_ITER, OPT_TOL, OPTIMAL, STOP_SUM, TINY, UNBOUNDED,
+    INFEASIBLE, MAX_ITER, OPT_TOL, OPTIMAL, TINY, UNBOUNDED, VIOL_TOL,
     _extract, _recheck, _slack_basis,
 )
 from safecut.network import BatchNorm, Dense, Relu
@@ -130,248 +130,215 @@ def vertex_lp_optimum(c, A, rels, b, lo, hi, tol=1e-9):
 # ---------------------------------------------------------------------------
 # the full-tableau simplex (reference for safecut.lp and both kernels)
 #
-# The solver over the full tableau T = B^-1 [A | I | artificials], the
-# unit columns of the basic variables included.  The nonbasic-only kernels
-# must reproduce it bit for bit: the same pivots, points and basic values,
-# and D equal to T[:, nb] to the byte.
+# The solver over the full tableau T = B^-1 [A | I], the unit columns of the
+# basic variables included.  The nonbasic-only kernels must reproduce it bit
+# for bit: the same pivots, points, basic values and reduced costs, and D
+# equal to T[:, nb] to the byte.  It finds its rows and columns by plain
+# scans over variable ids and recomputes every mask each iteration, instead
+# of keeping them in step.
 
 
 def tableau_warm_state(start, A, lo, hi):
-    """Re-seat a full-tableau state on new column bounds, the plain way.
-
-    Nonbasic structurals whose bounds changed move to the nearest new bound,
-    out-of-bounds basic variables are parked behind a fresh sign-scaled
-    artificial, and nonbasic artificials are dropped.  The kept columns are
-    gathered with one fancy index over the whole tableau and every basis
-    entry is renumbered through a full-width map.  Returns (state, number of
-    fresh artificials).
-    """
-    T, xB, basis, vstat, lo_all, hi_all = start
-    m, n = A.shape
-    nm = n + m
-    xB, basis, vstat = xB.copy(), basis.copy(), vstat.copy()
-    lo_all, hi_all = lo_all.copy(), hi_all.copy()
-
-    vs = vstat[:n]
-    old_val = np.where(vs == 1, lo_all[:n], np.where(vs == 2, hi_all[:n], 0.0))
-    moved = (vs != 0) & ((lo != lo_all[:n]) | (hi != hi_all[:n]))
-    nearer_lo = np.abs(old_val - lo) <= np.abs(hi - old_val)
-    to_lo = np.isfinite(lo) & (nearer_lo | ~np.isfinite(hi))
-    new_stat = np.where(to_lo, 1, np.where(np.isfinite(hi), 2, 3))
-    new_val = np.where(new_stat == 1, lo, np.where(new_stat == 2, hi, 0.0))
-    cols = np.nonzero(moved)[0]
-    if cols.shape[0]:
-        xB -= T[:, cols] @ (new_val[cols] - old_val[cols])
-        vstat[cols] = new_stat[cols]
+    """Re-seat a full-tableau state on new column bounds, the plain way:
+    a copy in which every nonbasic structural whose bounds changed moves to
+    the nearest new bound, its tableau column carrying xB along."""
+    T, xB, basis, vstat, lo_all, hi_all = (a.copy() for a in start)
+    n = A.shape[1]
+    cols, delta = [], []
+    for j in range(n):
+        if vstat[j] == 0 or (lo[j] == lo_all[j] and hi[j] == hi_all[j]):
+            continue
+        old = {1: lo_all[j], 2: hi_all[j], 3: 0.0}[int(vstat[j])]
+        if np.isfinite(lo[j]) and (abs(old - lo[j]) <= abs(hi[j] - old) or not np.isfinite(hi[j])):
+            vstat[j] = 1
+        else:
+            vstat[j] = 2 if np.isfinite(hi[j]) else 3
+        cols.append(j)
+        delta.append({1: lo[j], 2: hi[j], 3: 0.0}[int(vstat[j])] - old)
+    if cols:
+        xB -= T[:, cols] @ np.array(delta)
     lo_all[:n] = lo
     hi_all[:n] = hi
+    return T, xB, basis, vstat, lo_all, hi_all
 
-    blo, bhi = lo_all[basis], hi_all[basis]
-    below, above = xB < blo, xB > bhi
-    rows = np.nonzero(below | above)[0]
-    target = np.where(below, blo, bhi)[rows]
-    gap = xB[rows] - target
-    sigma = np.where(gap > 0, 1.0, -1.0)
-    vstat[basis[rows]] = np.where(below[rows], 1, 2)
 
-    keep = np.concatenate([np.arange(nm), nm + np.nonzero(vstat[nm:] == 0)[0]])
-    renum = np.zeros(T.shape[1], dtype=np.int64)
-    renum[keep] = np.arange(keep.shape[0])
-    n_art = rows.shape[0]
-    N = keep.shape[0] + n_art
-    T_new = np.zeros((m, N))
-    T_new[:, : keep.shape[0]] = T[:, keep]
-    T_new[rows, :] *= sigma[:, None]
-    basis = renum[basis]
-    basis[rows] = keep.shape[0] + np.arange(n_art)
-    T_new[rows, basis[rows]] = 1.0
-    xB[rows] = np.abs(gap)
+def _violation(xB, basis, lo, hi, i):
+    return max(lo[basis[i]] - xB[i], xB[i] - hi[basis[i]])
 
-    lo_all = np.concatenate([lo_all[keep], np.zeros(n_art)])
-    hi_all = np.concatenate([hi_all[keep], np.full(n_art, np.inf)])
-    vstat = np.concatenate([vstat[keep], np.zeros(n_art, dtype=np.int64)])
-    return (T_new, xB, basis, vstat, lo_all, hi_all), n_art
+
+def _repairs(T, xB, basis, vstat, lo, hi, tiny, r):
+    """Variables that can move so as to bring row r's basic variable back
+    toward its bounds, each with the direction it moves in."""
+    up = xB[r] < lo[basis[r]]
+    out = []
+    for j in range(T.shape[1]):
+        if vstat[j] == 0 or lo[j] == hi[j] or not abs(T[r, j]) > tiny:
+            continue
+        d = 1.0 if (T[r, j] < 0.0) == up else -1.0  # x_B[r] moves by -T[r, j] d
+        if (d > 0.0 and vstat[j] in (1, 3)) or (d < 0.0 and vstat[j] in (2, 3)):
+            out.append((j, d))
+    return out
+
+
+def tableau_proof_row(state, viol_tol, tiny):
+    """The violated row of largest violation, lowest row on ties, that no
+    variable can repair; None when there is none."""
+    T, xB, basis, vstat, lo, hi = state
+    dead = [
+        i for i in range(xB.shape[0])
+        if _violation(xB, basis, lo, hi, i) > viol_tol
+        and not _repairs(T, xB, basis, vstat, lo, hi, tiny, i)
+    ]
+    if not dead:
+        return None
+    return max(dead, key=lambda i: (_violation(xB, basis, lo, hi, i), -i))
 
 
 def tableau_run_phase(
-    T, z, xB, basis, vstat, lo, hi, n_art_start, phase1, stop_sum,
+    T, z, xB, basis, vstat, lo, hi, phase, viol_tol,
     dantzig_limit, max_iter, opt_tol, tiny,
 ):
-    """The full-tableau NumPy kernel; same contract and status codes as
+    """The full-tableau kernel; same contract and status codes as
     ``safecut._simplex_py.run_phase`` with T (m, N) in place of D and nb."""
-    m, n = T.shape
+    m = T.shape[0]
     iters = 0
-    is_open = (vstat != 0) & (lo != hi)
-    may_inc = is_open & ((vstat == 1) | (vstat == 3))
-    may_dec = is_open & ((vstat == 2) | (vstat == 3))
-    blo = lo[basis]
-    bhi = hi[basis]
-    can_inc = np.empty(n, dtype=bool)
-    can_dec = np.empty(n, dtype=bool)
-    score = np.empty(n)
-    zrow = np.empty(n)
-    alpha = np.empty(m)
-    big = np.empty(m, dtype=bool)
-    tt = np.empty(m)
-    step = np.empty(m)
-    col = np.empty(m)
-    outer = np.empty((m, n))
-
     while True:
-        if phase1 and infeasibility(xB, basis, n_art_start) <= stop_sum:
-            return REACHED_STOP, iters
         if iters >= max_iter:
             return ITER_LIMIT, iters
-
         bland = iters >= dantzig_limit
-        inc_ok, dec_ok = may_inc, may_dec
-        banned_any = False
-
-        while True:
-            np.less(z, -opt_tol, out=can_inc)
-            can_inc &= inc_ok
-            np.greater(z, opt_tol, out=can_dec)
-            can_dec &= dec_ok
+        if phase == 1:
+            rows = [i for i in range(m) if _violation(xB, basis, lo, hi, i) > viol_tol]
+            if not rows:
+                return K_OPTIMAL, iters
             if bland:
-                elig = can_inc | can_dec
-                if not elig.any():
-                    return (TINY_PIVOT if banned_any else K_OPTIMAL), iters
-                q = int(elig.argmax())
+                r = min(rows, key=lambda i: basis[i])
             else:
-                score.fill(-np.inf)
-                np.copyto(score, z, where=can_dec)
-                np.negative(z, out=score, where=can_inc)
-                q = int(score.argmax())
-                if not score[q] > opt_tol:
-                    return (TINY_PIVOT if banned_any else K_OPTIMAL), iters
-            sq = vstat[q]
-            d = 1.0 if (sq == 1 or (sq == 3 and z[q] < 0.0)) else -1.0
+                r = min(rows, key=lambda i: (-_violation(xB, basis, lo, hi, i), basis[i]))
+            cands = _repairs(T, xB, basis, vstat, lo, hi, tiny, r)
+            if not cands:
+                return K_INFEASIBLE, iters
+            if bland:
+                q, d = cands[0]
+            else:
+                q, d = max(cands, key=lambda jd: (abs(T[r, jd[0]]), -jd[0]))
+            up = xB[r] < lo[basis[r]]
+            t = (xB[r] - (lo[basis[r]] if up else hi[basis[r]])) / (d * T[r, q])
+            leave_to = 1 if up else 2
+        else:
+            q, d, r, t = _primal_step(T, z, xB, basis, vstat, lo, hi, bland, opt_tol, tiny)
+            if r is None:
+                return q, iters  # the status
+            leave_to = 1 if r >= 0 and d * T[r, q] > 0.0 else 2
 
-            Tq = T[:, q]
-            np.multiply(Tq, d, out=alpha)
-            np.greater(np.absolute(alpha), tiny, out=big)
-            tt.fill(np.inf)
-            np.subtract(xB, np.where(alpha > 0.0, blo, bhi), out=tt, where=big)
-            np.divide(tt, alpha, out=tt, where=big)
-            np.maximum(tt, 0.0, out=tt)
-
-            t_limit = hi[q] - lo[q]
-            r = -1
-            if m > 0:
-                if bland:
-                    tmin = tt.min()
-                    if tmin < t_limit:
-                        ties = np.flatnonzero(tt == tmin)
-                        r = int(ties[basis[ties].argmin()])
-                        t_limit = tmin
-                else:
-                    rmin = int(tt.argmin())
-                    if tt[rmin] < t_limit:
-                        r = rmin
-                        t_limit = tt[rmin]
-
-            if t_limit == np.inf:
-                small_pos = (alpha > 0.0) & ~big
-                small_neg = (alpha < 0.0) & ~big
-                if (small_pos & np.isfinite(blo)).any() or (
-                    small_neg & np.isfinite(bhi)
-                ).any():
-                    if not banned_any:
-                        inc_ok, dec_ok = may_inc.copy(), may_dec.copy()
-                        banned_any = True
-                    inc_ok[q] = dec_ok[q] = False
-                    continue
-                return K_UNBOUNDED, iters
-            break
-
-        t = t_limit
-        tstep = d * t
-        np.multiply(Tq, tstep, out=step)
-        if r < 0:
-            xB -= step
+        sq = vstat[q]
+        Tq = T[:, q].copy()
+        xB -= Tq * (d * t)
+        if r < 0:  # bound flip
             vstat[q] = 2 if d > 0.0 else 1
-            may_inc[q] = d < 0.0
-            may_dec[q] = d > 0.0
         else:
             leaving = int(basis[r])
-            leave_to = 1 if alpha[r] > 0.0 else 2
-            if sq == 1:
-                vq = lo[q]
-            elif sq == 2:
-                vq = hi[q]
-            else:
-                vq = 0.0
-            xB -= step
-            xB[r] = vq + d * t
+            xB[r] = {1: lo[q], 2: hi[q], 3: 0.0}[int(sq)] + d * t
             row = T[r]
             row /= T[r, q]
-            np.multiply(row, z[q], out=zrow)
-            z -= zrow
-            np.copyto(col, Tq)
-            col[r] = 0.0
-            np.multiply(col[:, None], row, out=outer)
-            T -= outer
+            if phase != 1:
+                z -= row * z[q]
+            Tq[r] = 0.0
+            T -= Tq[:, None] * row
             basis[r] = q
             vstat[q] = 0
             vstat[leaving] = leave_to
-            if leaving >= n_art_start:
-                lo[leaving] = 0.0
-                hi[leaving] = 0.0
-            may_inc[q] = may_dec[q] = False
-            open_leaving = lo[leaving] != hi[leaving]
-            may_inc[leaving] = open_leaving and leave_to == 1
-            may_dec[leaving] = open_leaving and leave_to == 2
-            blo[r] = lo[q]
-            bhi[r] = hi[q]
         iters += 1
 
 
+def _primal_step(T, z, xB, basis, vstat, lo, hi, bland, opt_tol, tiny):
+    """(q, d, r, t) of one primal iteration, r = -1 for a bound flip; or
+    (status, None, None, None) when the phase ends."""
+    m = T.shape[0]
+    is_open = (vstat != 0) & (lo != hi)
+    can_inc = is_open & ((vstat == 1) | (vstat == 3)) & (z < -opt_tol)
+    can_dec = is_open & ((vstat == 2) | (vstat == 3)) & (z > opt_tol)
+    blo, bhi = lo[basis], hi[basis]
+    banned = np.zeros(T.shape[1], dtype=bool)
+    while True:
+        elig = (can_inc | can_dec) & ~banned
+        if not elig.any():
+            return (TINY_PIVOT if banned.any() else K_OPTIMAL), None, None, None
+        if bland:
+            q = int(elig.argmax())
+        else:
+            q = int(np.where(elig, np.abs(z), -np.inf).argmax())
+        d = 1.0 if can_inc[q] else -1.0
+        alpha = T[:, q] * d
+        big = np.abs(alpha) > tiny
+        tt = np.full(m, np.inf)
+        np.subtract(xB, np.where(alpha > 0.0, blo, bhi), out=tt, where=big)
+        np.divide(tt, alpha, out=tt, where=big)
+        tt = np.maximum(tt, 0.0)
+        t, r = hi[q] - lo[q], -1
+        for i in range(m):
+            if tt[i] < t or (bland and r >= 0 and tt[i] == t and basis[i] < basis[r]):
+                t, r = tt[i], i
+        if t == np.inf:
+            small = ~big & (((alpha > 0.0) & np.isfinite(blo)) | ((alpha < 0.0) & np.isfinite(bhi)))
+            if small.any():
+                banned[q] = True
+                continue
+            return K_UNBOUNDED, None, None, None
+        return q, d, r, t
+
+
 def tableau_solve(c, A, rels, b, lo, hi, run=tableau_run_phase, start=None):
-    """The two-phase solve over the full tableau: (status, pivots, point, state).
+    """The two-phase solve over the full tableau:
+    (status, pivots, point, state, proof_row).
 
     The driver of ``safecut.lp.solve_dense`` with the tableau pieces above;
     status is "breakdown" where solve_dense raises NumericalBreakdownError.
-    Like solve_dense it snaps the basic artificials to 0 after phase 1.
     """
     m, n = A.shape
-    nm = n + m
     if (lo > hi).any():
-        return INFEASIBLE, 0, None, None
-    start = start or tableau_state(_slack_basis(A, rels, b, lo, hi))
-    state, n_art = tableau_warm_state(start, A, lo, hi)
+        return INFEASIBLE, 0, None, None, None
+    state = tableau_warm_state(start or tableau_state(_slack_basis(A, rels, b, lo, hi)), A, lo, hi)
     T, xB, basis, vstat, lo_all, hi_all = state
-    N = T.shape[1]
-    limit = 10 * (m + N)
+    limit = 10 * (m + T.shape[1])
 
-    def phase(cost, phase1, stop):
-        z = cost - np.dot(cost[basis], T)
-        z[basis] = 0.0
-        return run(T, z, xB, basis, vstat, lo_all, hi_all, nm, phase1, stop, limit, MAX_ITER, OPT_TOL, TINY)
+    def phase(cost, k):
+        if cost is None:  # the dual phase: zero cost
+            z = np.zeros(n + m)
+        else:
+            P = cost[basis][:, None] * T
+            z = cost - (np.add.accumulate(P, axis=0)[-1] if m else 0.0)
+            z[basis] = 0.0
+        return run(T, z, xB, basis, vstat, lo_all, hi_all, k, VIOL_TOL, limit, MAX_ITER, OPT_TOL, TINY)
 
-    pivots = 0
-    if n_art > 0:
-        c1 = np.zeros(N)
-        c1[nm:] = 1.0
-        status, iters = phase(c1, 1, STOP_SUM)
-        pivots += iters
-        if status in (TINY_PIVOT, ITER_LIMIT, K_UNBOUNDED):
-            return "breakdown", pivots, None, None
-        if infeasibility(xB, basis, nm) > STOP_SUM:
-            return INFEASIBLE, pivots, None, None
-        xB[basis >= nm] = 0.0
-        lo_all[nm:] = 0.0
-        hi_all[nm:] = 0.0
+    status, pivots = phase(None, 1)
+    if status == K_INFEASIBLE:
+        proof = tableau_proof_row(state, VIOL_TOL, TINY)
+        return (INFEASIBLE if proof is not None else "breakdown"), pivots, None, state, proof
+    if status != K_OPTIMAL:
+        return "breakdown", pivots, None, None, None
     if np.any(c != 0.0):
-        status, iters = phase(np.concatenate([c, np.zeros(N - n)]), 0, -1.0)
+        status, iters = phase(np.concatenate([c, np.zeros(m)]), 2)
         pivots += iters
         if status == K_UNBOUNDED:
-            return UNBOUNDED, pivots, None, None
+            return UNBOUNDED, pivots, None, None, None
         if status != K_OPTIMAL:
-            return "breakdown", pivots, None, None
+            return "breakdown", pivots, None, None, None
     x = _extract(vstat, lo_all, hi_all, basis, xB, n)
     if _recheck(x, A, rels, b, lo, hi) is not None:
-        return "breakdown", pivots, None, None
-    return OPTIMAL, pivots, x, state
+        return "breakdown", pivots, None, None, None
+    return OPTIMAL, pivots, x, state, None
+
+
+def gather_warm_state(start, A, lo, hi):
+    """``safecut.lp._warm_state`` by way of the full tableau.
+
+    Expands the nonbasic-only start to the full tableau, re-seats that with
+    `tableau_warm_state` and gathers the nonbasic columns back in variable
+    order; nb is sorted, which the re-seat's need not be.
+    """
+    T, xB, basis, vstat, lo_all, hi_all = tableau_warm_state(tableau_state(start), A, lo, hi)
+    nb = np.flatnonzero(vstat != 0)
+    return T[:, nb], xB, basis, nb, vstat, lo_all, hi_all
 
 
 def tableau_state(state):
@@ -384,19 +351,22 @@ def tableau_state(state):
     return T, xB, basis, vstat, lo_all, hi_all
 
 
-def gather_warm_state(start, A, lo, hi):
-    """``safecut.lp._warm_state`` by way of the full tableau.
-
-    Expands the nonbasic-only start to the full tableau, re-seats that with
-    `tableau_warm_state` and keeps the nonbasic structural and slack columns
-    in variable order.  Returns ((D, xB, basis, nb, vstat, lo, hi), number of
-    fresh artificials); nb is sorted, which the re-seat's need not be.
-    """
-    (T, xB, basis, vstat, lo_all, hi_all), n_art = tableau_warm_state(
-        tableau_state(start), A, lo, hi
+def highs_feasible(A, rels, b, lo, hi):
+    """Whether A x (rels) b, lo <= x <= hi has a point, by HiGHS."""
+    le, ge, eq = rels < 0, rels > 0, rels == 0
+    A_ub = np.vstack([A[le], -A[ge]])
+    res = linprog(
+        np.zeros(A.shape[1]),
+        A_ub=A_ub if A_ub.shape[0] else None,
+        b_ub=np.concatenate([b[le], -b[ge]]) if A_ub.shape[0] else None,
+        A_eq=A[eq] if eq.any() else None,
+        b_eq=b[eq] if eq.any() else None,
+        bounds=list(zip(lo, hi)),
+        method="highs",
     )
-    nb = np.flatnonzero(vstat[: A.shape[0] + A.shape[1]] != 0)
-    return (T[:, nb], xB, basis, nb, vstat, lo_all, hi_all), n_art
+    if res.status not in (0, 2):
+        raise RuntimeError(f"reference LP ended with status {res.status}")
+    return res.status == 0
 
 
 # ---------------------------------------------------------------------------

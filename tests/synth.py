@@ -200,42 +200,48 @@ def wide_network(rng):
 
 
 # ---------------------------------------------------------------------------
-# a pinned member of the branch-and-bound ladder: an 8-wide cut, two hidden
-# ReLU layers of 12 and exactly 24 unstable ReLUs, drawn the way the
-# benchmark's deep suite draws its members
+# pinned members of the branch-and-bound ladder: an 8-wide cut, two hidden
+# ReLU layers and an exact number of unstable ReLUs, drawn in turn from one
+# seed the way the benchmark's deep suite draws its members
 
 LADDER_SEED = 7
 LADDER_CUT = 8
-LADDER_HIDDEN = 12
-LADDER_UNSTABLE = 24
-# 1e-3 past the member's true maximum of output[0] (0.80367..., HiGHS),
-# rounded up on a 1e-6 grid: the query is safe, with a thin margin
-LADDER_THRESHOLD = 0.804674
+# (hidden width, unstable ReLUs, threshold) per member, in drawing order; a
+# threshold is 1e-3 past the member's true maximum of output[0] (0.80367...
+# and 2.72277..., HiGHS), rounded up on a 1e-6 grid: each query is safe,
+# with a thin margin
+LADDER = ((12, 24, 0.804674), (16, 32, 2.725499))
 
 
-def ladder_member():
-    """(net, query): is output[0] >= LADDER_THRESHOLD reachable where the
-    linear head accepts, inside the dataset envelope of 256 rows?"""
+def ladder_member(unstable=24):
+    """(net, query) of the member with `unstable` unstable ReLUs: is
+    output[0] >= its threshold reachable where the linear head accepts,
+    inside the dataset envelope of 256 rows?"""
     rng = np.random.default_rng(LADDER_SEED)
-    d, h = LADDER_CUT, LADDER_HIDDEN
-    while True:
-        P = rng.normal(0.0, 1.0 / np.sqrt(d), (d, d))
-        pb = rng.normal(0.0, 0.1, d)
-        acts = rng.uniform(-1.0, 1.0, (256, d)) @ P.T + pb
-        lo, hi = acts.min(axis=0), acts.max(axis=0)
-        suffix = (
-            Dense(weights=rng.normal(0.0, 1.0 / np.sqrt(d), (h, d)), bias=rng.normal(0.0, 0.3, h)),
-            Relu(dimension=h),
-            Dense(weights=rng.normal(0.0, 1.0 / np.sqrt(h), (h, h)), bias=rng.normal(0.0, 0.3, h)),
-            Relu(dimension=h),
-            Dense(weights=rng.normal(0.0, 1.0 / np.sqrt(h), (2, h)), bias=np.zeros(2)),
+    d = LADDER_CUT
+    for h, count, threshold in LADDER:
+        while True:
+            P = rng.normal(0.0, 1.0 / np.sqrt(d), (d, d))
+            pb = rng.normal(0.0, 0.1, d)
+            acts = rng.uniform(-1.0, 1.0, (256, d)) @ P.T + pb
+            lo, hi = acts.min(axis=0), acts.max(axis=0)
+            suffix = (
+                Dense(weights=rng.normal(0.0, 1.0 / np.sqrt(d), (h, d)), bias=rng.normal(0.0, 0.3, h)),
+                Relu(dimension=h),
+                Dense(weights=rng.normal(0.0, 1.0 / np.sqrt(h), (h, h)), bias=rng.normal(0.0, 0.3, h)),
+                Relu(dimension=h),
+                Dense(weights=rng.normal(0.0, 1.0 / np.sqrt(h), (2, h)), bias=np.zeros(2)),
+            )
+            if oracles.count_unstable(suffix, lo, hi) == count:
+                break
+        head = Network(
+            layers=(Dense(weights=rng.normal(0.0, 1.0, (1, d)), bias=rng.normal(0.0, 0.2, 1)),),
+            input_dim=d,
         )
-        if oracles.count_unstable(suffix, lo, hi) == LADDER_UNSTABLE:
+        if count == unstable:
             break
-    head = Network(
-        layers=(Dense(weights=rng.normal(0.0, 1.0, (1, d)), bias=rng.normal(0.0, 0.2, 1)),),
-        input_dim=d,
-    )
+    else:
+        raise ValueError(f"no ladder member has {unstable} unstable ReLUs")
     diffs = np.diff(acts, axis=1)
     bounds = ActivationBounds(
         layer=1, lo=lo, hi=hi, diff_lo=diffs.min(axis=0), diff_hi=diffs.max(axis=0),
@@ -246,7 +252,7 @@ def ladder_member():
         bounds=bounds,
         characterizer=Characterizer(head=head, property_id="ladder", achieved_accuracy=1.0),
         risk=RiskCondition(
-            clauses=(RiskClause(coeffs=np.array([1.0, 0.0]), op=">=", rhs=LADDER_THRESHOLD),)
+            clauses=(RiskClause(coeffs=np.array([1.0, 0.0]), op=">=", rhs=threshold),)
         ),
     )
     net = Network(layers=(Dense(weights=P, bias=pb),) + suffix, input_dim=d)

@@ -20,7 +20,9 @@ import safecut
 import safecut.verifier
 from safecut import _simplex_py, kernels, verify
 from safecut.errors import NumericalBreakdownError
-from safecut.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_dense, _slack_basis, _warm_state
+from safecut.lp import (
+    INFEASIBLE, OPTIMAL, UNBOUNDED, VIOL_TOL, _proof_row, _slack_basis, _warm_state, solve_dense,
+)
 
 import oracles
 import synth
@@ -99,7 +101,7 @@ def test_outcomes_bitwise_identical_on_random_lps(av):
         out_py = solve_dense(c, A, rels, b, lo, hi, kernel=av["py"])
         out_ext = solve_dense(c, A, rels, b, lo, hi, kernel=av["ext"])
         statuses.add(out_py.status)
-        assert out_py.status == out_ext.status
+        assert (out_py.status, out_py.proof_row) == (out_ext.status, out_ext.proof_row)
         if out_py.status == OPTIMAL:
             # not approx-equal: equal to the last bit, including the point
             assert out_py.objective_value == out_ext.objective_value
@@ -113,12 +115,12 @@ def test_outcomes_bitwise_identical_on_random_lps(av):
             warm_ext = solve_dense(
                 c, A, rels, b, lo2, hi2, kernel=av["ext"], start=out_ext.state
             )
-            assert warm_py.status == warm_ext.status
-            assert warm_py.pivots == warm_ext.pivots
+            assert (warm_py.status, warm_py.pivots) == (warm_ext.status, warm_ext.pivots)
+            assert warm_py.proof_row == warm_ext.proof_row
             if warm_py.status == OPTIMAL:
                 assert warm_py.objective_value == warm_ext.objective_value
                 assert np.array_equal(warm_py.point, warm_ext.point)
-    assert OPTIMAL in statuses
+    assert {OPTIMAL, INFEASIBLE} <= statuses
 
 
 def _gaussian_lp(rng):
@@ -139,12 +141,13 @@ class _Recorder:
 
     def __init__(self, run):
         self.run = run
-        self.seen = dict(phase2=0, free=0, flips=0)
+        self.seen = dict(dual=0, phase2=0, free=0, flips=0)
 
-    def __call__(self, D, z, xB, basis, nb, vstat, lo, hi, n_art_start, phase1, *rest):
+    def __call__(self, D, z, xB, basis, nb, vstat, lo, hi, phase, *rest):
         before = vstat.copy()
-        status, iters = self.run(D, z, xB, basis, nb, vstat, lo, hi, n_art_start, phase1, *rest)
-        self.seen["phase2"] += not phase1 and iters > 0
+        status, iters = self.run(D, z, xB, basis, nb, vstat, lo, hi, phase, *rest)
+        self.seen["dual"] += phase == 1 and iters > 0
+        self.seen["phase2"] += phase == 2 and iters > 0
         self.seen["free"] += bool((before == 3).any())
         # a nonbasic column that ends at its other bound: mostly bound flips
         self.seen["flips"] += int((before * vstat == 2).sum())
@@ -152,18 +155,20 @@ class _Recorder:
 
 
 def _assert_same_outcome(a, b):
-    assert (a.status, a.pivots) == (b.status, b.pivots)
+    assert (a.status, a.pivots, a.proof_row) == (b.status, b.pivots, b.proof_row)
     if a.status == OPTIMAL:
         assert a.point.tobytes() == b.point.tobytes()
         assert a.objective_value == b.objective_value
-        for x, y in zip(a.state, b.state):
-            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+    assert (a.state is None) == (b.state is None)
+    for x, y in zip(a.state or (), b.state or ()):
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
 
 
 def test_phase2_and_warm_chain_states_match_bitwise(av):
     # every solve of a cold start and three warm children in a row, each
-    # kernel from its own previous state: the same outcome, point and six
-    # state arrays to the byte after phase 2, not only after phase 1
+    # kernel from its own previous state: the same outcome, point, proof row
+    # and seven state arrays to the byte after phase 2, not only after the
+    # dual phase 1
     rng = np.random.default_rng(8)
     rec = {name: _Recorder(run) for name, run in av.items()}
     statuses = set()
@@ -190,7 +195,7 @@ def test_phase2_and_warm_chain_states_match_bitwise(av):
             }
     assert rec["py"].seen == rec["ext"].seen
     assert min(rec["py"].seen.values()) >= 20, rec["py"].seen
-    assert {OPTIMAL, UNBOUNDED} <= statuses
+    assert {OPTIMAL, INFEASIBLE, UNBOUNDED} <= statuses
 
 
 def test_verify_searches_alike_with_both_kernels(av):
@@ -206,50 +211,56 @@ def test_verify_searches_alike_with_both_kernels(av):
 
 
 def _phase1_args(c, A, rels, b, lo, hi):
-    """Phase-1 run_phase arrays of the LP's slack start, or None if feasible."""
-    m, n = A.shape
-    state, n_art = _warm_state(_slack_basis(A, rels, b, lo, hi), A, lo, hi)
+    """run_phase arrays of the LP's slack start, or None if no row of it is
+    violated."""
+    state = _warm_state(_slack_basis(A, rels, b, lo, hi), A, lo, hi)
     D, xB, basis, nb, vstat, lo_all, hi_all = state
-    if n_art == 0:
+    if not (np.maximum(lo_all[basis] - xB, xB - hi_all[basis]) > VIOL_TOL).any():
         return None
-    c1 = np.zeros(vstat.shape[0])
-    c1[n + m :] = 1.0
-    z = c1[nb] - np.dot(c1[basis], D)
-    return [D, z, xB, basis, nb, vstat, lo_all, hi_all], n + m
+    return [D, np.zeros(nb.shape[0]), xB, basis, nb, vstat, lo_all, hi_all]
 
 
 # (dantzig_limit, tiny): the solver's Dantzig-then-Bland schedule; Bland's
-# rule from the first pivot, with its lowest-basis-index ratio tie-break;
-# and a pivot threshold large enough to ban columns and reach TINY_PIVOT
+# rule from the first pivot, with the lowest-basis-index row of the dual and
+# the primal ratio test's tie-break; and a pivot threshold large enough to
+# end the dual with INFEASIBLE more often and to ban columns in phase 2
 @pytest.mark.parametrize(
     "dantzig_limit, tiny", [(None, 1e-11), (0, 1e-11), (0, 0.3)]
 )
 def test_run_phase_state_arrays_match_bitwise(av, dantzig_limit, tiny):
+    # the dual phase 1 from a slack start, then phase 2 on a random cost
+    # from where it ended: status, iterations, every array and the proof row
+    # to the byte after each
     rng = np.random.default_rng(77)
-    statuses = set()
+    statuses = {1: set(), 2: set()}
     for _ in range(400):
         lp = synth.random_lp(rng)
-        states = {}
-        for name, kern in av.items():
-            args = _phase1_args(*lp)
-            if args is None:
-                break
-            arrays, n_art_start = args
-            limit = 10 * (arrays[0].shape[0] + arrays[5].shape[0]) if dantzig_limit is None else dantzig_limit
-            status, iters = kern(
-                *arrays, n_art_start, 1, 1e-9, limit, 50_000, 1e-7, tiny
-            )
-            states[name] = (status, iters, arrays)
-        if not states:
+        if _phase1_args(*lp) is None:
             continue
-        s_py, s_ext = states["py"], states["ext"]
-        statuses.add(s_py[0])
-        assert s_py[:2] == s_ext[:2]
-        for a_py, a_ext in zip(s_py[2], s_ext[2]):
-            assert a_py.tobytes() == a_ext.tobytes()  # every byte, zero signs too
-    assert kernels.REACHED_STOP in statuses
+        args = {name: _phase1_args(*lp) for name in av}
+        cost = rng.normal(size=args["py"][5].shape[0])
+        for phase in (1, 2):
+            out = {}
+            for name, kern in av.items():
+                arrays = args[name]
+                D, z, basis, nb = arrays[0], arrays[1], arrays[3], arrays[4]
+                if phase == 2:
+                    P = cost[basis][:, None] * D
+                    z[:] = cost[nb] - np.add.accumulate(P, axis=0)[-1]
+                limit = 10 * (D.shape[0] + arrays[5].shape[0]) if dantzig_limit is None else dantzig_limit
+                status, iters = kern(*arrays, phase, VIOL_TOL, limit, 50_000, 1e-7, tiny)
+                # the driver names the proof row with its own TINY
+                infeasible = status == kernels.INFEASIBLE and tiny == 1e-11
+                proof = _proof_row(arrays[:1] + arrays[2:]) if infeasible else None
+                out[name] = (status, iters, proof, [a.tobytes() for a in arrays])
+            assert out["py"] == out["ext"]  # every byte, zero signs too
+            statuses[phase].add(out["py"][0])
+            if out["py"][0] != kernels.OPTIMAL:
+                break
+    assert statuses[1] == {kernels.OPTIMAL, kernels.INFEASIBLE}
+    assert kernels.OPTIMAL in statuses[2]
     if tiny == 0.3:
-        assert kernels.TINY_PIVOT in statuses
+        assert kernels.TINY_PIVOT in statuses[2]
 
 
 def _refused_args():
@@ -257,7 +268,7 @@ def _refused_args():
     rng = np.random.default_rng(5)
     while True:
         args = _phase1_args(*synth.random_lp(rng))
-        if args is not None and min(args[0][0].shape) >= 2:
+        if args is not None and min(args[0].shape) >= 2:
             return args
 
 
@@ -269,8 +280,7 @@ def _refused_args():
     ],
 )
 def test_ext_refuses_malformed_arrays(av, case):
-    arrays, n_art_start = _refused_args()
-    D, z, xB, basis, nb, vstat, lo, hi = arrays
+    D, z, xB, basis, nb, vstat, lo, hi = _refused_args()
     # "T" in a case id is the tableau, D
     if case == "fortran_T":
         D = np.asfortranarray(D)
@@ -297,7 +307,7 @@ def test_ext_refuses_malformed_arrays(av, case):
     bad = [D, z, xB, basis, nb, vstat, lo, hi]
     before = [a.copy() for a in bad]
     with pytest.raises((ValueError, BufferError)):
-        av["ext"](*bad, n_art_start, 1, 1e-9, 100, 50_000, 1e-7, 1e-11)
+        av["ext"](*bad, 1, 1e-9, 100, 50_000, 1e-7, 1e-11)
     for a, a0 in zip(bad, before):
         assert a.tobytes() == a0.tobytes()
 
@@ -307,11 +317,10 @@ class _Lockstep:
 
     Each of the three walks its own chain of warm starts; the states of one
     solve are filed under the state its caller will hand back as ``start``
-    (the ``py`` one).  After every phase the kernels must match the
-    reference: status, iterations, xB, basis, vstat and bounds to the byte,
-    and ``D`` equal to ``T[:, nb]``, zero signs included.  The reduced costs
-    are left out: both sides price with a BLAS product whose last bit may
-    depend on a column's position, so they are held to the pivots they pick.
+    (the ``py`` one).  After every phase, the dual phase 1 and phase 2, the
+    kernels must match the reference: status, iterations, z, xB, basis,
+    vstat and bounds to the byte, and ``D`` equal to ``T[:, nb]``, zero signs
+    included; an infeasible outcome must name the reference's proof row.
     """
 
     def __init__(self, av):
@@ -324,7 +333,7 @@ class _Lockstep:
     def _recording(run, log):
         def recorded(*args):
             status, iters = run(*args)
-            log.append((status, iters, [a.copy() for a in args[:-7]]))
+            log.append((status, iters, [a.copy() for a in args[:-6]]))
             return status, iters
 
         return recorded
@@ -353,7 +362,7 @@ class _Lockstep:
             if out is None:
                 assert ref[0] == "breakdown"
                 continue
-            assert (out.status, out.pivots) == ref[:2]
+            assert (out.status, out.pivots, out.proof_row) == (ref[0], ref[1], ref[4])
             if out.status == OPTIMAL:
                 assert out.point.tobytes() == ref[2].tobytes()
         self.phases += len(logs["ref"])
@@ -371,17 +380,18 @@ class _Lockstep:
         for (status, iters, arrays), (w_status, w_iters, w_arrays) in zip(got, want):
             assert (status, iters) == (w_status, w_iters)
             D, z, xB, basis, nb, vstat, lo, hi = arrays
-            T, _, wxB, wbasis, wvstat, wlo, whi = w_arrays
+            T, wz, wxB, wbasis, wvstat, wlo, whi = w_arrays
             for a, w in ((xB, wxB), (basis, wbasis), (vstat, wvstat), (lo, wlo), (hi, whi)):
                 assert a.dtype == w.dtype and a.tobytes() == w.tobytes()
             assert np.array_equal(np.sort(nb), np.flatnonzero(wvstat != 0))
             assert D.tobytes() == np.ascontiguousarray(T[:, nb]).tobytes()
+            assert z.tobytes() == wz[nb].tobytes()
 
 
 def test_both_kernels_match_the_full_tableau_reference(av, monkeypatch):
     # random LPs and chains of warm children, then a whole branch and bound:
     # after every phase both nonbasic-only kernels hold exactly the values
-    # the full tableau holds, and they reach the same outcomes
+    # the full tableau holds, and they reach the same outcomes and proof rows
     lock = _Lockstep(av)
     rng = np.random.default_rng(12)
     for k in range(200):

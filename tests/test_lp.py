@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import safecut.lp as lp_module
+import safecut.verifier
 from safecut import verify
-from safecut._simplex_py import infeasibility, run_phase
 from safecut.errors import NumericalBreakdownError
 from safecut.lp import (
     FEAS_TOL,
@@ -14,8 +14,11 @@ from safecut.lp import (
     REL_EQ,
     REL_GE,
     REL_LE,
+    TINY,
     UNBOUNDED,
+    VIOL_TOL,
     LinearProgram,
+    _phase,
     _recheck,
     _slack_basis,
     _warm_state,
@@ -162,20 +165,36 @@ def test_warm_start_agrees_with_cold_solve():
     assert seen == {OPTIMAL, INFEASIBLE}
 
 
-def test_infeasibility_sum_matches_row_order_loop():
-    # the compiled kernel sums in row order; the NumPy helper must match it
-    # bit for bit, where a pairwise sum would differ in the last digits
+def test_pricing_reduces_over_rows_in_order():
+    # a reduced cost is cost[j] minus cost_B . D[:, j] summed row by row in
+    # order, whatever the column's position in D, so permuting the columns
+    # permutes the reduced costs to the byte; a BLAS product would not, nor
+    # would np.add.reduce on a single column
     rng = np.random.default_rng(5)
     for _ in range(300):
-        m = int(rng.integers(0, 40))
-        xB = rng.normal(size=m) * 10.0 ** rng.integers(-12, 4, m)
-        basis = rng.integers(0, 30, m)
-        n_art_start = int(rng.integers(0, 30))
-        want = 0.0
-        for i in range(m):
-            if basis[i] >= n_art_start:
-                want += xB[i]
-        assert infeasibility(xB, basis, n_art_start) == want
+        m, n = int(rng.integers(0, 40)), int(rng.integers(1, 30))
+        D = rng.normal(size=(m, n)) * 10.0 ** rng.integers(-12, 4, (m, n))
+        basis = n + np.arange(m)
+        nb = rng.permutation(n)
+        cost = rng.normal(size=n + m)
+        seen = []
+
+        def run(D, z, *rest):
+            seen.append(z.copy())
+            return 0, 0
+
+        state = (D, np.zeros(m), basis, nb, None, None, None)
+        _phase(run, cost, state, 2, 0)
+        want = cost[nb].copy()
+        for j in range(m and n):
+            dot = cost[basis[0]] * D[0, j]
+            for i in range(1, m):
+                dot += cost[basis[i]] * D[i, j]
+            want[j] -= dot
+        assert seen[0].tobytes() == want.tobytes()
+        perm = rng.permutation(n)
+        _phase(run, cost, (np.ascontiguousarray(D[:, perm]),) + state[1:3] + (nb[perm],) + state[4:], 2, 0)
+        assert seen[1].tobytes() == want[perm].tobytes()
 
 
 def _recheck_loop(x, A, rels, b, lo, hi):
@@ -271,37 +290,95 @@ def _free_bounds_lp(rng):
     return c, A, rels, b, lo, hi
 
 
+def _basis_inverse_row(state, r, n):
+    """Row r of B^-1: the slack columns of the full tableau B^-1 [A | I],
+    read from D where a slack is nonbasic, e_r where it is basic."""
+    D, xB, basis, nb, vstat = state[:5]
+    m = D.shape[0]
+    y = np.zeros(m)
+    slot = np.flatnonzero(nb >= n)
+    y[nb[slot] - n] = D[r, slot]
+    if basis[r] >= n:
+        y[basis[r] - n] = 1.0
+    return y
+
+
 def test_slack_block_is_the_basis_inverse():
-    # the full tableau B^-1 [A | I | artificials], rebuilt from the state
-    # (a nonbasic variable's column is in D, a basic one's is e_i): its
-    # slack block times A must give its structural block, for cold solves
-    # and for warm ones that add artificials (whose rows are sign-scaled,
-    # and B^-1 with them)
+    # the full tableau B^-1 [A | I], rebuilt from the state (a nonbasic
+    # variable's column is in D, a basic one's is e_i): its slack block
+    # times A must give its structural block, for cold and warm solves, and
+    # for infeasible ones, whose proof rows y = e_r B^-1 are rebuilt the same
+    # way
     def assert_layout(out, A):
         m, n = A.shape
         T = oracles.tableau_state(out.state)[0]
         scale = max(1.0, np.abs(T[:, :n]).max(initial=0.0))
         assert np.abs(T[:, n : n + m] @ A - T[:, :n]).max(initial=0.0) <= 1e-9 * scale
+        if out.status == INFEASIBLE:
+            assert _basis_inverse_row(out.state, out.proof_row, n).tobytes() == T[out.proof_row, n:].tobytes()
 
     rng = np.random.default_rng(41)
-    n_cold = n_warm_art = 0
+    count = dict(cold=0, warm=0, infeasible=0)
     for k in range(400):
         c, A, rels, b, lo, hi = (synth.random_lp if k % 2 else _free_bounds_lp)(rng)
         parent = solve_dense(c, A, rels, b, lo, hi)
+        if parent.status == INFEASIBLE:
+            assert_layout(parent, A)
+            count["infeasible"] += 1
         if parent.status != OPTIMAL:
             continue
         assert_layout(parent, A)
-        n_cold += 1
+        count["cold"] += 1
         m, n = A.shape
         j = int(rng.integers(n))
         v = parent.point[j]
         for clo, chi in ((lo, np.where(np.arange(n) == j, np.floor(v), hi)),
                          (np.where(np.arange(n) == j, np.floor(v) + 1, lo), hi)):
             warm = solve_dense(c, A, rels, b, clo, chi, start=parent.state)
-            if warm.status == OPTIMAL:
+            if warm.state is not None:
                 assert_layout(warm, A)
-                n_warm_art += warm.state[4].shape[0] > n + m
-    assert n_cold >= 50 and n_warm_art >= 20
+                count["warm"] += warm.status == OPTIMAL
+                count["infeasible"] += warm.status == INFEASIBLE
+    assert min(count.values()) >= 50, count
+
+
+def test_infeasible_prunes_carry_a_proof_row(monkeypatch):
+    # every LP the branch and bound of the 24-unstable member prunes as
+    # infeasible names a row r of its final state; y = e_r B^-1, rebuilt from
+    # the slack columns, combines A x + s = b into y A x + y s = y b, and the
+    # range of the left side over the column and slack boxes misses y b.
+    # Any y makes that a proof; entries of at most TINY, which the dual phase
+    # ignores, are rounding noise (about 1e-15 here) that would open the
+    # range of a one-sided slack to infinity, so they are zeroed first
+    pruned = []
+
+    def solve(c, A, rels, b, lo, hi, **kwargs):
+        out = solve_dense(c, A, rels, b, lo, hi, **kwargs)
+        if out.status == INFEASIBLE:
+            pruned.append((A, rels, b, lo, hi, out))
+        return out
+
+    monkeypatch.setattr(safecut.verifier, "solve_dense", solve)
+    net, query = synth.ladder_member()
+    assert verify(net, query).status == "safe"
+    assert len(pruned) >= 50
+    for A, rels, b, lo, hi, out in pruned:
+        m, n = A.shape
+        D, xB, basis, nb, vstat, lo_all, hi_all = out.state
+        r = out.proof_row
+        # the dual phase left row r violated by more than VIOL_TOL
+        assert max(lo_all[basis[r]] - xB[r], xB[r] - hi_all[basis[r]]) > VIOL_TOL
+        y = _basis_inverse_row(out.state, r, n)
+        y[np.abs(y) <= TINY] = 0.0
+        g = np.concatenate([y @ A, y])  # on the columns, then on the slacks
+        box_lo = np.concatenate([lo, np.where(rels == REL_GE, -np.inf, 0.0)])
+        box_hi = np.concatenate([hi, np.where(rels == REL_LE, np.inf, 0.0)])
+        pos, neg = g > 0.0, g < 0.0
+        low = (g[pos] * box_lo[pos]).sum() + (g[neg] * box_hi[neg]).sum()
+        high = (g[pos] * box_hi[pos]).sum() + (g[neg] * box_lo[neg]).sum()
+        yb = y @ b
+        assert yb < low or yb > high, (r, low, yb, high)
+        assert not oracles.highs_feasible(A, rels, b, lo, hi)
 
 
 def _child_bounds(rng, lo, hi, x):
@@ -326,23 +403,24 @@ class _ReseatCheck:
 
     The re-seat keeps the nonbasic columns in an order of its own, so D is
     compared column by column in variable order; every other array, and D's
-    zero signs, must equal the reference to the byte.  ``seen`` counts the
-    cases each re-seat exercised.
+    zero signs, must equal the reference to the byte, and none may share
+    memory with the start.  ``seen`` counts the cases each re-seat
+    exercised, among them the basic variables it leaves outside their new
+    bounds for the dual phase.
     """
 
     def __init__(self):
-        self.seen = dict(
-            kept=0, parked_art=0, parked_below=0, parked_above=0,
-            moved=0, free=0, no_rows=0,
-        )
+        self.seen = dict(moved=0, free=0, no_rows=0, left_below=0, left_above=0)
 
     def __call__(self, start, A, lo, hi):
         before = [a.tobytes() for a in start]
-        got, n_art = _warm_state(start, A, lo, hi)
-        want, n_want = oracles.gather_warm_state(start, A, lo, hi)
+        got = _warm_state(start, A, lo, hi)
+        want = oracles.gather_warm_state(start, A, lo, hi)
         assert [a.tobytes() for a in start] == before  # the start is not written
-        assert n_art == n_want
+        assert not any(np.shares_memory(g, a) for g in got for a in start)
+        m, n = A.shape
         D, nb = got[0], got[3]
+        assert D.shape == (m, n)
         order = np.argsort(nb)
         assert np.array_equal(nb[order], want[3])
         assert D[:, order].tobytes() == want[0].tobytes()  # zero signs too
@@ -350,21 +428,15 @@ class _ReseatCheck:
             if g is not nb:
                 assert g.dtype == w.dtype and g.shape == w.shape
                 assert g.tobytes() == w.tobytes()
-        m, n = A.shape
-        basis, vstat = got[2], got[4]
-        K = vstat.shape[0] - n_art  # variables before the fresh artificials
-        parked = start[2][basis >= K]  # the old basic variable of each parked row
+        xB, basis, vstat, lo_all, hi_all = got[1], got[2], got[4], got[5], got[6]
         seen = self.seen
-        seen["kept"] += int((basis[basis < K] >= n + m).sum())
-        seen["parked_art"] += int((parked >= n + m).sum())
-        parked = parked[parked < n + m]
-        seen["parked_below"] += int((vstat[parked] == 1).sum())
-        seen["parked_above"] += int((vstat[parked] == 2).sum())
+        seen["left_below"] += int((xB < lo_all[basis]).sum())
+        seen["left_above"] += int((xB > hi_all[basis]).sum())
         was = start[4][:n]
         seen["moved"] += bool(((was != 0) & ((lo != start[5][:n]) | (hi != start[6][:n]))).any())
         seen["free"] += bool((vstat[:n] == 3).any())
         seen["no_rows"] += m == 0
-        return got, n_art
+        return got
 
 
 def test_warm_state_matches_gather_reference():
@@ -385,76 +457,20 @@ def test_warm_state_matches_gather_reference():
                 break
             out = solve_dense(c, A, rels, b, clo, chi, start=out.state)
             lo, hi = clo, chi
-    # a basic artificial in a final state is rare in these small LPs; the
-    # branch-and-bound test below covers kept and parked artificials
-    seen = {k: v for k, v in check.seen.items() if k not in ("kept", "parked_art")}
-    assert min(seen.values()) >= 5, check.seen
+    assert min(check.seen.values()) >= 5, check.seen
 
 
 def test_warm_state_matches_gather_reference_in_branch_and_bound(monkeypatch):
-    # a branch-and-bound child starts from a degenerate parent whose basis
-    # still holds artificials, frozen at [0, 0] and snapped to 0, which the
-    # re-seat keeps and renumbers unless the branch moves their row; each
-    # start is also re-seated with those values set to +-0.0, or to +-1e-12,
-    # which parks them
+    # a branch-and-bound child starts from its parent's final state: the
+    # branched binary, basic at a fractional value, is left outside its new
+    # bounds for the dual phase to repair
     check = _ReseatCheck()
-    rng = np.random.default_rng(3)
-
-    def reseat(start, A, lo, hi):
-        D, xB, basis = start[:3]
-        art = basis >= A.shape[0] + A.shape[1]
-        if art.any():
-            resid = rng.choice([0.0, -0.0, 1e-12, -1e-12], xB.shape[0])
-            check((D, np.where(art, resid, xB)) + tuple(start[2:]), A, lo, hi)
-        return check(start, A, lo, hi)
-
-    monkeypatch.setattr(lp_module, "_warm_state", reseat)
+    monkeypatch.setattr(lp_module, "_warm_state", check)
     net, query = synth.ladder_member()
     verdict = verify(net, query)
     assert verdict.stats["lp_solves"] >= 100
     seen = check.seen
-    assert seen["kept"] >= 100 and seen["parked_art"] >= 100, seen
-    assert seen["parked_below"] >= 10 and seen["parked_above"] >= 10, seen
-
-
-def test_phase1_residuals_snap_so_children_park_none(monkeypatch):
-    # phase 1 stops once its artificials sum to at most STOP_SUM; those left
-    # basic at a positive residual are snapped to 0 before they freeze, so a
-    # branch-and-bound child finds them inside [0, 0] and gives none of the
-    # rows its branch leaves alone a fresh artificial
-    residual = {}  # id(xB) -> (xB, rows of artificials at a positive residual)
-
-    def kernel(D, z, xB, basis, nb, vstat, lo, hi, n_art_start, phase1, *rest):
-        status, iters = run_phase(D, z, xB, basis, nb, vstat, lo, hi, n_art_start, phase1, *rest)
-        rows = np.flatnonzero((basis >= n_art_start) & (xB > 0.0))
-        if phase1 and rows.shape[0]:
-            residual[id(xB)] = (xB, rows)
-        return status, iters
-
-    count = dict(children=0, rows=0, n_art=0)
-    reseat = lp_module._warm_state
-
-    def checked(start, A, lo, hi):
-        got, n_art = reseat(start, A, lo, hi)
-        D, xB, basis, nb = start[:4]
-        xB_rows = residual.get(id(xB))
-        if xB_rows is not None and xB_rows[0] is xB:
-            rows = xB_rows[1]
-            assert (xB[rows] == 0.0).all()
-            n = A.shape[1]
-            moved = np.isin(nb, np.flatnonzero((lo != start[5][:n]) | (hi != start[6][:n])))
-            untouched = rows[(D[rows][:, moved] == 0.0).all(axis=1)]
-            fresh = got[4].shape[0] - n_art  # the first fresh artificial
-            count["children"] += 1
-            count["rows"] += untouched.shape[0]
-            count["n_art"] += int((got[2][untouched] >= fresh).sum())
-        return got, n_art
-
-    monkeypatch.setattr(lp_module, "_warm_state", checked)
-    net, query = synth.ladder_member()
-    assert verify(net, query, kernel=kernel).status == "safe"
-    assert count["n_art"] == 0, count
-    assert count["children"] >= 50 and count["rows"] >= 50, count
+    assert seen["left_below"] >= 10 and seen["left_above"] >= 10, seen
 
 
 def test_format_lp_mentions_every_row():

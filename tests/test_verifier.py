@@ -270,15 +270,15 @@ def test_pick_branch_prefers_widest_violation():
 
 
 def test_branching_closes_wide_member_within_budget(monkeypatch):
-    # 24 unstable ReLUs: the violation-times-width rule closes the tree in 155
-    # nodes, branching on the binary nearest 0.5 needs 591
-    net, query = synth.ladder_member()
+    # 32 unstable ReLUs: the violation-times-width rule closes the tree in 377
+    # nodes, branching on the binary nearest 0.5 needs 5731
+    net, query = synth.ladder_member(32)
     bins = np.array(encode(net, query).binaries)
-    budget = Budget(max_nodes=200)
+    budget = Budget(max_nodes=1000)
 
     got = verify(net, query, budget=budget)
     assert got.status == oracles.milp_verify(net, query) == "safe"
-    assert 0 < got.stats["max_depth"] <= len(bins) == synth.LADDER_UNSTABLE
+    assert 0 < got.stats["max_depth"] <= len(bins) == 32
 
     def nearest_half(x, pre, post, width, fixed):
         dist = np.abs(x[bins] - 0.5)
