@@ -143,7 +143,8 @@ def main():
             row += f"{q['ext'][1] / q['py'][1]:>7.2f}x"
         print(row)
 
-    print("\nall kernel outcomes bitwise-identical")
+    if len(av) > 1:
+        print("\nall kernel outcomes bitwise-identical")
 
 
 if __name__ == "__main__":
