@@ -249,7 +249,7 @@ def test_run_phase_state_arrays_match_bitwise(av, dantzig_limit, tiny):
                     z[:] = cost[nb] - np.add.accumulate(P, axis=0)[-1]
                 limit = 10 * (D.shape[0] + arrays[5].shape[0]) if dantzig_limit is None else dantzig_limit
                 status, iters = kern(*arrays, phase, VIOL_TOL, limit, 50_000, 1e-7, tiny)
-                # the driver names the proof row with its own TINY
+                # solve_dense names the proof row with lp.TINY
                 infeasible = status == kernels.INFEASIBLE and tiny == 1e-11
                 proof = _proof_row(arrays[:1] + arrays[2:]) if infeasible else None
                 out[name] = (status, iters, proof, [a.tobytes() for a in arrays])
