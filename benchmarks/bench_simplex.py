@@ -8,10 +8,10 @@ branch-and-bound node does; the others add the primal phase 2.  A "-warm"
 class branches one variable of each LP away from its solution and re-solves
 that child from the parent's final state, as branch-and-bound does; the
 parents are solved outside the timed region.  Each class is timed
-``--repeat`` times per kernel, the kernels alternating, and the table gives
+``REPEAT`` times per kernel, the kernels alternating, and the table gives
 the median rate with its quartiles.
 
-    python3 benchmarks/bench_simplex.py [--count N] [--repeat R] [--seed S]
+    python3 benchmarks/bench_simplex.py [--count N] [--seed S]
 """
 
 import argparse
@@ -33,6 +33,8 @@ CLASSES = [
     ("feas", 40, 60, True, False),
     ("feas-warm", 40, 60, True, True),
 ]
+
+REPEAT = 5  # timed runs per class and kernel
 
 
 def random_instances(rng, n, m, count, feasibility):
@@ -96,7 +98,6 @@ def assert_identical(base, other):
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--count", type=int, default=150, help="LPs per size class")
-    ap.add_argument("--repeat", type=int, default=5, help="timed runs per class and kernel")
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
@@ -104,7 +105,7 @@ def main():
     print(f"kernels available: {', '.join(av)}  (active: {kernels.KERNEL_NAME})")
     if len(av) == 1:
         print("compiled kernel not built; timings cover the fallback only")
-    print(f"LPs per second: median [quartiles] of {args.repeat} runs of {args.count} LPs")
+    print(f"LPs per second: median [quartiles] of {REPEAT} runs of {args.count} LPs")
 
     rng = np.random.default_rng(args.seed)
     header = f"{'class':<10} {'size':<8} {'piv/LP':>7} " + "".join(f"{k:>24} " for k in av)
@@ -123,7 +124,7 @@ def main():
             else:
                 work[name] = instances, [None] * len(instances)
             rates[name] = []
-        for rep in range(args.repeat):
+        for rep in range(REPEAT):
             order = list(av) if rep % 2 == 0 else list(av)[::-1]
             for name in order:
                 dt, outs = run(av[name], *work[name])
