@@ -7,7 +7,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import intervals
 from .errors import EmptyDatasetError, ParseError, ShapeError
 from .jsonio import integer, read_json, write_json
 from .network import Dataset, Network, forward_batch
@@ -25,6 +24,7 @@ class InputBox:
         hi = np.asarray(self.hi, dtype=np.float64)
         if lo.shape != hi.shape or lo.ndim != 1:
             raise ShapeError("input box lo/hi must be vectors of equal length")
+        _refuse_bad_endpoints("input box", lo=lo, hi=hi)
         if (lo > hi).any():
             raise ShapeError("input box has lo > hi")
         object.__setattr__(self, "lo", lo)
@@ -35,13 +35,18 @@ class InputBox:
         return self.lo.shape[0]
 
 
-def _refuse_nan(**vectors: np.ndarray) -> None:
-    """ParseError naming the first NaN entry; a NaN bound compares false both
-    ways, so it would silently contain everything.  Infinities are bounds."""
+def _refuse_bad_endpoints(what: str, **vectors: np.ndarray) -> None:
+    """ParseError naming the first NaN entry, or the first infinity on the
+    wrong side (+inf in a vector named "*lo", -inf in one named "*hi").  A NaN
+    bound compares false both ways, so it would silently contain everything.
+    An infinity on its own side is a bound."""
     for name, v in vectors.items():
-        nan = np.flatnonzero(np.isnan(v))
-        if nan.size:
-            raise ParseError(f"bounds {name}[{nan[0]}] is NaN")
+        wrong = np.inf if name.endswith("lo") else -np.inf
+        bad = np.flatnonzero(np.isnan(v) | (v == wrong))
+        if bad.size:
+            x = v[bad[0]]
+            text = "NaN" if np.isnan(x) else f"{x:+}"
+            raise ParseError(f"{what} {name}[{bad[0]}] is {text}")
 
 
 @dataclass(frozen=True)
@@ -59,7 +64,7 @@ class ActivationBounds:
         hi = np.asarray(self.hi, dtype=np.float64)
         if lo.shape != hi.shape or lo.ndim != 1:
             raise ShapeError("bounds lo/hi must be vectors of equal length")
-        _refuse_nan(lo=lo, hi=hi)
+        _refuse_bad_endpoints("bounds", lo=lo, hi=hi)
         if (lo > hi).any():
             raise ShapeError("bounds have lo > hi")
         object.__setattr__(self, "lo", lo)
@@ -71,7 +76,7 @@ class ActivationBounds:
             dhi = np.asarray(self.diff_hi, dtype=np.float64)
             if dlo.shape != dhi.shape or dlo.shape != (lo.shape[0] - 1,):
                 raise ShapeError("diff bounds must have length d_l - 1")
-            _refuse_nan(diff_lo=dlo, diff_hi=dhi)
+            _refuse_bad_endpoints("bounds", diff_lo=dlo, diff_hi=dhi)
             if (dlo > dhi).any():
                 raise ShapeError("diff bounds have lo > hi")
             object.__setattr__(self, "diff_lo", dlo)
@@ -124,14 +129,16 @@ def dataset_bounds(
 
 
 def static_bounds(net: Network, box: InputBox, layer: int) -> ActivationBounds:
-    """Sound interval propagation of the input box to the cut position."""
+    """Interval propagation of the input box to the cut position."""
     if not 1 <= layer < net.depth:
         raise ShapeError(f"cut position {layer} outside [1, {net.depth})")
     if box.dim != net.input_dim:
         raise ShapeError(
             f"input box dim {box.dim} does not match network input dim {net.input_dim}"
         )
-    lo, hi = intervals.propagate(net, box.lo, box.hi, 0, layer)
+    lo, hi = box.lo, box.hi
+    for step in net.layers[:layer]:
+        lo, hi = step.propagate(lo, hi)
     return ActivationBounds(
         layer=layer, lo=lo, hi=hi, provenance="static", sample_count=0
     )

@@ -305,10 +305,7 @@ def main(argv: Optional[list] = None) -> int:
             parser.error("--box is only meaningful with --static")
     try:
         return args.func(args)
-    except (SafecutError, ValueError) as exc:
-        print(f"safecut: error: {exc}", file=sys.stderr)
-        return _EXIT_INPUT
-    except OSError as exc:
+    except (SafecutError, ValueError, OSError) as exc:
         print(f"safecut: error: {exc}", file=sys.stderr)
         return _EXIT_INPUT
 

@@ -29,7 +29,6 @@ from .errors import (
     UnboundedBigMError,
     UnsupportedLayerError,
 )
-from .intervals import propagate_layer
 from .jsonio import integer, read_json
 from .lp import REL_EQ, REL_GE, REL_LE, LinearProgram
 from .network import BatchNorm, Dense, Network, Relu
@@ -207,8 +206,8 @@ def _encode_layers(
     prefix: str,
     binaries: List[int],
     relus: List[ReluInfo],
-) -> Tuple[List[int], np.ndarray, np.ndarray]:
-    """Emit variables and rows for a Dense/Relu/BatchNorm stack."""
+) -> List[int]:
+    """Emit variables and rows for a Dense/Relu/BatchNorm stack; its output columns."""
     cols = list(in_cols)
     cur_lo, cur_hi = in_lo, in_hi
     for li, layer in enumerate(layers, start=1):
@@ -216,7 +215,7 @@ def _encode_layers(
             raise UnsupportedLayerError(
                 f"cannot encode layer type {type(layer).__name__}"
             )
-        out_lo, out_hi = propagate_layer(layer, cur_lo, cur_hi)
+        out_lo, out_hi = layer.propagate(cur_lo, cur_hi)
         if isinstance(layer, Dense):
             new_cols = []
             for k in range(layer.out_dim):
@@ -262,7 +261,7 @@ def _encode_layers(
                 new_cols.append(y)
             cols = new_cols
         cur_lo, cur_hi = out_lo, out_hi
-    return cols, cur_lo, cur_hi
+    return cols
 
 
 def encode(net: Network, query: SafetyQuery) -> MilpProblem:
@@ -299,12 +298,12 @@ def encode(net: Network, query: SafetyQuery) -> MilpProblem:
             diff_rows.append(bld.row(coeffs, REL_GE, float(query.bounds.diff_lo[j])))
 
     # (c)+(d) suffix layers after the cut
-    out_cols, _, _ = _encode_layers(
+    out_cols = _encode_layers(
         bld, net.layers[l:], cut_cols, box_lo, box_hi, "s", binaries, relus
     )
 
     # head shares the cut-layer variables only
-    head_cols, _, _ = _encode_layers(
+    head_cols = _encode_layers(
         bld, query.characterizer.head.layers, cut_cols, box_lo, box_hi, "h",
         binaries, relus,
     )

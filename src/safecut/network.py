@@ -1,4 +1,4 @@
-"""Feed-forward network representation and evaluation.
+"""Feed-forward network representation, evaluation and interval steps.
 
 Layer indexing convention: *position* l means "after layer l", so position 0
 is the network input and position L the final output.  ``forward(net, x, a, b)``
@@ -11,6 +11,11 @@ rather than one matrix-matrix product over the batch, whose blocking would
 change the last bits of a row with the batch it arrives in.  `forward` is
 `forward_batch` on one row, so a row's activation has the same bits alone,
 in any chunk of a stream, and in the batch a dataset envelope was built from.
+
+A layer's concrete and interval semantics sit together: beside `apply`, each
+layer's `propagate(lo, hi)` maps a box to the interval hull of its image.
+Bounds are rounded to nearest, not outward.  An infinite endpoint gives an
+infinite bound, never NaN: a zero weight or scale times it contributes 0.
 """
 
 from __future__ import annotations
@@ -23,6 +28,20 @@ import numpy as np
 
 from .errors import ParseError, ShapeError
 from .jsonio import integer, read_json, write_json
+
+
+def _dot(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """w @ x, except that a zero weight times an infinite entry contributes 0."""
+    if np.isfinite(x).all():
+        return w @ x
+    return (w * np.where(w == 0.0, 0.0, x)).sum(axis=1)
+
+
+def _times(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """a * x, except that a zero factor times an infinite entry gives 0."""
+    if np.isfinite(x).all():
+        return a * x
+    return a * np.where(a == 0.0, 0.0, x)
 
 
 @dataclass(frozen=True)
@@ -56,6 +75,13 @@ class Dense:
         """W @ row + b for a vector or for each row of a batch, one gemv per row."""
         return np.matmul(self.weights, x[..., None])[..., 0] + self.bias
 
+    def propagate(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Interval image of [lo, hi] via sign-split weights: exact for boxes."""
+        wp = np.maximum(self.weights, 0.0)
+        wn = np.minimum(self.weights, 0.0)
+        return (_dot(wp, lo) + _dot(wn, hi) + self.bias,
+                _dot(wp, hi) + _dot(wn, lo) + self.bias)
+
 
 @dataclass(frozen=True)
 class Relu:
@@ -75,6 +101,9 @@ class Relu:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return np.maximum(x, 0.0)
+
+    def propagate(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return np.maximum(lo, 0.0), np.maximum(hi, 0.0)
 
 
 @dataclass(frozen=True)
@@ -122,6 +151,13 @@ class BatchNorm:
     def apply(self, x: np.ndarray) -> np.ndarray:
         a, c = self.affine()
         return a * x + c
+
+    def propagate(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-channel affine map; the endpoint images bracket the output."""
+        a, c = self.affine()
+        lo_img = _times(a, lo) + c
+        hi_img = _times(a, hi) + c
+        return np.minimum(lo_img, hi_img), np.maximum(lo_img, hi_img)
 
 
 Layer = Union[Dense, Relu, BatchNorm]

@@ -27,7 +27,7 @@ from safecut.lp import (
 from safecut.network import BatchNorm, Dense, Relu
 
 # ---------------------------------------------------------------------------
-# interval arithmetic (restated, not imported from safecut.intervals)
+# interval arithmetic (restated, not the layers' own `propagate`)
 
 
 def interval_trail(layers, lo, hi):

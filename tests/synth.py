@@ -173,6 +173,14 @@ def random_full_network(rng):
     return net, box_lo, box_hi
 
 
+def random_batchnorm_network(rng):
+    """A `random_full_network` draw that includes a BatchNorm layer."""
+    while True:
+        net, box_lo, box_hi = random_full_network(rng)
+        if any(isinstance(layer, BatchNorm) for layer in net.layers):
+            return net, box_lo, box_hi
+
+
 WIDE_CUT = 3
 
 

@@ -15,6 +15,7 @@ from safecut.bounds import (
 from safecut.errors import EmptyDatasetError, ParseError, ShapeError
 from safecut.network import Dataset, Dense, Network, forward, forward_batch
 
+import oracles
 import synth
 
 
@@ -64,6 +65,43 @@ def test_static_bounds_sound_monte_carlo():
         xs = rng.uniform(lo, hi, size=(2000, len(lo)))
         acts = forward_batch(net, xs, 0, cut)
         assert (acts >= b.lo - 1e-12).all() and (acts <= b.hi + 1e-12).all()
+
+
+def test_static_bounds_keep_the_oracle_bits():
+    # each layer's `propagate`, chained or through static_bounds, gives the
+    # bytes of the oracle's restated interval arithmetic, BatchNorm included
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        net, lo, hi = synth.random_batchnorm_network(rng)
+        trail = oracles.interval_trail(net.layers, lo, hi)
+        step_lo, step_hi = lo, hi
+        for position, layer in enumerate(net.layers, start=1):
+            step_lo, step_hi = layer.propagate(step_lo, step_hi)
+            assert step_lo.tobytes() == trail[position][0].tobytes()
+            assert step_hi.tobytes() == trail[position][1].tobytes()
+        for cut in range(1, net.depth):
+            b = static_bounds(net, InputBox(lo=lo, hi=hi), layer=cut)
+            assert b.lo.tobytes() == trail[cut][0].tobytes()
+            assert b.hi.tobytes() == trail[cut][1].tobytes()
+
+
+def test_static_bounds_of_an_infinite_box(tiny_net):
+    box = InputBox(lo=np.full(2, -np.inf), hi=np.full(2, np.inf))
+    with np.errstate(all="raise"):
+        b = static_bounds(tiny_net, box, layer=2)  # dense, then relu
+    assert b.lo.tolist() == [0.0] * 3 and b.hi.tolist() == [np.inf] * 3
+
+
+@pytest.mark.parametrize("lo, hi, message", [
+    (np.nan, 1.0, r"input box lo\[0\] is NaN"),
+    (0.0, np.nan, r"input box hi\[0\] is NaN"),
+    (np.inf, np.inf, r"input box lo\[0\] is \+inf"),
+    (-np.inf, -np.inf, r"input box hi\[0\] is -inf"),
+])
+def test_input_box_refuses_nan_and_wrong_side_inf(lo, hi, message):
+    with pytest.raises(ParseError, match=message):
+        InputBox(lo=np.array([lo, 0.0]), hi=np.array([hi, 1.0]))
+    assert InputBox(lo=np.array([-np.inf, 0.0]), hi=np.array([np.inf, 1.0])).dim == 2
 
 
 def test_static_dominates_dataset(tiny_net):
@@ -144,6 +182,17 @@ def test_bounds_refuse_nan_accept_inf(field):
         ActivationBounds(layer=1, **vectors)
     vectors[field][1] = -np.inf if field.endswith("lo") else np.inf
     assert ActivationBounds(layer=1, **vectors).dim == 3
+
+
+@pytest.mark.parametrize("field", ["lo", "hi", "diff_lo", "diff_hi"])
+def test_bounds_refuse_wrong_side_inf(field):
+    vectors = {"lo": np.zeros(3), "hi": np.ones(3),
+               "diff_lo": -np.ones(2), "diff_hi": np.ones(2)}
+    lower = field.endswith("lo")
+    vectors[field][1] = np.inf if lower else -np.inf
+    sign = r"\+" if lower else "-"
+    with pytest.raises(ParseError, match=rf"bounds {field}\[1\] is {sign}inf"):
+        ActivationBounds(layer=1, **vectors)
 
 
 def test_bounds_json_roundtrip(tmp_path, tiny_net):

@@ -459,6 +459,39 @@ def test_monitor_and_verify_refuse_nan_envelope(tiny_path, tmp_path):
     assert not (tmp_path / "v.json").exists()
 
 
+def test_infinite_box_gives_infinite_envelope_that_verify_refuses(tiny_path, tmp_path):
+    r = run_cli(["bounds", tiny_path, "b.json", "--static", "--box=-inf,inf", "--layer", 1],
+                tmp_path)
+    assert r.returncode == 0 and r.stderr == "", r.stderr
+    b = load_bounds(str(tmp_path / "b.json"))
+    assert b.lo.tolist() == [-np.inf] * 3 and b.hi.tolist() == [np.inf] * 3
+    head = {
+        "property_id": "p", "decision_rule": "logit_ge_zero", "achieved_accuracy": 1.0,
+        "network": {"input_dim": 3, "layers": [
+            {"type": "dense", "weights": [[1.0, 0.0, 0.0]], "bias": [0.0]}]},
+    }
+    (tmp_path / "q.json").write_text(json.dumps({
+        "cut_layer": 1, "bounds": "b.json", "characterizer": head,
+        "risk": [{"coeffs": [1.0, 0.0], "op": ">=", "rhs": 5.0}],
+    }))
+    r = run_cli(["verify", tiny_path, "q.json", "v.json"], tmp_path)
+    assert r.returncode == 2, r.stderr
+    assert "ReLU s1_0 has unbounded pre-activation interval [-inf, inf]" in r.stderr
+    assert not (tmp_path / "v.json").exists()
+
+
+@pytest.mark.parametrize("box, message", [
+    ("nan,1", "input box lo[0] is NaN"),
+    ("inf,inf", "input box lo[0] is +inf"),
+    ("-inf,-inf", "input box hi[0] is -inf"),
+])
+def test_bad_box_endpoint_is_input_error(tiny_path, tmp_path, box, message):
+    r = run_cli(["bounds", tiny_path, "b.json", "--static", f"--box={box}", "--layer", 1],
+                tmp_path)
+    assert r.returncode == 2 and message in r.stderr, r.stderr
+    assert not (tmp_path / "b.json").exists()
+
+
 def test_monitor_reports_each_row_before_the_next_arrives(workdir):
     proc = subprocess.Popen(
         [sys.executable, "-m", "safecut.cli", "monitor", "net.json", "bounds.json"],

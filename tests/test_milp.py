@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from safecut.bounds import ActivationBounds
+from safecut.bounds import ActivationBounds, InputBox, static_bounds
 from safecut.characterizer import Characterizer
 from safecut.errors import (
     ParseError,
@@ -20,6 +20,9 @@ from safecut.milp import (
 )
 from safecut.lp import format_lp
 from safecut.network import Dense, Network, Relu
+
+import oracles
+import synth
 
 
 def _rows(lp):
@@ -110,6 +113,49 @@ def test_unbounded_preactivation_refused():
     net = _relu_net(1)
     with pytest.raises(UnboundedBigMError):
         encode(net, _query(net, [-np.inf], [np.inf]))
+
+
+def _oracle_pre_relu(layers, lo, hi):
+    """(xlo, xhi) of every ReLU neuron of `layers`, from the oracle's trail."""
+    trail = oracles.interval_trail(layers, lo, hi)
+    return [
+        (trail[i][0][k], trail[i][1][k])
+        for i, layer in enumerate(layers) if isinstance(layer, Relu)
+        for k in range(layer.dimension)
+    ]
+
+
+def test_relu_intervals_keep_the_oracle_bits():
+    # the suffix holds BatchNorm and ReLU layers from cut 1 on, the head a
+    # ReLU; every ReluInfo carries the bytes of the oracle's pre-activation
+    # interval
+    rng = np.random.default_rng(19)
+    for _ in range(10):
+        net, lo, hi = synth.random_batchnorm_network(rng)
+        for cut in range(1, net.depth):
+            bounds = static_bounds(net, InputBox(lo=lo, hi=hi), layer=cut)
+            d = bounds.dim
+            head = Network(
+                layers=(
+                    Dense(weights=rng.normal(size=(3, d)), bias=rng.normal(size=3)),
+                    Relu(dimension=3),
+                    Dense(weights=rng.normal(size=(1, 3)), bias=np.zeros(1)),
+                ),
+                input_dim=d,
+            )
+            query = SafetyQuery(
+                cut_layer=cut,
+                bounds=bounds,
+                characterizer=Characterizer(head=head, property_id="p", achieved_accuracy=1.0),
+                risk=RiskCondition(clauses=(
+                    RiskClause(coeffs=np.ones(net.dim_at(net.depth)), op=">=", rhs=0.0),
+                )),
+            )
+            prob = encode(net, query)
+            want = (_oracle_pre_relu(net.layers[cut:], bounds.lo, bounds.hi)
+                    + _oracle_pre_relu(head.layers, bounds.lo, bounds.hi))
+            got = [(info.xlo, info.xhi) for info in prob.relus]
+            assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 def test_diff_rows_present_and_box_as_variable_bounds():

@@ -102,6 +102,31 @@ def test_batchnorm_matches_textbook_formula():
     assert np.allclose(a * x + c, want, atol=1e-12)
 
 
+def test_infinite_endpoints_give_infinite_bounds_never_nan():
+    # a zero weight or a zero scale times an infinite endpoint contributes 0
+    dense = Dense(
+        weights=np.array([[1.0, 0.0], [0.0, 3.0], [0.0, 0.0], [-2.0, 1.0]]),
+        bias=np.array([0.5, 0.0, 1.0, 0.0]),
+    )
+    # epsilon 0.25 and variance 0 make a = 2 * scale exactly
+    bn = BatchNorm(
+        scale=np.array([0.0, 1.0, -1.0]),
+        offset=np.array([1.0, 0.0, 0.0]),
+        mean=np.zeros(3),
+        variance=np.zeros(3),
+        epsilon=0.25,
+    )
+    with np.errstate(all="raise"):
+        lo, hi = dense.propagate(np.array([-np.inf, -1.0]), np.array([np.inf, 2.0]))
+        assert lo.tolist() == [-np.inf, -3.0, 1.0, -np.inf]
+        assert hi.tolist() == [np.inf, 6.0, 1.0, np.inf]
+        lo, hi = bn.propagate(np.array([-np.inf, -np.inf, 1.0]), np.array([np.inf, 3.0, np.inf]))
+        assert lo.tolist() == [1.0, -np.inf, -np.inf]
+        assert hi.tolist() == [1.0, 6.0, -2.0]
+        lo, hi = Relu(dimension=2).propagate(np.array([-np.inf, 1.0]), np.array([-1.0, np.inf]))
+        assert lo.tolist() == [0.0, 1.0] and hi.tolist() == [0.0, np.inf]
+
+
 def test_dim_at_and_suffix(tiny_net):
     assert [tiny_net.dim_at(p) for p in range(4)] == [2, 3, 3, 2]
     suf = tiny_net.suffix(2)
