@@ -1,4 +1,8 @@
-"""Cut-layer bound sets: dataset envelopes and static interval bounds."""
+"""Cut-layer bound sets: dataset envelopes and static interval bounds.
+
+The containment test against a bound set is `monitor.violations`, which the
+runtime monitor and the verifier's witness replay share.
+"""
 
 from __future__ import annotations
 
@@ -92,6 +96,12 @@ class ActivationBounds:
     def has_diffs(self) -> bool:
         return self.diff_lo is not None
 
+    def check_fits(self, net: Network) -> None:
+        """ShapeError unless `net` has a cut at `layer` of dimension `dim`."""
+        d = net.cut_dim(self.layer)
+        if self.dim != d:
+            raise ShapeError(f"bounds dim {self.dim} does not match cut-layer dim {d}")
+
 
 def dataset_bounds(
     net: Network, data: Dataset, layer: int, with_diffs: bool = True
@@ -99,9 +109,7 @@ def dataset_bounds(
     """Envelope of cut-layer activations over the dataset (streaming min/max)."""
     if len(data) == 0:
         raise EmptyDatasetError("dataset_bounds needs at least one sample")
-    if not 1 <= layer < net.depth:
-        raise ShapeError(f"cut position {layer} outside [1, {net.depth})")
-    d = net.dim_at(layer)
+    d = net.cut_dim(layer)
     lo = np.full(d, np.inf)
     hi = np.full(d, -np.inf)
     want_diffs = with_diffs and d >= 2
@@ -130,8 +138,7 @@ def dataset_bounds(
 
 def static_bounds(net: Network, box: InputBox, layer: int) -> ActivationBounds:
     """Interval propagation of the input box to the cut position."""
-    if not 1 <= layer < net.depth:
-        raise ShapeError(f"cut position {layer} outside [1, {net.depth})")
+    net.cut_dim(layer)
     if box.dim != net.input_dim:
         raise ShapeError(
             f"input box dim {box.dim} does not match network input dim {net.input_dim}"
@@ -164,42 +171,6 @@ def widen(bounds: ActivationBounds, margin: float) -> ActivationBounds:
         provenance=bounds.provenance,
         sample_count=bounds.sample_count,
     )
-
-
-def violation_masks(bounds: ActivationBounds, acts: np.ndarray, tol: float = 0.0) -> tuple:
-    """The containment test, on a batch of activations (n, d_l).
-
-    Returns ``(box, diff)``: ``box[r, i]`` marks ``acts[r, i]`` outside
-    ``[lo[i] - tol, hi[i] + tol]``, and ``diff[r, i]`` marks the adjacent
-    difference ``acts[r, i+1] - acts[r, i]`` outside the diff bounds widened
-    by ``tol`` (``diff`` is None for bounds without diffs).  NaN is outside
-    every interval.
-    """
-    if acts.ndim != 2 or acts.shape[1:] != bounds.lo.shape:
-        raise ShapeError(
-            f"activation batch shape {acts.shape} does not match bounds dim {bounds.lo.shape}"
-        )
-    box = ~((acts >= bounds.lo - tol) & (acts <= bounds.hi + tol))
-    if not bounds.has_diffs:
-        return box, None
-    d = np.diff(acts, axis=1)
-    return box, ~((d >= bounds.diff_lo - tol) & (d <= bounds.diff_hi + tol))
-
-
-def as_activation(bounds: ActivationBounds, activation) -> np.ndarray:
-    """`activation` as a float vector of the bounds' dimension, or ShapeError."""
-    v = np.asarray(activation, dtype=np.float64)
-    if v.shape != bounds.lo.shape:
-        raise ShapeError(
-            f"activation dim {v.shape} does not match bounds dim {bounds.lo.shape}"
-        )
-    return v
-
-
-def contains(bounds: ActivationBounds, activation: np.ndarray, tol: float = 0.0) -> bool:
-    """Membership test used by the monitor; tol allows a numeric skin."""
-    box, diff = violation_masks(bounds, as_activation(bounds, activation)[None, :], tol)
-    return not (box.any() or (diff is not None and diff.any()))
 
 
 # ---------------------------------------------------------------------------

@@ -82,8 +82,7 @@ def extract_features(net: Network, data: Dataset, layer: int) -> Dataset:
     """Map labeled inputs to (f^(layer)(in), label) pairs."""
     if data.labels is None:
         raise UnlabeledDataError("feature extraction needs labeled data")
-    if not 1 <= layer < net.depth:
-        raise ShapeError(f"cut position {layer} outside [1, {net.depth})")
+    net.cut_dim(layer)
     feats = forward_batch(net, data.inputs, 0, layer)
     return Dataset(feats, data.labels)
 

@@ -173,7 +173,7 @@ def _monitor_chunk(net, b, lines: list, args: argparse.Namespace, first_id: int)
         if bad is None:
             out.append(_CONTAINED_LINE % (first_id + k))
         else:
-            report = monitor_mod.MonitorReport(contained=False, violations=bad)
+            report = monitor_mod.MonitorReport(bad)
             out.append(_report_line(report, first_id + k))
     return "".join(out)
 
@@ -181,6 +181,7 @@ def _monitor_chunk(net, b, lines: list, args: argparse.Namespace, first_id: int)
 def cmd_monitor(args: argparse.Namespace) -> int:
     net = load_network(args.network)
     b = bounds_mod.load_bounds(args.bounds)
+    b.check_fits(net)
     stdin = sys.stdin.buffer
     first_id = 0
     pending = b""

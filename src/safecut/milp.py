@@ -267,13 +267,8 @@ def _encode_layers(
 def encode(net: Network, query: SafetyQuery) -> MilpProblem:
     """Build the feasibility MILP: bounds ∧ h=1 ∧ risk, over suffix + head."""
     l = query.cut_layer
-    if not 1 <= l < net.depth:
-        raise ShapeError(f"cut position {l} outside [1, {net.depth})")
-    d_l = net.dim_at(l)
-    if query.bounds.dim != d_l:
-        raise ShapeError(
-            f"bounds dim {query.bounds.dim} does not match cut-layer dim {d_l}"
-        )
+    query.bounds.check_fits(net)
+    d_l = query.bounds.dim
     d_out = net.dim_at(net.depth)
     if query.risk.out_dim != d_out:
         raise ShapeError(

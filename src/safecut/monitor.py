@@ -3,11 +3,12 @@
 Proofs done under a dataset envelope hold only while every runtime
 activation stays inside it.  `violations` is the one containment test: it
 takes a batch of activations (n, d_l), masks box and adjacent-difference
-violations for all rows at once (`bounds.violation_masks`), and builds
-`Violation` records only for the rows outside.  `check` is that test on one
-activation; `monitor_stream` drives it over a stream of network inputs one
-row at a time (so it never waits on a live iterator), surviving malformed
-rows; `safecut monitor` runs it over stdin a chunk of rows at a time.
+violations for all rows at once, and builds `Violation` records only for
+the rows outside.  `check` is that test on one activation and
+`check_containment` its boolean, which the verifier's witness replay uses;
+`monitor_stream` drives `check` over a stream of network inputs one row at a
+time (so it never waits on a live iterator), surviving malformed rows;
+`safecut monitor` runs `violations` over stdin a chunk of rows at a time.
 Activations come from the row-exact forward pass, so a row of the dataset
 an envelope was built from is contained at tolerance 0.
 """
@@ -19,7 +20,7 @@ from typing import Dict, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .bounds import ActivationBounds, as_activation, violation_masks
+from .bounds import ActivationBounds
 from .errors import ShapeError
 from .network import Network, forward
 
@@ -35,14 +36,12 @@ class Violation:
 
 @dataclass(frozen=True)
 class MonitorReport:
-    contained: bool
     violations: tuple
     sample_id: str = ""
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "violations", tuple(self.violations))
-        if self.contained != (len(self.violations) == 0):
-            raise ValueError("contained must hold exactly when violations is empty")
+    @property
+    def contained(self) -> bool:
+        return not self.violations
 
 
 @dataclass(frozen=True)
@@ -57,13 +56,23 @@ def violations(
     """Every box/diff violation beyond `tolerance` of each row of `acts` (n, d_l).
 
     Maps each row outside the envelope to its violations (box by index, then
-    diff by index); contained rows are absent.
+    diff by index); contained rows are absent.  A row is outside when an
+    entry leaves ``[lo - tolerance, hi + tolerance]`` or an adjacent
+    difference ``acts[r, i+1] - acts[r, i]`` leaves the diff bounds widened
+    the same way; NaN is outside every interval.
     """
     if tolerance < 0:
         raise ValueError("tolerance must be >= 0")
-    box, diff = violation_masks(bounds, acts, tolerance)
+    if acts.shape[1:] != bounds.lo.shape:
+        raise ShapeError(
+            f"activation dim {acts.shape[1:]} does not match bounds dim {bounds.lo.shape}"
+        )
+    box = ~((acts >= bounds.lo - tolerance) & (acts <= bounds.hi + tolerance))
     bad = box.any(axis=1)
-    if diff is not None:
+    diff = None
+    if bounds.has_diffs:
+        d = np.diff(acts, axis=1)
+        diff = ~((d >= bounds.diff_lo - tolerance) & (d <= bounds.diff_hi + tolerance))
         bad |= diff.any(axis=1)
     out = {}
     for r in np.flatnonzero(bad).tolist():
@@ -91,18 +100,16 @@ def check(
     sample_id: str = "",
 ) -> MonitorReport:
     """List every box/diff violation beyond `tolerance` (all, not just first)."""
-    if tolerance < 0:
-        raise ValueError("tolerance must be >= 0")
-    v = as_activation(bounds, activation)
-    found = violations(bounds, v[None, :], tolerance).get(0, ())
-    return MonitorReport(contained=not found, violations=found, sample_id=sample_id)
+    found = violations(bounds, np.asarray(activation, dtype=np.float64)[None], tolerance)
+    return MonitorReport(found.get(0, ()), sample_id)
 
 
-# check_containment is the boolean convenience used by the public API
 def check_containment(
     bounds: ActivationBounds, activation: Sequence[float], tolerance: float = 0.0
 ) -> bool:
-    return check(bounds, activation, tolerance).contained
+    """`violations` on one row, as a bool; not through `check`, so that a
+    witness replay does not count as a monitored row."""
+    return not violations(bounds, np.asarray(activation, dtype=np.float64)[None], tolerance)
 
 
 def monitor_stream(

@@ -16,6 +16,9 @@ A layer's concrete and interval semantics sit together: beside `apply`, each
 layer's `propagate(lo, hi)` maps a box to the interval hull of its image.
 Bounds are rounded to nearest, not outward.  An infinite endpoint gives an
 infinite bound, never NaN: a zero weight or scale times it contributes 0.
+A step that overflows warns nothing and stays sound: a lower bound that comes
+out NaN or +inf becomes -inf, an upper one that comes out NaN or -inf becomes
++inf.  Every finite bound keeps its bits.
 """
 
 from __future__ import annotations
@@ -42,6 +45,13 @@ def _times(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     if np.isfinite(x).all():
         return a * x
     return a * np.where(a == 0.0, 0.0, x)
+
+
+def _loosen(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """An overflowed bound (NaN, or infinite on the wrong side) made infinite
+    on its own side: only looser, so still sound."""
+    return (np.where(np.isnan(lo) | (lo == np.inf), -np.inf, lo),
+            np.where(np.isnan(hi) | (hi == -np.inf), np.inf, hi))
 
 
 @dataclass(frozen=True)
@@ -75,12 +85,13 @@ class Dense:
         """W @ row + b for a vector or for each row of a batch, one gemv per row."""
         return np.matmul(self.weights, x[..., None])[..., 0] + self.bias
 
+    @np.errstate(over="ignore", invalid="ignore")
     def propagate(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Interval image of [lo, hi] via sign-split weights: exact for boxes."""
         wp = np.maximum(self.weights, 0.0)
         wn = np.minimum(self.weights, 0.0)
-        return (_dot(wp, lo) + _dot(wn, hi) + self.bias,
-                _dot(wp, hi) + _dot(wn, lo) + self.bias)
+        return _loosen(_dot(wp, lo) + _dot(wn, hi) + self.bias,
+                       _dot(wp, hi) + _dot(wn, lo) + self.bias)
 
 
 @dataclass(frozen=True)
@@ -152,12 +163,13 @@ class BatchNorm:
         a, c = self.affine()
         return a * x + c
 
+    @np.errstate(over="ignore", invalid="ignore")
     def propagate(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-channel affine map; the endpoint images bracket the output."""
         a, c = self.affine()
         lo_img = _times(a, lo) + c
         hi_img = _times(a, hi) + c
-        return np.minimum(lo_img, hi_img), np.maximum(lo_img, hi_img)
+        return _loosen(np.minimum(lo_img, hi_img), np.maximum(lo_img, hi_img))
 
 
 Layer = Union[Dense, Relu, BatchNorm]
@@ -194,6 +206,13 @@ class Network:
         if position == 0:
             return self.input_dim
         return self.layers[position - 1].out_dim
+
+    def cut_dim(self, position: int) -> int:
+        """Dimension at cut position l, which must lie in [1, depth): a cut
+        splits the network into a nonempty prefix and a nonempty suffix."""
+        if not 1 <= position < self.depth:
+            raise ShapeError(f"cut position {position} outside [1, {self.depth})")
+        return self.dim_at(position)
 
     def suffix(self, from_layer: int) -> "Network":
         """Sub-network of layers from_layer+1 .. depth."""

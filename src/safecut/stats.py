@@ -65,6 +65,7 @@ def estimate_confusion(
         raise UnlabeledDataError("confusion estimation needs labeled data")
     if len(eval_data) == 0:
         raise EmptyDatasetError("confusion estimation needs at least one sample")
+    net.cut_dim(layer)
     feats = forward_batch(net, eval_data.inputs, 0, layer)
     logits = forward_batch(h.head, feats)[:, 0]
     pred = (logits >= 0.0).astype(np.int64)
@@ -115,6 +116,7 @@ def check_premise(
     """
     if data.labels is None:
         raise UnlabeledDataError("premise check needs labeled data")
+    net.cut_dim(layer)
     feats = forward_batch(net, data.inputs, 0, layer)
     logits = forward_batch(h.head, feats)[:, 0]
     omitted = (data.labels == 1) & (logits < 0.0)

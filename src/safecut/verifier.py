@@ -38,11 +38,11 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .bounds import contains
 from .characterizer import decide
-from .errors import NumericalBreakdownError, ShapeError
+from .errors import NumericalBreakdownError
 from .lp import INFEASIBLE, OPTIMAL, LpOutcome, solve_dense
 from .milp import INTEGRALITY_TOL, MilpProblem, SafetyQuery, encode
+from .monitor import check_containment
 from .network import Network, forward
 
 SAFE = "safe"
@@ -76,15 +76,16 @@ class Verdict:
 def replay_witness(
     net: Network, query: SafetyQuery, witness, tol: float = WITNESS_TOL
 ) -> dict:
-    """Recompute the three membership facts independently of the solver."""
+    """Recompute the three membership facts independently of the solver.
+
+    ``in_bounds`` is the monitor's own `check_containment` at `tol`, box and
+    difference bounds alike.  A witness of the wrong shape raises ShapeError
+    and a negative `tol` ValueError.
+    """
     w = np.asarray(witness, dtype=np.float64)
-    if w.shape != (query.bounds.dim,):
-        raise ShapeError(
-            f"witness shape {w.shape} does not match cut dim {query.bounds.dim}"
-        )
     output = forward(net, w, query.cut_layer, net.depth)
     return {
-        "in_bounds": contains(query.bounds, w, tol),
+        "in_bounds": check_containment(query.bounds, w, tol),
         "characterizer": decide(query.characterizer, w),
         "risk_satisfied": query.risk.holds_relaxed(output, tol),
         "output": output,

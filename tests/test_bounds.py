@@ -5,7 +5,6 @@ from safecut.bounds import (
     ActivationBounds,
     InputBox,
     bounds_to_obj,
-    contains,
     dataset_bounds,
     load_bounds,
     save_bounds,
@@ -13,6 +12,7 @@ from safecut.bounds import (
     widen,
 )
 from safecut.errors import EmptyDatasetError, ParseError, ShapeError
+from safecut.monitor import check_containment
 from safecut.network import Dataset, Dense, Network, forward, forward_batch
 
 import oracles
@@ -53,7 +53,7 @@ def test_dataset_bounds_contain_their_samples(tiny_net):
     ds = Dataset(inputs=rng.uniform(-2, 2, size=(500, 2)))
     b = dataset_bounds(tiny_net, ds, layer=2)
     acts = forward_batch(tiny_net, ds.inputs, 0, 2)
-    assert all(contains(b, a, tol=0.0) for a in acts)
+    assert all(check_containment(b, a, 0.0) for a in acts)
 
 
 def test_static_bounds_sound_monte_carlo():
@@ -152,10 +152,10 @@ def test_contains_checks_diffs_too():
         diff_lo=np.array([-0.5]),
         diff_hi=np.array([0.5]),
     )
-    assert contains(b, np.array([1.0, 1.2]))
-    assert not contains(b, np.array([0.0, 2.0]))  # box ok, diff 2.0 too big
-    assert not contains(b, np.array([3.0, 3.0]))
-    assert contains(b, np.array([0.0, 0.6]), tol=0.1)
+    assert check_containment(b, np.array([1.0, 1.2]))
+    assert not check_containment(b, np.array([0.0, 2.0]))  # box ok, diff 2.0 too big
+    assert not check_containment(b, np.array([3.0, 3.0]))
+    assert check_containment(b, np.array([0.0, 0.6]), 0.1)
 
 
 def test_bounds_validation():

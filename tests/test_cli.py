@@ -601,3 +601,66 @@ def test_debug_lp_dump(workdir, tmp_path):
         for j, (lo, hi) in enumerate(zip(prob.lp.lo, prob.lp.hi))
     ]
     assert lp_lines[-1].split() == ["binaries"] + [prob.lp.name_of(j) for j in prob.binaries]
+
+
+@pytest.fixture(scope="session")
+def net222(workdir):
+    """workdir's network with a 2-unit output, which the layer-1 head would also read."""
+    net = Network(
+        layers=(
+            Dense(weights=np.eye(2), bias=np.zeros(2)),
+            Relu(dimension=2),
+            Dense(weights=np.array([[1.0, 1.0], [1.0, -1.0]]), bias=np.zeros(2)),
+        ),
+        input_dim=2,
+    )
+    save_network(net, str(workdir / "net222.json"))
+    return "net222.json"
+
+
+@pytest.mark.parametrize("layer", [0, 3])
+def test_stats_refuses_a_layer_that_is_no_cut(workdir, net222, layer):
+    r = run_cli(["stats", net222, "head.json", "data.csv", "--layer", layer], workdir)
+    assert r.returncode == 2 and r.stdout == ""
+    assert f"cut position {layer} outside [1, 3)" in r.stderr, r.stderr
+
+
+def _lengthen(b):
+    for key in ("lo", "hi", "diff_lo", "diff_hi"):
+        b[key].append(b[key][-1])
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda b: b.update(layer=3), "cut position 3 outside [1, 3)"),
+    (lambda b: b.update(layer=0), "cut position 0 outside [1, 3)"),
+    (_lengthen, "bounds dim 3 does not match cut-layer dim 2"),
+], ids=["output", "input", "too-long"])
+def test_monitor_refuses_bounds_that_do_not_fit_the_network(
+    workdir, net222, tmp_path, edit, message
+):
+    b = json.loads((workdir / "bounds.json").read_text())
+    edit(b)
+    (tmp_path / "b.json").write_text(json.dumps(b))
+    r = run_cli(["monitor", net222, str(tmp_path / "b.json")], workdir,
+                stdin_text="0.5,0.5\n0.1,0.2\n")
+    assert r.returncode == 2 and r.stdout == ""
+    assert message in r.stderr, r.stderr
+
+
+@pytest.mark.parametrize("weights, box, lo, hi", [
+    ([[1.0, 1.0, -1.0, -1.0]], "-1e308,-1e308", [-np.inf], [np.inf]),
+    ([[1.0, 0.0], [0.0, 1.0], [1.0, -1.0]], "-1e308,1e308",
+     [-1e308, -1e308, -np.inf], [1e308, 1e308, np.inf]),
+], ids=["nan", "tiny"])
+def test_overflowing_static_bounds_are_sound_and_silent(tmp_path, weights, box, lo, hi):
+    w = np.array(weights)
+    net = Network(
+        layers=(Dense(weights=w, bias=np.zeros(w.shape[0])), Relu(dimension=w.shape[0])),
+        input_dim=w.shape[1],
+    )
+    save_network(net, str(tmp_path / "net.json"))
+    r = run_cli(["bounds", "net.json", "b.json", "--static", f"--box={box}", "--layer", 1],
+                tmp_path)
+    assert r.returncode == 0 and r.stderr == "", r.stderr
+    b = load_bounds(str(tmp_path / "b.json"))
+    assert b.lo.tolist() == lo and b.hi.tolist() == hi

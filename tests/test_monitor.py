@@ -232,6 +232,8 @@ def test_report_to_obj_round_trip_fields():
     assert err == {"sample_id": "3", "error": "bad row"}
 
 
-def test_monitor_report_invariant_enforced():
-    with pytest.raises(ValueError):
-        MonitorReport(contained=True, violations=(object(),))
+def test_monitor_report_contained_is_derived_from_violations():
+    outside = Violation("box", 0, 0.7, -0.1, 0.6)
+    assert MonitorReport(()).contained is True
+    assert MonitorReport((outside,), "s1").contained is False
+    assert check(_scalar_bounds(), [0.7]).violations == (outside,)

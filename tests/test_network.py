@@ -1,9 +1,10 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from safecut.bounds import load_bounds
+from safecut.bounds import InputBox, load_bounds, static_bounds
 from safecut.characterizer import load_characterizer
 from safecut.errors import ParseError, ShapeError
 from safecut.milp import load_query
@@ -125,6 +126,45 @@ def test_infinite_endpoints_give_infinite_bounds_never_nan():
         assert hi.tolist() == [1.0, 6.0, -2.0]
         lo, hi = Relu(dimension=2).propagate(np.array([-np.inf, 1.0]), np.array([-1.0, np.inf]))
         assert lo.tolist() == [0.0, 1.0] and hi.tolist() == [0.0, np.inf]
+
+
+def test_overflowing_dense_step_loosens_to_infinity():
+    # 1e308 + 1e308 overflows: lo would come out +inf although the image is 1e308
+    box = np.full(3, 1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lo, hi = Dense(weights=np.array([[1.0, 1.0, -1.0]]), bias=np.zeros(1)).propagate(box, box)
+    assert lo.tolist() == [-np.inf] and hi.tolist() == [np.inf]
+
+
+def test_overflow_into_nan_loosens_to_infinity():
+    # -inf + inf in both bounds: NaN, which would contain nothing
+    dense = Dense(weights=np.array([[1.0, 1.0, -1.0, -1.0]]), bias=np.zeros(1))
+    box = np.full(4, -1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lo, hi = dense.propagate(box, box)
+    assert lo.tolist() == [-np.inf] and hi.tolist() == [np.inf]
+
+
+def test_overflowing_batchnorm_step_loosens_to_infinity():
+    # a = 4, so 4 * 1e308 overflows to +inf in both endpoint images
+    bn = BatchNorm(scale=np.full(2, 2.0), offset=np.zeros(2), mean=np.zeros(2),
+                   variance=np.zeros(2), epsilon=0.25)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lo, hi = bn.propagate(np.array([1e308, -1.0]), np.array([1e308, 1.0]))
+    assert lo.tolist() == [-np.inf, -4.0] and hi.tolist() == [np.inf, 4.0]
+
+
+def test_overflowing_box_on_tiny_warns_nothing_and_keeps_finite_bits(tiny_net):
+    # the -1e308 - 1e308 of the third unit overflows; the other units are exact
+    box = InputBox(np.full(2, -1e308), np.full(2, 1e308))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        b = static_bounds(tiny_net, box, 1)
+    assert b.lo.tolist() == [-1e308, -1e308, -np.inf]
+    assert b.hi.tolist() == [1e308, 1e308, np.inf]
 
 
 def test_dim_at_and_suffix(tiny_net):

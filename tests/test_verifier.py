@@ -250,6 +250,27 @@ def test_replay_rejects_wrong_shape():
         replay_witness(net, query, np.zeros(3))
 
 
+def test_replay_honours_difference_bounds():
+    # a 2-unit cut whose box holds [0, 1] but whose difference bound refuses it
+    net = Network(
+        layers=(Dense(weights=np.eye(2), bias=np.zeros(2)),
+                Dense(weights=np.ones((1, 2)), bias=np.zeros(1))),
+        input_dim=2,
+    )
+    bounds = ActivationBounds(layer=1, lo=np.zeros(2), hi=np.ones(2),
+                              diff_lo=np.array([-0.5]), diff_hi=np.array([0.5]))
+    risk = RiskCondition(clauses=(RiskClause(coeffs=np.array([1.0]), op=">=", rhs=0.0),))
+    query = SafetyQuery(cut_layer=1, bounds=bounds, characterizer=_head(2, [0.0, 0.0], 1.0),
+                        risk=risk)
+    rep = replay_witness(net, query, np.array([0.0, 1.0]))
+    assert rep["in_bounds"] is False
+    assert rep["characterizer"] == 1 and rep["risk_satisfied"]
+    assert replay_witness(net, query, np.array([0.25, 0.75]))["in_bounds"] is True
+    assert replay_witness(net, query, np.array([0.0, 1.0]), tol=0.5)["in_bounds"] is True
+    with pytest.raises(ValueError):
+        replay_witness(net, query, np.array([0.25, 0.75]), tol=-1e-9)
+
+
 def test_pick_branch_prefers_widest_violation():
     # binaries 0..3: pre-activations in x[0:4], ReLU outputs in x[4:8]
     pre, post = np.arange(4), np.arange(4, 8)
