@@ -20,7 +20,7 @@ import time
 import numpy as np
 
 from safecut import kernels
-from safecut.lp import solve_dense
+from safecut.lp import LinearProgram, solve_dense
 
 # (label, n_vars, n_rows, zero objective, warm) — "node" mirrors a typical
 # branch-and-bound relaxation from the verifier; the larger classes stress
@@ -50,24 +50,24 @@ def random_instances(rng, n, m, count, feasibility):
             c = np.zeros(n)
         lo = np.full(n, -5.0)
         hi = np.full(n, 5.0)
-        out.append((c, A, rels, b, lo, hi))
+        out.append(LinearProgram(c, A, rels, b, lo, hi))
     return out
 
 
 def warm_children(kernel, parents, cols):
-    """Children that branch column j of each solved parent at 0, away from
-    the parent's solution, with the parent states to start them from."""
+    """Children (lp, lo, hi) that branch column j of each solved parent at 0,
+    away from the parent's solution, with the parent states to start them from."""
     children, starts = [], []
-    for (c, A, rels, b, lo, hi), j in zip(parents, cols):
-        out = solve_dense(c, A, rels, b, lo, hi, kernel=kernel)
+    for lp, j in zip(parents, cols):
+        out = solve_dense(lp, kernel=kernel)
         if out.status != "optimal":
             continue
-        lo, hi = lo.copy(), hi.copy()
+        lo, hi = lp.lo.copy(), lp.hi.copy()
         if out.point[j] > 0.0:
             hi[j] = 0.0
         else:
             lo[j] = 0.0
-        children.append((c, A, rels, b, lo, hi))
+        children.append((lp, lo, hi))
         starts.append(out.state)
     return children, starts
 
@@ -75,8 +75,8 @@ def warm_children(kernel, parents, cols):
 def run(kernel, instances, starts):
     t0 = time.perf_counter()
     outcomes = [
-        solve_dense(*inst, kernel=kernel, start=start)
-        for inst, start in zip(instances, starts)
+        solve_dense(lp, lo, hi, kernel=kernel, start=start)
+        for (lp, lo, hi), start in zip(instances, starts)
     ]
     return time.perf_counter() - t0, outcomes
 
@@ -122,7 +122,7 @@ def main():
             if warm:
                 work[name] = warm_children(kern, instances, cols)
             else:
-                work[name] = instances, [None] * len(instances)
+                work[name] = [(lp, None, None) for lp in instances], [None] * len(instances)
             rates[name] = []
         for rep in range(REPEAT):
             order = list(av) if rep % 2 == 0 else list(av)[::-1]

@@ -68,19 +68,23 @@ ITER_LIMIT = 4
 _INF = np.inf
 
 
-def _pick(score: np.ndarray, ids: np.ndarray, thresh: float, bland: bool) -> int:
+def _pick(score: np.ndarray, ids: np.ndarray, thresh: float, bland: bool, eq: np.ndarray) -> int:
     """Position of the largest score above `thresh`, the lowest id on ties;
-    under Bland's rule the lowest id of all above it.  -1 when none is."""
+    under Bland's rule the lowest id of all above it.  -1 when none is.
+    `eq` is a bool buffer of the score's length."""
     if bland:
-        elig = np.flatnonzero(score > thresh)
+        elig = np.greater(score, thresh, out=eq).nonzero()[0]
         return int(elig[ids[elig].argmin()]) if elig.shape[0] else -1
     if not score.shape[0]:
         return -1
     p = int(score.argmax())
-    if not score[p] > thresh:
+    s = score[p]
+    if not s > thresh:
         return -1
-    ties = np.flatnonzero(score == score[p])
-    return int(ties[ids[ties].argmin()]) if ties.shape[0] > 1 else p
+    if np.count_nonzero(np.equal(score, s, out=eq)) == 1:
+        return p
+    ties = eq.nonzero()[0]
+    return int(ties[ids[ties].argmin()])
 
 
 def run_phase(
@@ -119,6 +123,8 @@ def run_phase(
     below = np.empty(m)
     alpha = np.empty(m)
     big = np.empty(m, dtype=bool)
+    eq_row = np.empty(m, dtype=bool)  # _pick's buffers
+    eq_col = np.empty(w, dtype=bool)
     tt = np.empty(m)
     step = np.empty(m)
     col = np.empty(m)
@@ -134,7 +140,7 @@ def run_phase(
             np.subtract(blo, xB, out=below)
             np.subtract(xB, bhi, out=viol)
             np.maximum(below, viol, out=viol)
-            r = _pick(viol, basis, viol_tol, bland)
+            r = _pick(viol, basis, viol_tol, bland, eq_row)
             if r < 0:
                 return OPTIMAL, iters
             up = bool(xB[r] < blo[r])  # the repair raises x_B[r]
@@ -143,7 +149,7 @@ def run_phase(
             np.multiply(vec, sign, out=score)
             if any_free:
                 np.absolute(vec, out=score, where=free)
-            p = _pick(score, nb, tiny, bland)
+            p = _pick(score, nb, tiny, bland, eq_col)
             if p < 0:
                 return INFEASIBLE, iters
             q = int(nb[p])
@@ -160,7 +166,7 @@ def run_phase(
                 np.multiply(z, sign_ok, out=score)
                 if any_free:
                     np.absolute(z, out=score, where=free_ok)
-                p = _pick(score, nb, opt_tol, bland)
+                p = _pick(score, nb, opt_tol, bland, eq_col)
                 if p < 0:
                     return (TINY_PIVOT if banned_any else OPTIMAL), iters
                 q = int(nb[p])
@@ -238,7 +244,10 @@ def run_phase(
                 np.multiply(row, zq, out=zrow)
                 z -= zrow
             col[r] = 0.0
-            np.multiply(col[:, None], row, out=outer)
+            # outer[i, j] = row[j] * col[i]: the product commutes, so these
+            # are the bits of col[i] * row[j]
+            np.copyto(outer, row)
+            np.multiply(outer, col[:, None], out=outer)
             D -= outer
             basis[r] = q
             nb[p] = leaving

@@ -152,15 +152,21 @@ def static_bounds(net: Network, box: InputBox, layer: int) -> ActivationBounds:
 
 
 def widen(bounds: ActivationBounds, margin: float) -> ActivationBounds:
-    """Relative-absolute hybrid widening: pad by margin * max(1, |endpoint|)."""
+    """Relative-absolute hybrid widening: pad by margin * max(1, |endpoint|).
+
+    A padded bound that overflows is the infinity on its own side, silently:
+    only looser, so still sound.
+    """
     if margin < 0:
         raise ValueError("widen margin must be >= 0")
 
     def pad_lo(v: np.ndarray) -> np.ndarray:
-        return v - margin * np.maximum(1.0, np.abs(v))
+        with np.errstate(over="ignore"):
+            return v - margin * np.maximum(1.0, np.abs(v))
 
     def pad_hi(v: np.ndarray) -> np.ndarray:
-        return v + margin * np.maximum(1.0, np.abs(v))
+        with np.errstate(over="ignore"):
+            return v + margin * np.maximum(1.0, np.abs(v))
 
     return ActivationBounds(
         layer=bounds.layer,

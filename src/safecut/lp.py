@@ -2,9 +2,11 @@
 
 minimize c.x  subject to  A x (<=|=|>=) b,  lo <= x <= hi  (+-inf allowed)
 
-An LP is those six dense arrays and nothing else: `solve_dense` takes them,
-and `LinearProgram` holds them (with column names) for the MILP encoder,
-the verifier and `format_lp`.
+An LP is a `LinearProgram`: those six dense arrays (with column names),
+checked once when it is built and stored as read-only float64 copies.
+`solve_dense` takes one with a node's column bounds ``lo, hi`` (the LP's
+own by default) and checks only those, so branch and bound validates its
+rows once per search, not once per node.
 
 Standardization: one slack per row turns every relation into the equality
 A x + s = b (<= gives slack in [0,inf), >= in (-inf,0], = pinned at [0,0]).
@@ -68,7 +70,9 @@ class LinearProgram:
     """The arrays `solve_dense` takes, plus a name per column.
 
     minimize c.x subject to A x (rels) b, lo <= x <= hi; `rels` holds
-    REL_LE / REL_EQ / REL_GE per row.
+    REL_LE / REL_EQ / REL_GE per row.  Construction checks shapes, relation
+    codes and NaN, and keeps read-only C-contiguous copies (float64, int8
+    for `rels`), so the checks stay true; `dataclasses.replace` re-checks.
     """
 
     c: np.ndarray
@@ -78,6 +82,23 @@ class LinearProgram:
     lo: np.ndarray
     hi: np.ndarray
     names: Optional[Tuple[str, ...]] = None
+
+    def __post_init__(self) -> None:
+        rels = np.asarray(self.rels)
+        if not ((rels == REL_LE) | (rels == REL_EQ) | (rels == REL_GE)).all():
+            raise ValueError("LP relation codes must be REL_LE, REL_EQ or REL_GE")
+        object.__setattr__(self, "rels", _frozen(rels, np.int8))
+        for name in ("c", "A", "b", "lo", "hi"):
+            object.__setattr__(self, name, _frozen(getattr(self, name), np.float64))
+        if self.A.ndim != 2:
+            raise ShapeError("LP constraint matrix A must be 2-d")
+        m, n = self.A.shape
+        if self.c.shape != (n,) or self.b.shape != (m,) or self.rels.shape != (m,):
+            raise ShapeError("objective/rhs/relation shapes do not match A")
+        if self.lo.shape != (n,) or self.hi.shape != (n,):
+            raise ShapeError("bound shapes do not match variable count")
+        if any(np.isnan(a).any() for a in (self.c, self.A, self.b, self.lo, self.hi)):
+            raise ValueError("LP contains NaN data")
 
     @property
     def num_rows(self) -> int:
@@ -91,6 +112,13 @@ class LinearProgram:
         if self.names is not None and j < len(self.names):
             return self.names[j]
         return f"x{j}"
+
+
+def _frozen(a, dtype) -> np.ndarray:
+    """A read-only C-contiguous copy of `a` as `dtype`."""
+    a = np.array(a, dtype=dtype, order="C")
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True)
@@ -154,7 +182,11 @@ def _warm_state(start, A, lo, hi):
 
 def _proof_row(state) -> int:
     """The violated row of largest violation (lowest row on ties) that no
-    column can repair, which the dual phase found; raises if there is none."""
+    column can repair, which the dual phase found; raises if there is none.
+
+    Rows are tested one at a time in that order and the first dead one is
+    returned, so the search usually stops at the row the kernel gave up on.
+    """
     D, xB, basis, nb, vstat, lo_all, hi_all = state
     blo, bhi = lo_all[basis], hi_all[basis]
     viol = np.maximum(blo - xB, xB - bhi)
@@ -165,12 +197,12 @@ def _proof_row(state) -> int:
     vs = vstat[nb]
     is_open = lo_all[nb] != hi_all[nb]
     sign = np.where(is_open & (vs == 1), -1.0, np.where(is_open & (vs == 2), 1.0, 0.0))
-    R = D[rows] * np.where(xB[rows] < blo[rows], 1.0, -1.0)[:, None]
-    repair = np.where(is_open & (vs == 3), np.abs(R), R * sign) > TINY
-    dead = rows[~repair.any(axis=1)]
-    if not dead.shape[0]:
-        raise NumericalBreakdownError("dual phase reported infeasible, but every row can be repaired")
-    return int(dead[viol[dead].argmax()])
+    free = is_open & (vs == 3)
+    for r in rows[np.argsort(-viol[rows], kind="stable")].tolist():
+        R = D[r] * (1.0 if xB[r] < blo[r] else -1.0)
+        if not (np.where(free, np.abs(R), R * sign) > TINY).any():
+            return r
+    raise NumericalBreakdownError("dual phase reported infeasible, but every row can be repaired")
 
 
 def _extract(vstat, lo_all, hi_all, basis, xB, n):
@@ -214,29 +246,22 @@ def _phase(run, cost, state, phase, dantzig_limit):
     )
 
 
-def solve_dense(c, A, rels, b, lo, hi, kernel=None, start=None) -> LpOutcome:
-    """Solve one dense LP; raises NumericalBreakdownError, never lies.
+def solve_dense(lp: LinearProgram, lo=None, hi=None, kernel=None, start=None) -> LpOutcome:
+    """Solve `lp` over the column bounds ``lo, hi`` (the LP's own when None);
+    raises NumericalBreakdownError, never lies.
 
     ``start`` is the ``state`` of an earlier optimal outcome over the same
     ``A, rels, b``; the solve then begins from its basis instead of the
     all-slack one (see module doc).
     """
     run = kernels.run_phase if kernel is None else kernel
-    c = np.ascontiguousarray(c, dtype=np.float64)
-    A = np.ascontiguousarray(A, dtype=np.float64)
-    rels = np.asarray(rels)
-    if not ((rels == REL_LE) | (rels == REL_EQ) | (rels == REL_GE)).all():
-        raise ValueError("LP relation codes must be REL_LE, REL_EQ or REL_GE")
-    rels = rels.astype(np.int8, copy=False)
-    b = np.ascontiguousarray(b, dtype=np.float64)
-    lo = np.array(lo, dtype=np.float64)
-    hi = np.array(hi, dtype=np.float64)
+    c, A, rels, b = lp.c, lp.A, lp.rels, lp.b
     m, n = A.shape
-    if c.shape != (n,) or b.shape != (m,) or rels.shape != (m,):
-        raise ShapeError("objective/rhs/relation shapes do not match A")
+    lo = lp.lo if lo is None else np.asarray(lo, dtype=np.float64)
+    hi = lp.hi if hi is None else np.asarray(hi, dtype=np.float64)
     if lo.shape != (n,) or hi.shape != (n,):
         raise ShapeError("bound shapes do not match variable count")
-    if any(np.isnan(a).any() for a in (c, A, b, lo, hi)):
+    if np.isnan(lo).any() or np.isnan(hi).any():
         raise ValueError("LP contains NaN data")
     if (lo > hi).any():
         return LpOutcome(INFEASIBLE)
@@ -250,7 +275,7 @@ def solve_dense(c, A, rels, b, lo, hi, kernel=None, start=None) -> LpOutcome:
     if status != kernels.OPTIMAL:
         raise NumericalBreakdownError(f"phase 1 stalled (kernel status {status})")
 
-    if np.any(c != 0.0):
+    if c.any():
         c2 = np.concatenate([c, np.zeros(m)])
         status, iters = _phase(run, c2, state, 2, dantzig_limit)
         pivots += iters

@@ -7,7 +7,7 @@ pre-activation interval straddles zero get a binary indicator and the four
 big-M rows; stable ReLUs are encoded exactly (y=x or y=0).  Interval bounds
 come from propagating the cut-layer box only — the adjacent-difference
 constraints join the LP as rows but never tighten the intervals.  The
-result is one `LinearProgram`: the dense arrays the verifier hands to
+result is one `LinearProgram`, checked once, which the verifier hands to
 `solve_dense`.  Zero Dense weights and zero risk coefficients (a `-0.0` among
 them) are skipped and so stay `+0.0` entries; BatchNorm scales are written as
 given.

@@ -67,12 +67,17 @@ def violations(
         raise ShapeError(
             f"activation dim {acts.shape[1:]} does not match bounds dim {bounds.lo.shape}"
         )
-    box = ~((acts >= bounds.lo - tolerance) & (acts <= bounds.hi + tolerance))
+    # a widened bound that overflows is the infinity on its own side
+    with np.errstate(over="ignore"):
+        lo, hi = bounds.lo - tolerance, bounds.hi + tolerance
+        if bounds.has_diffs:
+            dlo, dhi = bounds.diff_lo - tolerance, bounds.diff_hi + tolerance
+    box = ~((acts >= lo) & (acts <= hi))
     bad = box.any(axis=1)
     diff = None
     if bounds.has_diffs:
         d = np.diff(acts, axis=1)
-        diff = ~((d >= bounds.diff_lo - tolerance) & (d <= bounds.diff_hi + tolerance))
+        diff = ~((d >= dlo) & (d <= dhi))
         bad |= diff.any(axis=1)
     out = {}
     for r in np.flatnonzero(bad).tolist():

@@ -32,6 +32,7 @@ unknown — the node/time budget ran out or an LP broke down numerically
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
@@ -40,7 +41,7 @@ import numpy as np
 
 from .characterizer import decide
 from .errors import NumericalBreakdownError
-from .lp import INFEASIBLE, OPTIMAL, LpOutcome, solve_dense
+from .lp import INFEASIBLE, OPTIMAL, LinearProgram, LpOutcome, solve_dense
 from .milp import INTEGRALITY_TOL, MilpProblem, SafetyQuery, encode
 from .monitor import check_containment
 from .network import Network, forward
@@ -117,8 +118,7 @@ class _Search:
         self.prob = prob
         self.budget = budget
         self.kernel = kernel
-        lp = prob.lp
-        self.c, self.A, self.rels, self.b = lp.c, lp.A, lp.rels, lp.b
+        self.polish_lp: Optional[LinearProgram] = None  # built on first use
         self.bin_cols = np.array(prob.binaries, dtype=np.int64)
         split = [r for r in prob.relus if r.binary_col is not None]
         assert tuple(r.binary_col for r in split) == prob.binaries
@@ -144,19 +144,17 @@ class _Search:
             or time.monotonic() - self.t0 > self.budget.max_seconds
         )
 
-    def _solve(self, c: np.ndarray, lo: np.ndarray, hi: np.ndarray, start) -> LpOutcome:
+    def _solve(self, lp: LinearProgram, lo: np.ndarray, hi: np.ndarray, start) -> LpOutcome:
         """One LP solve, warm from `start` when given; a warm breakdown is
         retried cold once (counted as one more LP solve), a cold one raises."""
         out = None
         if start is not None:
             try:
-                out = solve_dense(
-                    c, self.A, self.rels, self.b, lo, hi, kernel=self.kernel, start=start
-                )
+                out = solve_dense(lp, lo, hi, kernel=self.kernel, start=start)
             except NumericalBreakdownError:
                 self.lp_solves += 1
         if out is None:
-            out = solve_dense(c, self.A, self.rels, self.b, lo, hi, kernel=self.kernel)
+            out = solve_dense(lp, lo, hi, kernel=self.kernel)
         self.pivots += out.pivots
         return out
 
@@ -167,7 +165,7 @@ class _Search:
         fixed = lo[self.bin_cols] == hi[self.bin_cols]
         self.max_depth = max(self.max_depth, int(fixed.sum()))
         try:
-            out = self._solve(self.c, lo, hi, start)
+            out = self._solve(self.prob.lp, lo, hi, start)
         except NumericalBreakdownError as exc:
             self.breakdown = True
             self.warnings.append(f"lp breakdown, node discarded: {exc}")
@@ -230,10 +228,12 @@ class _Search:
         for digits in (12, 9, 6):
             yield np.round(x[: self.cut_dim], digits)
         self.lp_solves += 1
-        c = np.zeros_like(self.c)
-        c[self.prob.logit_col] = -1.0  # minimize -logit
+        if self.polish_lp is None:
+            c = np.zeros(self.prob.lp.num_vars)
+            c[self.prob.logit_col] = -1.0  # minimize -logit
+            self.polish_lp = dataclasses.replace(self.prob.lp, c=c)
         try:
-            out = self._solve(c, lo, hi, start)
+            out = self._solve(self.polish_lp, lo, hi, start)
         except NumericalBreakdownError as exc:
             self.breakdown = True
             self.warnings.append(f"lp breakdown during witness polish: {exc}")

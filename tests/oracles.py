@@ -287,13 +287,17 @@ def _primal_step(T, z, xB, basis, vstat, lo, hi, bland, opt_tol, tiny):
         return q, d, r, t
 
 
-def tableau_solve(c, A, rels, b, lo, hi, run=tableau_run_phase, start=None):
+def tableau_solve(lp, lo=None, hi=None, run=tableau_run_phase, start=None):
     """The two-phase solve over the full tableau:
     (status, pivots, point, state, proof_row).
 
-    The driver of ``safecut.lp.solve_dense`` with the tableau pieces above;
-    status is "breakdown" where solve_dense raises NumericalBreakdownError.
+    The driver of ``safecut.lp.solve_dense`` with the tableau pieces above,
+    on the same arguments; status is "breakdown" where solve_dense raises
+    NumericalBreakdownError.
     """
+    c, A, rels, b = lp.c, lp.A, lp.rels, lp.b
+    lo = lp.lo if lo is None else lo
+    hi = lp.hi if hi is None else hi
     m, n = A.shape
     if (lo > hi).any():
         return INFEASIBLE, 0, None, None, None

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -142,6 +144,29 @@ def test_widen_monotone_and_diff_aware():
     assert widen(b, 0.0).lo.tolist() == b.lo.tolist()
     with pytest.raises(ValueError):
         widen(b, -0.1)
+
+
+def test_widen_overflow_is_infinite_on_its_own_side_and_silent():
+    # a finite bound whose pad overflows becomes -inf / +inf with no
+    # RuntimeWarning; the finite results keep the formula's bits
+    b = ActivationBounds(
+        layer=1,
+        lo=np.array([-1e308, 1e308, -2.0]),
+        hi=np.array([1e308, 1e308, 3.0]),
+        diff_lo=np.array([-1e308, -1.0]),
+        diff_hi=np.array([1e308, 1.0]),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w = widen(b, 1.0)
+        big = widen(b, 1e300)  # the product margin * |v| overflows too
+    assert w.lo.tolist() == [-np.inf, 0.0, -4.0] and w.hi.tolist() == [np.inf, np.inf, 6.0]
+    assert w.diff_lo.tolist() == [-np.inf, -2.0] and w.diff_hi.tolist() == [np.inf, 2.0]
+    assert big.lo.tolist() == [-np.inf, -np.inf, -2.0 - 1e300 * 2.0]
+    assert big.hi.tolist() == [np.inf, np.inf, 3.0 + 1e300 * 3.0]
+    m = 0.1
+    small = widen(b, m)
+    assert small.lo[2] == -2.0 - m * 2.0 and small.hi[2] == 3.0 + m * 3.0
 
 
 def test_contains_checks_diffs_too():

@@ -480,6 +480,34 @@ def test_infinite_box_gives_infinite_envelope_that_verify_refuses(tiny_path, tmp
     assert not (tmp_path / "v.json").exists()
 
 
+def test_overflowing_widen_and_tolerance_are_silent(tiny_path, tmp_path):
+    # a finite -1e308 bound padded by --widen or --tolerance overflows to
+    # the infinity on its own side; with RuntimeWarnings made errors, as CI
+    # sets them, both commands still exit 0 with nothing on stderr
+    env = child_env(PYTHONWARNINGS="error::RuntimeWarning")
+    box = ["--static", "--box=-1e308,1e308", "--layer", 1]
+
+    def run(args, stdin_text=None):
+        return subprocess.run(
+            [sys.executable, "-m", "safecut.cli", *[str(a) for a in args]],
+            capture_output=True, text=True, input=stdin_text, cwd=str(tmp_path), env=env,
+        )
+
+    r = run(["bounds", tiny_path, "wide.json", *box, "--widen", 1])
+    assert r.returncode == 0 and r.stderr == "", r.stderr
+    b = load_bounds(str(tmp_path / "wide.json"))
+    assert b.lo.tolist() == [-np.inf] * 3 and b.hi.tolist() == [np.inf] * 3
+
+    r = run(["bounds", tiny_path, "env.json", *box])
+    assert r.returncode == 0 and r.stderr == "", r.stderr
+    assert load_bounds(str(tmp_path / "env.json")).lo.tolist() == [-1e308, -1e308, -np.inf]
+    r = run(["monitor", tiny_path, "env.json", "--tolerance", 1e308], "0.5,-1\n1,2\n")
+    assert r.returncode == 0 and r.stderr == "", r.stderr
+    assert r.stdout == "".join(
+        f'{{"contained": true, "sample_id": "{i}", "violations": []}}\n' for i in range(2)
+    )
+
+
 @pytest.mark.parametrize("box, message", [
     ("nan,1", "input box lo[0] is NaN"),
     ("inf,inf", "input box lo[0] is +inf"),

@@ -5,6 +5,7 @@ with the repository's ``setup.py`` into a temporary directory, so these
 tests run from a plain checkout; they skip only when there is no C compiler.
 """
 
+import dataclasses
 import importlib.util
 import os
 import shlex
@@ -21,7 +22,8 @@ import safecut.verifier
 from safecut import _simplex_py, kernels, verify
 from safecut.errors import NumericalBreakdownError
 from safecut.lp import (
-    INFEASIBLE, OPTIMAL, UNBOUNDED, VIOL_TOL, _proof_row, _slack_basis, _warm_state, solve_dense,
+    INFEASIBLE, OPTIMAL, UNBOUNDED, VIOL_TOL, LinearProgram, _proof_row, _slack_basis, _warm_state,
+    solve_dense,
 )
 
 import oracles
@@ -98,8 +100,9 @@ def test_outcomes_bitwise_identical_on_random_lps(av):
     statuses = set()
     for _ in range(150):
         c, A, rels, b, lo, hi = synth.random_lp(rng)
-        out_py = solve_dense(c, A, rels, b, lo, hi, kernel=av["py"])
-        out_ext = solve_dense(c, A, rels, b, lo, hi, kernel=av["ext"])
+        lp = LinearProgram(c, A, rels, b, lo, hi)
+        out_py = solve_dense(lp, kernel=av["py"])
+        out_ext = solve_dense(lp, kernel=av["ext"])
         statuses.add(out_py.status)
         assert (out_py.status, out_py.proof_row) == (out_ext.status, out_ext.proof_row)
         if out_py.status == OPTIMAL:
@@ -109,18 +112,42 @@ def test_outcomes_bitwise_identical_on_random_lps(av):
             # a warm re-solve with column 0 pinned, each from its own state
             lo2, hi2 = lo.copy(), hi.copy()
             hi2[0] = lo2[0]
-            warm_py = solve_dense(
-                c, A, rels, b, lo2, hi2, kernel=av["py"], start=out_py.state
-            )
-            warm_ext = solve_dense(
-                c, A, rels, b, lo2, hi2, kernel=av["ext"], start=out_ext.state
-            )
+            warm_py = solve_dense(lp, lo2, hi2, kernel=av["py"], start=out_py.state)
+            warm_ext = solve_dense(lp, lo2, hi2, kernel=av["ext"], start=out_ext.state)
             assert (warm_py.status, warm_py.pivots) == (warm_ext.status, warm_ext.pivots)
             assert warm_py.proof_row == warm_ext.proof_row
             if warm_py.status == OPTIMAL:
                 assert warm_py.objective_value == warm_ext.objective_value
                 assert np.array_equal(warm_py.point, warm_ext.point)
     assert {OPTIMAL, INFEASIBLE} <= statuses
+
+
+def _pick_reference(score, ids, thresh, bland):
+    """The pick rule restated: among the scores above `thresh`, the lowest
+    id of all (Bland) or of those equal to the largest; -1 when none is."""
+    elig = [i for i in range(score.shape[0]) if score[i] > thresh]
+    if not elig:
+        return -1
+    if not bland:
+        top = max(score[i] for i in elig)
+        elig = [i for i in elig if score[i] == top]
+    return min(elig, key=lambda i: ids[i])
+
+
+def test_pick_matches_its_definition_on_tie_heavy_scores():
+    rng = np.random.default_rng(3)
+    ties = 0
+    for _ in range(3000):
+        k = int(rng.integers(0, 9))
+        score = rng.choice(np.array([0.0, -0.0, 1.0, -1.0, 2.0, -2.0]), k)
+        ids = rng.permutation(3 * k + 1)[:k].astype(np.int64)
+        thresh = float(rng.choice([-1.5, 0.0, 0.5, 1.5, 2.0]))
+        eq = np.empty(k, dtype=bool)
+        for bland in (False, True):
+            got = _simplex_py._pick(score, ids, thresh, bland, eq)
+            assert got == _pick_reference(score, ids, thresh, bland)
+        ties += k > 1 and int((score == score.max()).sum()) > 1 and score.max() > thresh
+    assert ties >= 500
 
 
 def _gaussian_lp(rng):
@@ -174,7 +201,8 @@ def test_phase2_and_warm_chain_states_match_bitwise(av):
     statuses = set()
     for k in range(300):
         c, A, rels, b, lo, hi = (synth.random_lp if k % 2 else _gaussian_lp)(rng)
-        outs = {name: solve_dense(c, A, rels, b, lo, hi, kernel=rec[name]) for name in av}
+        lp = LinearProgram(c, A, rels, b, lo, hi)
+        outs = {name: solve_dense(lp, kernel=rec[name]) for name in av}
         for depth in range(4):  # the cold solve, then three warm children
             _assert_same_outcome(outs["py"], outs["ext"])
             statuses.add(outs["py"].status)
@@ -188,9 +216,9 @@ def test_phase2_and_warm_chain_states_match_bitwise(av):
             else:
                 lo[j] = min(hi[j], np.ceil(x)) if np.ceil(x) > x else x + 0.5
             if rng.random() < 0.3:  # a new objective, as the witness polish sets
-                c = rng.normal(size=len(c))
+                lp = dataclasses.replace(lp, c=rng.normal(size=len(c)))
             outs = {
-                name: solve_dense(c, A, rels, b, lo, hi, kernel=rec[name], start=out.state)
+                name: solve_dense(lp, lo, hi, kernel=rec[name], start=out.state)
                 for name, out in outs.items()
             }
     assert rec["py"].seen == rec["ext"].seen
@@ -338,7 +366,7 @@ class _Lockstep:
 
         return recorded
 
-    def solve(self, c, A, rels, b, lo, hi, kernel=None, start=None):
+    def solve(self, lp, lo=None, hi=None, kernel=None, start=None):
         starts = {"py": None, "ext": None, "ref": None}
         if start is not None:
             starts = self.chains[id(start)][1]
@@ -347,13 +375,12 @@ class _Lockstep:
         for name, run in self.av.items():
             try:
                 outs[name] = solve_dense(
-                    c, A, rels, b, lo, hi, kernel=self._recording(run, logs[name]),
-                    start=starts[name],
+                    lp, lo, hi, kernel=self._recording(run, logs[name]), start=starts[name],
                 )
             except NumericalBreakdownError:
                 outs[name] = None
         ref = oracles.tableau_solve(
-            c, A, rels, b, lo, hi,
+            lp, lo, hi,
             run=self._recording(oracles.tableau_run_phase, logs["ref"]), start=starts["ref"],
         )
         for name in self.av:
@@ -396,7 +423,8 @@ def test_both_kernels_match_the_full_tableau_reference(av, monkeypatch):
     rng = np.random.default_rng(12)
     for k in range(200):
         c, A, rels, b, lo, hi = (synth.random_lp if k % 2 else _gaussian_lp)(rng)
-        out = lock.solve(c, A, rels, b, lo, hi)
+        lp = LinearProgram(c, A, rels, b, lo, hi)
+        out = lock.solve(lp)
         for _ in range(3):
             if out.status != OPTIMAL:
                 break
@@ -406,7 +434,7 @@ def test_both_kernels_match_the_full_tableau_reference(av, monkeypatch):
                 hi[j] = max(lo[j], np.floor(out.point[j]))
             else:
                 lo[j] = min(hi[j], np.ceil(out.point[j]))
-            out = lock.solve(c, A, rels, b, lo, hi, start=out.state)
+            out = lock.solve(lp, lo, hi, start=out.state)
     assert {OPTIMAL, INFEASIBLE, UNBOUNDED} <= lock.statuses
     phases = lock.phases
     monkeypatch.setattr(safecut.verifier, "solve_dense", lock.solve)

@@ -1,12 +1,14 @@
 """Solver behaviour on the worked examples plus a randomized oracle sweep."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import safecut.lp as lp_module
 import safecut.verifier
 from safecut import verify
-from safecut.errors import NumericalBreakdownError
+from safecut.errors import NumericalBreakdownError, ShapeError
 from safecut.lp import (
     FEAS_TOL,
     INFEASIBLE,
@@ -19,6 +21,7 @@ from safecut.lp import (
     VIOL_TOL,
     LinearProgram,
     _phase,
+    _proof_row,
     _recheck,
     _slack_basis,
     _warm_state,
@@ -31,14 +34,7 @@ import synth
 
 
 def _solve(c, A, rels, b, lo, hi):
-    return solve_dense(
-        np.asarray(c, float),
-        np.asarray(A, float).reshape(len(b), len(c)),
-        np.asarray(rels, np.int8),
-        np.asarray(b, float),
-        np.asarray(lo, float),
-        np.asarray(hi, float),
-    )
+    return solve_dense(LinearProgram(c, np.asarray(A, float).reshape(len(b), len(c)), rels, b, lo, hi))
 
 
 def test_min_x_above_three():
@@ -100,7 +96,7 @@ def test_solution_satisfies_rows_within_feas_tol():
     rng = np.random.default_rng(21)
     for _ in range(50):
         c, A, rels, b, lo, hi = synth.random_lp(rng)
-        out = solve_dense(c, A, rels, b, lo, hi)
+        out = solve_dense(LinearProgram(c, A, rels, b, lo, hi))
         if out.status != OPTIMAL:
             continue
         x = out.point
@@ -121,7 +117,7 @@ def test_against_vertex_enumeration_oracle():
     for _ in range(120):
         c, A, rels, b, lo, hi = synth.random_lp(rng)
         want_status, want_val = oracles.vertex_lp_optimum(c, A, rels, b, lo, hi)
-        out = solve_dense(c, A, rels, b, lo, hi)
+        out = solve_dense(LinearProgram(c, A, rels, b, lo, hi))
         assert out.status == want_status
         if want_status == OPTIMAL:
             n_opt += 1
@@ -139,25 +135,26 @@ def test_warm_start_agrees_with_cold_solve():
     seen = set()
     for _ in range(200):
         c, A, rels, b, lo, hi = synth.random_lp(rng)
-        parent = solve_dense(c, A, rels, b, lo, hi)
+        lp = LinearProgram(c, A, rels, b, lo, hi)
+        parent = solve_dense(lp)
         if parent.status != OPTIMAL:
             continue
         # the parent's own bounds from its own state: nothing left to pivot
-        again = solve_dense(c, A, rels, b, lo, hi, start=parent.state)
+        again = solve_dense(lp, start=parent.state)
         assert again.pivots == 0
         assert again.objective_value == pytest.approx(parent.objective_value, abs=1e-9)
         # a new objective over the same bounds (the witness polish): phase 2 only
-        c2 = rng.integers(-5, 6, len(c)).astype(np.float64)
-        warm = solve_dense(c2, A, rels, b, lo, hi, start=parent.state)
-        cold = solve_dense(c2, A, rels, b, lo, hi)
+        lp2 = dataclasses.replace(lp, c=rng.integers(-5, 6, len(c)).astype(np.float64))
+        warm = solve_dense(lp2, start=parent.state)
+        cold = solve_dense(lp2)
         assert warm.status == cold.status == OPTIMAL
         assert warm.objective_value == pytest.approx(cold.objective_value, abs=1e-9)
         j = int(rng.integers(len(c)))
         for v in (lo[j], hi[j], 0.5 * (lo[j] + hi[j])):
             clo, chi = lo.copy(), hi.copy()
             clo[j] = chi[j] = v
-            warm = solve_dense(c, A, rels, b, clo, chi, start=parent.state)
-            cold = solve_dense(c, A, rels, b, clo, chi)
+            warm = solve_dense(lp, clo, chi, start=parent.state)
+            cold = solve_dense(lp, clo, chi)
             assert warm.status == cold.status
             seen.add(cold.status)
             if cold.status == OPTIMAL:
@@ -267,10 +264,40 @@ def test_nan_rejected():
 def test_unknown_relation_code_rejected(rel):
     # an int8 cast would solve 2 as an equality and 1.5 as >=; refuse both
     with pytest.raises(ValueError, match="relation"):
-        solve_dense(
+        LinearProgram(
             np.zeros(1), np.ones((1, 1)), np.array([rel]), np.ones(1),
             np.zeros(1), np.full(1, 5.0),
         )
+
+
+def test_linear_program_checks_once_and_keeps_read_only_copies():
+    A = np.asfortranarray([[1.0, 2.0], [3.0, 4.0]])
+    lp = LinearProgram([1, 0], A, [REL_LE, REL_GE], [3, 4], [0, 0], [1.0, np.inf])
+    for name in ("c", "A", "b", "lo", "hi"):
+        a = getattr(lp, name)
+        assert a.dtype == np.float64 and a.flags.c_contiguous and not a.flags.writeable
+    assert lp.rels.dtype == np.int8 and not lp.rels.flags.writeable
+    with pytest.raises(ValueError):
+        lp.A[0, 0] = 5.0
+    A[0, 0] = 5.0  # the LP holds a copy
+    assert lp.A[0, 0] == 1.0
+    for field, value in [("c", [np.nan, 0.0]), ("A", [[1.0, np.nan], [0.0, 1.0]]),
+                         ("b", [np.nan, 1.0]), ("lo", [np.nan, 0.0]), ("hi", [1.0, np.nan])]:
+        with pytest.raises(ValueError, match="NaN"):
+            dataclasses.replace(lp, **{field: np.array(value)})
+    for rels in ([REL_LE, 2], [0.5, REL_EQ], [REL_GE, np.nan]):
+        with pytest.raises(ValueError, match="relation"):
+            dataclasses.replace(lp, rels=np.array(rels))
+    with pytest.raises(ShapeError, match="objective/rhs/relation"):
+        dataclasses.replace(lp, b=np.ones(3))
+    with pytest.raises(ShapeError, match="bound shapes"):
+        dataclasses.replace(lp, lo=np.zeros(3))
+    # a solve checks only the node's bounds
+    with pytest.raises(ValueError, match="NaN"):
+        solve_dense(lp, np.array([0.0, np.nan]), lp.hi)
+    with pytest.raises(ShapeError, match="bound shapes"):
+        solve_dense(lp, lp.lo, np.ones(3))
+    assert solve_dense(lp, np.array([1.0, 0.0]), np.array([0.0, 1.0])).status == INFEASIBLE
 
 
 def test_recheck_fails_a_non_finite_point():
@@ -321,7 +348,8 @@ def test_slack_block_is_the_basis_inverse():
     count = dict(cold=0, warm=0, infeasible=0)
     for k in range(400):
         c, A, rels, b, lo, hi = (synth.random_lp if k % 2 else _free_bounds_lp)(rng)
-        parent = solve_dense(c, A, rels, b, lo, hi)
+        lp = LinearProgram(c, A, rels, b, lo, hi)
+        parent = solve_dense(lp)
         if parent.status == INFEASIBLE:
             assert_layout(parent, A)
             count["infeasible"] += 1
@@ -334,12 +362,51 @@ def test_slack_block_is_the_basis_inverse():
         v = parent.point[j]
         for clo, chi in ((lo, np.where(np.arange(n) == j, np.floor(v), hi)),
                          (np.where(np.arange(n) == j, np.floor(v) + 1, lo), hi)):
-            warm = solve_dense(c, A, rels, b, clo, chi, start=parent.state)
+            warm = solve_dense(lp, clo, chi, start=parent.state)
             if warm.state is not None:
                 assert_layout(warm, A)
                 count["warm"] += warm.status == OPTIMAL
                 count["infeasible"] += warm.status == INFEASIBLE
     assert min(count.values()) >= 50, count
+
+
+def test_proof_row_matches_the_tableau_reference_past_its_first_row():
+    # final states of random solves with basic values pushed outside their
+    # bounds, violations tied on purpose: the most violated row is often
+    # repairable, so the search must go on to a later row, and it must name
+    # the reference's row (largest violation, lowest row on ties), or raise
+    # where the reference finds no dead row
+    rng = np.random.default_rng(29)
+    seen = dict(past_first=0, first=0, none=0)
+    for k in range(400):
+        c, A, rels, b, lo, hi = (synth.random_lp if k % 2 else _free_bounds_lp)(rng)
+        out = solve_dense(LinearProgram(c, A, rels, b, lo, hi))
+        if out.state is None or A.shape[0] < 2:
+            continue
+        D, xB, basis, nb, vstat, lo_all, hi_all = out.state
+        xB = xB.copy()
+        blo, bhi = lo_all[basis], hi_all[basis]
+        for i in rng.permutation(A.shape[0])[: int(rng.integers(2, A.shape[0] + 1))]:
+            v = float(rng.choice([1e-3, 1.0, 2.0]))
+            if np.isfinite(blo[i]) and (rng.random() < 0.5 or not np.isfinite(bhi[i])):
+                xB[i] = blo[i] - v
+            elif np.isfinite(bhi[i]):
+                xB[i] = bhi[i] + v
+        state = (D, xB, basis, nb, vstat, lo_all, hi_all)
+        T = oracles.tableau_state(state)[0]
+        ref = (T, xB, basis, vstat, lo_all, hi_all)
+        want = oracles.tableau_proof_row(ref, VIOL_TOL, TINY)
+        if want is None:
+            with pytest.raises(NumericalBreakdownError):
+                _proof_row(state)
+            seen["none"] += 1
+            continue
+        assert _proof_row(state) == want
+        viol = np.maximum(blo - xB, xB - bhi)
+        first = int(np.argmax(viol))
+        seen["first" if first == want else "past_first"] += 1
+        assert first == want or oracles._repairs(T, xB, basis, vstat, lo_all, hi_all, TINY, first)
+    assert min(seen.values()) >= 20, seen
 
 
 def test_infeasible_prunes_carry_a_proof_row(monkeypatch):
@@ -352,10 +419,10 @@ def test_infeasible_prunes_carry_a_proof_row(monkeypatch):
     # range of a one-sided slack to infinity, so they are zeroed first
     pruned = []
 
-    def solve(c, A, rels, b, lo, hi, **kwargs):
-        out = solve_dense(c, A, rels, b, lo, hi, **kwargs)
+    def solve(lp, lo, hi, **kwargs):
+        out = solve_dense(lp, lo, hi, **kwargs)
         if out.status == INFEASIBLE:
-            pruned.append((A, rels, b, lo, hi, out))
+            pruned.append((lp.A, lp.rels, lp.b, lo, hi, out))
         return out
 
     monkeypatch.setattr(safecut.verifier, "solve_dense", solve)
@@ -447,7 +514,8 @@ def test_warm_state_matches_gather_reference():
         if k % 10 == 0:
             A, rels, b = A[:0], rels[:0], b[:0]
         check(_slack_basis(A, rels, b, lo, hi), A, lo, hi)
-        out = solve_dense(c, A, rels, b, lo, hi)
+        lp = LinearProgram(c, A, rels, b, lo, hi)
+        out = solve_dense(lp)
         for _ in range(3):  # down a chain of children, each from its parent
             if out.status != OPTIMAL:
                 break
@@ -455,7 +523,7 @@ def test_warm_state_matches_gather_reference():
             check(out.state, A, clo, chi)
             if (clo > chi).any():
                 break
-            out = solve_dense(c, A, rels, b, clo, chi, start=out.state)
+            out = solve_dense(lp, clo, chi, start=out.state)
             lo, hi = clo, chi
     assert min(check.seen.values()) >= 5, check.seen
 

@@ -75,6 +75,22 @@ def test_tolerance_is_monotone():
     assert check_containment(b, v, tolerance=0.5)
 
 
+def test_tolerance_that_overflows_a_bound_is_silent():
+    # lo - tolerance and hi + tolerance overflow to the infinity on their own
+    # side, widened once per call, with no RuntimeWarning
+    b = ActivationBounds(
+        layer=1, lo=np.array([-1e308, 0.0]), hi=np.array([1e308, 1.0]),
+        diff_lo=np.array([-1e308]), diff_hi=np.array([1e308]),
+    )
+    acts = np.array([[-1e308, 0.5], [0.0, 1e308], [1.0, 1.25]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert violations(b, acts, 1e308) == {}
+        found = violations(b, acts, 0.5)
+    assert sorted(found) == [1]
+    assert [(v.kind, v.index) for v in found[1]] == [("box", 1)]
+
+
 def test_negative_tolerance_rejected():
     with pytest.raises(ValueError):
         check(_scalar_bounds(), [0.0], tolerance=-0.1)

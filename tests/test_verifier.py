@@ -308,3 +308,55 @@ def test_branching_closes_wide_member_within_budget(monkeypatch):
 
     monkeypatch.setattr(verifier, "_pick_branch", nearest_half)
     assert verify(net, query, budget=budget).status == "unknown"
+
+
+def _counting_solve_and_kernel(monkeypatch):
+    """Count every `safecut.verifier.solve_dense` call and sum the iterations
+    of a kernel that unpacks ``(status, iters)``, as the benchmark's tracer
+    does."""
+    calls, iters = [], []
+    real_solve = verifier.solve_dense
+
+    def counted_solve(*args, **kwargs):
+        calls.append(1)
+        return real_solve(*args, **kwargs)
+
+    def counted_kernel(*args):
+        status, n = kernels.run_phase(*args)
+        iters.append(int(n))
+        return status, n
+
+    monkeypatch.setattr(verifier, "solve_dense", counted_solve)
+    return calls, iters, counted_kernel
+
+
+def test_solve_calls_and_kernel_iterations_match_the_stats(monkeypatch):
+    # the contract a tracer relies on: the verifier solves every LP through
+    # the module attribute `solve_dense`, once per counted LP solve, and
+    # runs every pivot through the kernel it was given
+    calls, iters, kernel = _counting_solve_and_kernel(monkeypatch)
+    net, query = synth.ladder_member()
+    v = verify(net, query, kernel=kernel)
+    assert v.status == "safe"
+    assert (v.stats["nodes_explored"], v.stats["pivots"]) == (167, 2069)
+    assert len(calls) == v.stats["lp_solves"]
+    assert sum(iters) == v.stats["pivots"]
+
+
+def test_polish_solve_is_counted_like_a_node(monkeypatch):
+    net, query = _scalar_query(-0.1, 0.6, 0.0, 1.0, ">=", 0.5)
+    tried = []
+    real_try = verifier._Search._try_witness
+
+    def picky_try(self, cand):
+        w, rep, ok = real_try(self, cand)
+        tried.append(cand)
+        return w, rep, ok and len(tried) > 4
+
+    monkeypatch.setattr(verifier._Search, "_try_witness", picky_try)
+    calls, iters, kernel = _counting_solve_and_kernel(monkeypatch)
+    v = verify(net, query, kernel=kernel)
+    assert v.status == "unsafe" and len(tried) == 5
+    assert v.stats["lp_solves"] == v.stats["nodes_explored"] + 1
+    assert len(calls) == v.stats["lp_solves"]
+    assert sum(iters) == v.stats["pivots"] > 0
