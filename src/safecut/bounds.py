@@ -1,7 +1,9 @@
 """Cut-layer bound sets: dataset envelopes and static interval bounds.
 
 The containment test against a bound set is `monitor.violations`, which the
-runtime monitor and the verifier's witness replay share.
+runtime monitor and the verifier's witness replay share.  It checks exactly
+the bounds in the file; any slack is added when the file is built
+(`widen`), so the verifier proves the envelope the monitor checks.
 """
 
 from __future__ import annotations
@@ -155,10 +157,12 @@ def widen(bounds: ActivationBounds, margin: float) -> ActivationBounds:
     """Relative-absolute hybrid widening: pad by margin * max(1, |endpoint|).
 
     A padded bound that overflows is the infinity on its own side, silently:
-    only looser, so still sound.
+    only looser, so still sound.  A zero margin returns `bounds` itself.
     """
-    if margin < 0:
+    if not margin >= 0:
         raise ValueError("widen margin must be >= 0")
+    if margin == 0:
+        return bounds  # margin * inf would be NaN
 
     def pad_lo(v: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore"):

@@ -69,9 +69,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     else:
         data = load_dataset(args.data, expected_dim=net.input_dim)
         b = bounds_mod.dataset_bounds(net, data, args.layer, with_diffs=args.diffs)
-    if args.widen > 0:
-        b = bounds_mod.widen(b, args.widen)
-    bounds_mod.save_bounds(b, args.out)
+    bounds_mod.save_bounds(bounds_mod.widen(b, args.widen), args.out)
     return _EXIT_OK
 
 
@@ -145,9 +143,10 @@ def _monitor_chunk(net, b, lines: list, args: argparse.Namespace, first_id: int)
     One parse (`np.loadtxt`, in C), one forward and one containment test for
     the whole chunk.  The parser accepts a subset of what `float()` does (no
     `1_0`, no non-ASCII digits) and rounds the same; a chunk it refuses, or
-    one with a row of the wrong width or a non-finite cell or activation,
-    goes through `monitor_stream` row by row on the split cells, which parses
-    with `float()` and whose StreamError lines name the bad rows.
+    one with a row of the wrong width or a non-finite cell, activation or
+    adjacent difference, goes through `monitor_stream` row by row on the
+    split cells, which parses with `float()` and whose StreamError lines name
+    the bad rows.
     """
     width = b.dim if args.activations else net.input_dim
     try:
@@ -156,16 +155,15 @@ def _monitor_chunk(net, b, lines: list, args: argparse.Namespace, first_id: int)
             raise ShapeError(f"chunk of shape {m.shape}, expected ({len(lines)}, {width})")
         with np.errstate(over="ignore", invalid="ignore"):
             acts = m if args.activations else forward_batch(net, m, 0, b.layer)
-        if not (np.isfinite(m).all() and np.isfinite(acts).all()):
-            raise ValueError("chunk has a non-finite cell or activation")
-        found = monitor_mod.violations(b, acts, args.tolerance)
+            diffs = np.diff(acts, axis=1) if b.has_diffs else acts
+        if not (np.isfinite(m).all() and np.isfinite(acts).all() and np.isfinite(diffs).all()):
+            raise ValueError("chunk has a non-finite cell, activation or difference")
+        found = monitor_mod.violations(b, acts)
     except (ShapeError, ValueError):
         # raw string cells: non-numeric or wrong-length rows become
         # StreamError lines
         rows = [[p.strip() for p in line.split(",")] for line in lines]
-        stream = monitor_mod.monitor_stream(
-            net, b, rows, tolerance=args.tolerance, precomputed=args.activations
-        )
+        stream = monitor_mod.monitor_stream(net, b, rows, precomputed=args.activations)
         return "".join(_report_line(rep, first_id + k) for k, rep in enumerate(stream))
     out = []
     for k in range(len(lines)):
@@ -276,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("monitor", help="stream containment checks (CSV in, LDJSON out)")
     p.add_argument("network", help="network JSON")
     p.add_argument("bounds", help="bounds JSON")
-    p.add_argument("--tolerance", type=float, default=0.0)
     p.add_argument(
         "--activations", action="store_true",
         help="stdin rows are cut-layer activations, not network inputs",

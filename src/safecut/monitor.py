@@ -4,17 +4,21 @@ Proofs done under a dataset envelope hold only while every runtime
 activation stays inside it.  `violations` is the one containment test: it
 takes a batch of activations (n, d_l), masks box and adjacent-difference
 violations for all rows at once, and builds `Violation` records only for
-the rows outside.  `check` is that test on one activation and
-`check_containment` its boolean, which the verifier's witness replay uses;
-`monitor_stream` drives `check` over a stream of network inputs one row at a
-time (so it never waits on a live iterator), surviving malformed rows;
-`safecut monitor` runs `violations` over stdin a chunk of rows at a time.
+the rows outside.  It checks exactly the bounds file, so the monitor
+accepts only what a verdict over that file covers; slack belongs in the
+file (`bounds --widen`), where the verifier proves it.  `check` is that
+test on one activation and `check_containment` its boolean, which the
+verifier's witness replay uses; `monitor_stream` drives `check` over a
+stream of network inputs one row at a time (so it never waits on a live
+iterator), surviving malformed rows; `safecut monitor` runs `violations`
+over stdin a chunk of rows at a time.
 Activations come from the row-exact forward pass, so a row of the dataset
-an envelope was built from is contained at tolerance 0.
+an envelope was built from is contained.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, Optional, Sequence, Union
 
@@ -50,34 +54,27 @@ class StreamError:
     message: str
 
 
-def violations(
-    bounds: ActivationBounds, acts: np.ndarray, tolerance: float = 0.0
-) -> Dict[int, tuple]:
-    """Every box/diff violation beyond `tolerance` of each row of `acts` (n, d_l).
+def violations(bounds: ActivationBounds, acts: np.ndarray) -> Dict[int, tuple]:
+    """Every box/diff violation of each row of `acts` (n, d_l).
 
     Maps each row outside the envelope to its violations (box by index, then
     diff by index); contained rows are absent.  A row is outside when an
-    entry leaves ``[lo - tolerance, hi + tolerance]`` or an adjacent
-    difference ``acts[r, i+1] - acts[r, i]`` leaves the diff bounds widened
-    the same way; NaN is outside every interval.
+    entry leaves ``[lo, hi]`` or an adjacent difference
+    ``acts[r, i+1] - acts[r, i]`` leaves ``[diff_lo, diff_hi]``; NaN is
+    outside every interval, and a difference that overflows is the infinity
+    on its own side.
     """
-    if tolerance < 0:
-        raise ValueError("tolerance must be >= 0")
     if acts.shape[1:] != bounds.lo.shape:
         raise ShapeError(
             f"activation dim {acts.shape[1:]} does not match bounds dim {bounds.lo.shape}"
         )
-    # a widened bound that overflows is the infinity on its own side
-    with np.errstate(over="ignore"):
-        lo, hi = bounds.lo - tolerance, bounds.hi + tolerance
-        if bounds.has_diffs:
-            dlo, dhi = bounds.diff_lo - tolerance, bounds.diff_hi + tolerance
-    box = ~((acts >= lo) & (acts <= hi))
+    box = ~((acts >= bounds.lo) & (acts <= bounds.hi))
     bad = box.any(axis=1)
     diff = None
     if bounds.has_diffs:
-        d = np.diff(acts, axis=1)
-        diff = ~((d >= dlo) & (d <= dhi))
+        with np.errstate(over="ignore"):
+            d = np.diff(acts, axis=1)
+        diff = ~((d >= bounds.diff_lo) & (d <= bounds.diff_hi))
         bad |= diff.any(axis=1)
     out = {}
     for r in np.flatnonzero(bad).tolist():
@@ -89,7 +86,7 @@ def violations(
         if diff is not None:
             found += [
                 Violation(
-                    "diff", i, float(v[i + 1] - v[i]),
+                    "diff", i, float(d[r, i]),
                     float(bounds.diff_lo[i]), float(bounds.diff_hi[i]),
                 )
                 for i in np.flatnonzero(diff[r]).tolist()
@@ -99,35 +96,30 @@ def violations(
 
 
 def check(
-    bounds: ActivationBounds,
-    activation: Sequence[float],
-    tolerance: float = 0.0,
-    sample_id: str = "",
+    bounds: ActivationBounds, activation: Sequence[float], sample_id: str = ""
 ) -> MonitorReport:
-    """List every box/diff violation beyond `tolerance` (all, not just first)."""
-    found = violations(bounds, np.asarray(activation, dtype=np.float64)[None], tolerance)
+    """List every box/diff violation (all, not just first)."""
+    found = violations(bounds, np.asarray(activation, dtype=np.float64)[None])
     return MonitorReport(found.get(0, ()), sample_id)
 
 
-def check_containment(
-    bounds: ActivationBounds, activation: Sequence[float], tolerance: float = 0.0
-) -> bool:
+def check_containment(bounds: ActivationBounds, activation: Sequence[float]) -> bool:
     """`violations` on one row, as a bool; not through `check`, so that a
     witness replay does not count as a monitored row."""
-    return not violations(bounds, np.asarray(activation, dtype=np.float64)[None], tolerance)
+    return not violations(bounds, np.asarray(activation, dtype=np.float64)[None])
 
 
 def monitor_stream(
     net: Optional[Network],
     bounds: ActivationBounds,
     rows: Iterable[Sequence[float]],
-    tolerance: float = 0.0,
     precomputed: bool = False,
 ) -> Iterator[Union[MonitorReport, StreamError]]:
     """One report per row, in order; malformed rows yield StreamError.
 
-    So is a row with a non-finite cell or cut activation, whose report would
-    print NaN or Infinity, which strict JSON refuses.
+    So is a row whose report would print NaN or Infinity, which strict JSON
+    refuses: one with a non-finite cell or cut activation, or one outside
+    the envelope on an adjacent difference that overflows.
 
     Rows are network inputs run through f^(l) unless `precomputed` marks them
     as cut-layer activations already.
@@ -147,7 +139,11 @@ def monitor_stream(
                     act = forward(net, v, 0, bounds.layer)
                 if not np.isfinite(act).all():
                     raise ValueError("cut activation is not finite")
-            yield check(bounds, act, tolerance, sample_id=sid)
+            report = check(bounds, act, sample_id=sid)
+            # the activation is finite here: only an overflowed difference is not
+            if not all(math.isfinite(x.value) for x in report.violations):
+                raise ValueError("adjacent difference of the cut activation is not finite")
+            yield report
         except (ShapeError, ValueError) as exc:
             yield StreamError(sample_id=sid, message=str(exc))
 
@@ -158,14 +154,6 @@ def report_to_obj(report: Union[MonitorReport, StreamError]) -> dict:
     return {
         "sample_id": report.sample_id,
         "contained": report.contained,
-        "violations": [
-            {
-                "kind": v.kind,
-                "index": v.index,
-                "value": v.value,
-                "bound_lo": v.bound_lo,
-                "bound_hi": v.bound_hi,
-            }
-            for v in report.violations
-        ],
+        # kind, index, value, bound_lo, bound_hi
+        "violations": [dict(vars(v)) for v in report.violations],
     }

@@ -79,14 +79,24 @@ def replay_witness(
 ) -> dict:
     """Recompute the three membership facts independently of the solver.
 
-    ``in_bounds`` is the monitor's own `check_containment` at `tol`, box and
-    difference bounds alike.  A witness of the wrong shape raises ShapeError
-    and a negative `tol` ValueError.
+    ``in_bounds`` is the monitor's own exact `check_containment` on the
+    query's bounds padded by `tol`, box and difference bounds alike; a pad
+    that overflows is the infinity on its own side.  A witness of the wrong
+    shape raises ShapeError and a negative `tol` ValueError.
     """
+    if tol < 0:
+        raise ValueError("tol must be >= 0")
+    b = query.bounds
+    with np.errstate(over="ignore"):
+        padded = dataclasses.replace(
+            b, lo=b.lo - tol, hi=b.hi + tol,
+            diff_lo=b.diff_lo - tol if b.has_diffs else None,
+            diff_hi=b.diff_hi + tol if b.has_diffs else None,
+        )
     w = np.asarray(witness, dtype=np.float64)
     output = forward(net, w, query.cut_layer, net.depth)
     return {
-        "in_bounds": check_containment(query.bounds, w, tol),
+        "in_bounds": check_containment(padded, w),
         "characterizer": decide(query.characterizer, w),
         "risk_satisfied": query.risk.holds_relaxed(output, tol),
         "output": output,

@@ -176,7 +176,7 @@ def test_criterion_3_abstraction_soundness(capsys):
         X = rng.uniform(lo, hi, size=(400, len(lo)))
         db = dataset_bounds(net, Dataset(inputs=X), cut)
         acts = forward_batch(net, X, 0, cut)
-        ds_misses += sum(not check_containment(db, a, 0.0) for a in acts)
+        ds_misses += sum(not check_containment(db, a) for a in acts)
 
     ok = mc_escapes == 0 and ds_misses == 0
     _emit(
@@ -253,7 +253,7 @@ def test_criterion_5_monitor_consistency(capsys):
         samples = rng.uniform(blo - 0.5 * span - 0.1, bhi + 0.5 * span + 0.1,
                               size=(10_000, len(cut)))
         for v in samples:
-            monitor_says = check_containment(query.bounds, v, tolerance=0.0)
+            monitor_says = check_containment(query.bounds, v)
             x = np.zeros(A.shape[1])
             x[cut] = v
             milp_says = bool((v >= lo[cut]).all() and (v <= hi[cut]).all())

@@ -55,7 +55,7 @@ def test_dataset_bounds_contain_their_samples(tiny_net):
     ds = Dataset(inputs=rng.uniform(-2, 2, size=(500, 2)))
     b = dataset_bounds(tiny_net, ds, layer=2)
     acts = forward_batch(tiny_net, ds.inputs, 0, 2)
-    assert all(check_containment(b, a, 0.0) for a in acts)
+    assert all(check_containment(b, a) for a in acts)
 
 
 def test_static_bounds_sound_monte_carlo():
@@ -142,6 +142,9 @@ def test_widen_monotone_and_diff_aware():
     assert (w.lo <= b.lo).all() and (w.hi >= b.hi).all()
     assert w.diff_lo[0] < b.diff_lo[0] and w.diff_hi[0] > b.diff_hi[0]
     assert widen(b, 0.0).lo.tolist() == b.lo.tolist()
+    # a zero margin keeps an infinite endpoint (0 * inf would be NaN)
+    inf = ActivationBounds(layer=1, lo=np.array([-np.inf]), hi=np.array([np.inf]))
+    assert widen(inf, 0.0) is inf
     with pytest.raises(ValueError):
         widen(b, -0.1)
 
@@ -180,7 +183,7 @@ def test_contains_checks_diffs_too():
     assert check_containment(b, np.array([1.0, 1.2]))
     assert not check_containment(b, np.array([0.0, 2.0]))  # box ok, diff 2.0 too big
     assert not check_containment(b, np.array([3.0, 3.0]))
-    assert check_containment(b, np.array([0.0, 0.6]), 0.1)
+    assert check_containment(widen(b, 0.1), np.array([0.0, 0.6]))  # diff 0.6 <= 0.5 + 0.1
 
 
 def test_bounds_validation():

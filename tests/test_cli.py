@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from safecut import cli
-from safecut.bounds import load_bounds
+from safecut.bounds import ActivationBounds, load_bounds, save_bounds
 from safecut.monitor import monitor_stream, report_to_obj
 from safecut.network import (
     Dataset, Dense, Network, Relu, load_network, save_dataset, save_network,
@@ -321,13 +321,11 @@ def test_monitor_activation_rows(workdir):
     assert lines[0]["contained"] is True and lines[1]["contained"] is False
 
 
-def test_monitor_tolerance_flag(workdir):
-    r = run_cli(
-        ["monitor", "net.json", "bounds.json", "--tolerance", "100"],
-        workdir,
-        stdin_text="9.0,9.0\n",
-    )
-    assert json.loads(r.stdout.splitlines()[0])["contained"] is True
+def test_monitor_has_no_tolerance_flag(workdir):
+    # the monitor checks exactly the bounds file; slack goes in at build time
+    r = run_cli(["monitor", "net.json", "bounds.json", "--tolerance", "0"], workdir,
+                stdin_text="0.5,0.5\n")
+    assert r.returncode == 2 and "unrecognized arguments: --tolerance" in r.stderr, r.stderr
 
 
 def _stream_lines(workdir, rows, **kwargs):
@@ -385,7 +383,7 @@ _ROWS = st.lists(
 def _monitor_in_process(net_path, bounds_path, text, activations):
     """`safecut monitor` stdout for stdin `text`, without a child process."""
     args = argparse.Namespace(
-        network=net_path, bounds=bounds_path, tolerance=0.0, activations=activations
+        network=net_path, bounds=bounds_path, activations=activations
     )
     stdin, out = sys.stdin, io.StringIO()
     sys.stdin = io.TextIOWrapper(io.BufferedReader(io.BytesIO(text.encode())), "utf-8")
@@ -481,9 +479,10 @@ def test_infinite_box_gives_infinite_envelope_that_verify_refuses(tiny_path, tmp
 
 
 def test_overflowing_widen_and_tolerance_are_silent(tiny_path, tmp_path):
-    # a finite -1e308 bound padded by --widen or --tolerance overflows to
-    # the infinity on its own side; with RuntimeWarnings made errors, as CI
-    # sets them, both commands still exit 0 with nothing on stderr
+    # a finite -1e308 bound padded by --widen overflows to the infinity on
+    # its own side, and --widen 0 keeps an infinite bound as it is; with
+    # RuntimeWarnings made errors, as CI sets them, both exit 0 with nothing
+    # on stderr
     env = child_env(PYTHONWARNINGS="error::RuntimeWarning")
     box = ["--static", "--box=-1e308,1e308", "--layer", 1]
 
@@ -498,14 +497,34 @@ def test_overflowing_widen_and_tolerance_are_silent(tiny_path, tmp_path):
     b = load_bounds(str(tmp_path / "wide.json"))
     assert b.lo.tolist() == [-np.inf] * 3 and b.hi.tolist() == [np.inf] * 3
 
-    r = run(["bounds", tiny_path, "env.json", *box])
+    r = run(["bounds", tiny_path, "env.json", *box, "--widen", 0])
     assert r.returncode == 0 and r.stderr == "", r.stderr
     assert load_bounds(str(tmp_path / "env.json")).lo.tolist() == [-1e308, -1e308, -np.inf]
-    r = run(["monitor", tiny_path, "env.json", "--tolerance", 1e308], "0.5,-1\n1,2\n")
-    assert r.returncode == 0 and r.stderr == "", r.stderr
-    assert r.stdout == "".join(
-        f'{{"contained": true, "sample_id": "{i}", "violations": []}}\n' for i in range(2)
+
+
+def _refuse_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+def test_monitor_overflowing_difference_is_a_strict_json_error_line(tiny_path, tmp_path):
+    # 1e308 - -1e308 overflows; the row's report would print -Infinity, so it
+    # is an error line like a non-finite activation, and the run goes on
+    save_bounds(
+        ActivationBounds(layer=1, lo=np.full(3, -1e308), hi=np.full(3, 1e308),
+                         diff_lo=np.full(2, -1.0), diff_hi=np.full(2, 1.0)),
+        str(tmp_path / "env.json"),
     )
+    r = subprocess.run(
+        [sys.executable, "-m", "safecut.cli", "monitor", tiny_path, "env.json", "--activations"],
+        capture_output=True, text=True, input="1e308,-1e308,0\n0.5,0,0\n", cwd=str(tmp_path),
+        env=child_env(PYTHONWARNINGS="error::RuntimeWarning"),
+    )
+    assert r.returncode == 0 and r.stderr == "", r.stderr
+    lines = [json.loads(line, parse_constant=_refuse_constant) for line in r.stdout.splitlines()]
+    assert lines == [
+        {"sample_id": "0", "error": "adjacent difference of the cut activation is not finite"},
+        {"sample_id": "1", "contained": True, "violations": []},
+    ]
 
 
 @pytest.mark.parametrize("box, message", [
@@ -543,7 +562,7 @@ def test_monitor_reports_each_row_before_the_next_arrives(workdir):
 
 def test_monitor_flags_none_of_its_own_envelope_rows(tmp_path):
     # the envelope and the monitor share one row-exact forward pass, so the
-    # rows the envelope was built from all come back contained at tolerance 0
+    # rows the envelope was built from all come back contained
     rng = np.random.default_rng(29)
     net = synth.wide_network(rng)
     X = rng.uniform(-1.0, 1.0, (800, net.input_dim))

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from safecut.bounds import ActivationBounds, dataset_bounds
+from safecut.characterizer import Characterizer
 from safecut.errors import ShapeError
+from safecut.milp import RiskClause, RiskCondition, SafetyQuery
 from safecut.monitor import (
     MonitorReport,
     StreamError,
@@ -16,6 +18,7 @@ from safecut.monitor import (
     violations,
 )
 from safecut.network import Dataset, Dense, Network, forward, forward_batch
+from safecut.verifier import replay_witness
 
 import synth
 
@@ -66,34 +69,50 @@ def test_diff_violation_with_box_satisfied():
     assert rep.violations[0].value == pytest.approx(0.8)
 
 
-def test_tolerance_is_monotone():
-    b = _scalar_bounds()
-    v = [0.65]
-    assert not check_containment(b, v, tolerance=0.0)
-    assert not check_containment(b, v, tolerance=0.04)
-    assert check_containment(b, v, tolerance=0.05)
-    assert check_containment(b, v, tolerance=0.5)
-
-
 def test_tolerance_that_overflows_a_bound_is_silent():
-    # lo - tolerance and hi + tolerance overflow to the infinity on their own
-    # side, widened once per call, with no RuntimeWarning
+    # witness replay pads the bounds by its tolerance before the exact test;
+    # lo - tol and hi + tol overflow to the infinity on their own side, with
+    # no RuntimeWarning
     b = ActivationBounds(
         layer=1, lo=np.array([-1e308, 0.0]), hi=np.array([1e308, 1.0]),
         diff_lo=np.array([-1e308]), diff_hi=np.array([1e308]),
     )
-    acts = np.array([[-1e308, 0.5], [0.0, 1e308], [1.0, 1.25]])
+    zero = Network(layers=(Dense(np.zeros((1, 2)), np.zeros(1)),), input_dim=2)
+    query = SafetyQuery(
+        cut_layer=1, bounds=b,
+        characterizer=Characterizer(head=zero, property_id="p", achieved_accuracy=1.0),
+        risk=RiskCondition(clauses=(RiskClause(coeffs=np.array([1.0]), op=">=", rhs=0.0),)),
+    )
+    net = Network(layers=(Dense(np.eye(2), np.zeros(2)),) + zero.layers, input_dim=2)
+    # the last row is inside only because its pads overflow to -inf / +inf
+    acts = np.array([[-1e308, 0.5], [0.0, 1e308], [1.0, 1.25], [1.7e308, 0.5]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert violations(b, acts, 1e308) == {}
-        found = violations(b, acts, 0.5)
-    assert sorted(found) == [1]
-    assert [(v.kind, v.index) for v in found[1]] == [("box", 1)]
+        wide = [replay_witness(net, query, a, tol=1e308)["in_bounds"] for a in acts]
+        narrow = [replay_witness(net, query, a, tol=0.5)["in_bounds"] for a in acts]
+    assert wide == [True] * 4
+    assert narrow == [True, False, True, False]
 
 
-def test_negative_tolerance_rejected():
-    with pytest.raises(ValueError):
-        check(_scalar_bounds(), [0.0], tolerance=-0.1)
+def test_overflowing_difference_is_infinite_and_silent():
+    # 1e308 - -1e308 overflows: outside every finite diff bound, no warning;
+    # the stream makes the row an error, since its report would print
+    # -Infinity
+    b = ActivationBounds(
+        layer=1, lo=np.full(3, -1e308), hi=np.full(3, 1e308),
+        diff_lo=np.full(2, -1.0), diff_hi=np.full(2, 1.0),
+    )
+    rows = np.array([[1e308, -1e308, 0.0], [0.5, 0.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        found = violations(b, rows)
+        out = list(monitor_stream(None, b, rows, precomputed=True))
+    assert list(found) == [0]
+    assert [(v.kind, v.index, v.value) for v in found[0]] == [
+        ("diff", 0, -np.inf), ("diff", 1, 1e308)
+    ]
+    assert [type(r) for r in out] == [StreamError, MonitorReport]
+    assert "adjacent difference" in out[0].message and out[1].contained
 
 
 def test_dimension_mismatch_raises():
@@ -109,32 +128,32 @@ def test_dataset_replay_is_contained_at_zero_tolerance():
     b = dataset_bounds(net, Dataset(inputs=X), layer)
     acts = forward_batch(net, X, 0, layer)
     for x, act in zip(X, acts):
-        assert check_containment(b, act, tolerance=0.0)
-        assert check_containment(b, forward(net, x, 0, layer), tolerance=0.0)
+        assert check_containment(b, act)
+        assert check_containment(b, forward(net, x, 0, layer))
 
 
 def test_wide_envelope_dataset_streams_without_false_alarms():
     # the envelope and the monitor share the row-exact forward pass, so a
-    # wide net's own rows stay inside at tolerance 0, one row at a time
+    # wide net's own rows stay inside, one row at a time
     rng = np.random.default_rng(23)
     net = synth.wide_network(rng)
     X = rng.uniform(-1.0, 1.0, (600, net.input_dim))
     b = dataset_bounds(net, Dataset(inputs=X), synth.WIDE_CUT)
-    reports = list(monitor_stream(net, b, X, tolerance=0.0))
+    reports = list(monitor_stream(net, b, X))
     assert len(reports) == len(X)
     assert [r.violations for r in reports if not r.contained] == []
 
 
-def _check_loop(bounds, v, tolerance):
+def _check_loop(bounds, v):
     # the per-index reference loop the batch containment test replaces
     found = []
     for i in range(v.shape[0]):
-        if not bounds.lo[i] - tolerance <= v[i] <= bounds.hi[i] + tolerance:
+        if not bounds.lo[i] <= v[i] <= bounds.hi[i]:
             found.append(Violation("box", i, float(v[i]), float(bounds.lo[i]), float(bounds.hi[i])))
     if bounds.has_diffs:
         d = np.diff(v)
         for i in range(d.shape[0]):
-            if not bounds.diff_lo[i] - tolerance <= d[i] <= bounds.diff_hi[i] + tolerance:
+            if not bounds.diff_lo[i] <= d[i] <= bounds.diff_hi[i]:
                 found.append(
                     Violation(
                         "diff", i, float(d[i]), float(bounds.diff_lo[i]), float(bounds.diff_hi[i])
@@ -155,16 +174,15 @@ def test_batch_violations_match_per_index_loop(with_diffs):
     )
     acts = X * rng.uniform(0.8, 1.3, X.shape)
     acts[::7, 2] = np.nan  # compares false on both sides: outside every interval
-    for tol in (0.0, 0.05):
-        found = violations(b, acts, tol)
-        want = {r: _check_loop(b, acts[r], tol) for r in range(len(acts))}
-        # repr, since a NaN value never equals itself
-        assert repr(found) == repr({r: v for r, v in want.items() if v})
-        assert 0 < len(found) < len(acts)
-        assert all(r in found for r in range(0, len(acts), 7))
-        for r in range(len(acts)):
-            rep = check(b, acts[r], tol, sample_id=str(r))
-            assert repr(rep.violations) == repr(want[r]) and rep.sample_id == str(r)
+    found = violations(b, acts)
+    want = {r: _check_loop(b, acts[r]) for r in range(len(acts))}
+    # repr, since a NaN value never equals itself
+    assert repr(found) == repr({r: v for r, v in want.items() if v})
+    assert 0 < len(found) < len(acts)
+    assert all(r in found for r in range(0, len(acts), 7))
+    for r in range(len(acts)):
+        rep = check(b, acts[r], sample_id=str(r))
+        assert repr(rep.violations) == repr(want[r]) and rep.sample_id == str(r)
 
 
 def test_stream_maps_inputs_through_network():
