@@ -159,13 +159,6 @@ def train_characterizer(
     return train(extract_features(net, data, layer), cfg, property_id)
 
 
-def accuracy(h: Characterizer, features: Dataset) -> float:
-    if features.labels is None:
-        raise UnlabeledDataError("accuracy needs labeled features")
-    logits = forward_batch(h.head, features.inputs)[:, 0]
-    return float(((logits >= 0).astype(np.int64) == features.labels).mean())
-
-
 # ---------------------------------------------------------------------------
 # serialization
 

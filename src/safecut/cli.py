@@ -1,9 +1,12 @@
 """Command-line interface.
 
 Subcommands mirror the pipeline stages: `bounds` builds an activation
-envelope, `train-characterizer` fits the property head, `verify` runs the
-MILP search, `monitor` checks a stream of samples against the envelope, and
-`stats` reports the confusion/guarantee numbers.
+envelope from a dataset (`--data`) or an input box (`--box`),
+`train-characterizer` fits the property head, `verify` runs the MILP
+search, `monitor` checks a stream of samples against the envelope, and
+`stats` reports the confusion/guarantee numbers.  Every option is declared
+on the one subcommand that reads it (`train-characterizer --seed`, `verify
+--debug-lp-dump`); the top-level parser has none.
 
 Exit codes: verify maps Safe=0, Unsafe=1, Unknown=3; 2 is reserved for
 input/usage errors everywhere (argparse's own convention), a malformed
@@ -63,7 +66,7 @@ def _parse_box(text: str, dim: int) -> bounds_mod.InputBox:
 
 def cmd_bounds(args: argparse.Namespace) -> int:
     net = load_network(args.network)
-    if args.static:
+    if args.box is not None:
         box = _parse_box(args.box, net.input_dim)
         b = bounds_mod.static_bounds(net, box, args.layer)
     else:
@@ -206,13 +209,14 @@ def cmd_stats(args: argparse.Namespace) -> int:
     net = load_network(args.network)
     h = load_characterizer(args.characterizer)
     data = load_dataset(args.data, expected_dim=net.input_dim)
-    est = stats_mod.estimate_confusion(net, h, args.layer, data)
+    cut = stats_mod.head_logits(net, h, args.layer, data)
+    est = stats_mod.estimate_confusion(net, h, args.layer, data, cut)
     premise = False
     if args.risk:
         risk = read_json(
             args.risk, lambda obj: risk_from_obj(obj["risk"] if isinstance(obj, dict) else obj)
         )
-        premise = stats_mod.check_premise(net, h, args.layer, data, risk)
+        premise = stats_mod.check_premise(net, h, args.layer, data, risk, cut)
     g = stats_mod.guarantee(est, args.delta, premise=premise)
     sys.stdout.write(canonical(stats_mod.stats_report_obj(est, g)))
     return _EXIT_OK
@@ -223,11 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="safecut",
         description="Safety verification toolkit for feed-forward perception networks",
     )
-    parser.add_argument("--seed", type=int, default=0, help="RNG seed (training)")
-    parser.add_argument(
-        "--debug-lp-dump", metavar="PATH", default=None,
-        help="verify only: dump the root LP as plain text to PATH",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("bounds", help="build a cut-layer activation envelope")
@@ -236,10 +235,9 @@ def build_parser() -> argparse.ArgumentParser:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--data", help="labeled/unlabeled dataset CSV")
     src.add_argument(
-        "--static", action="store_true",
-        help="interval propagation from an input box instead of data",
+        "--box", metavar="LO,HI",
+        help="interval propagation from the input box [LO, HI] on every input",
     )
-    p.add_argument("--box", help="input box 'LO,HI' applied to every input (with --static)")
     p.add_argument("--layer", type=int, required=True, help="cut position l in [1, L-1]")
     p.add_argument(
         "--diffs", action="store_true",
@@ -259,6 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=float, default=0.5, help="learning rate")
     p.add_argument("--epochs", type=int, default=2000, help="max epochs")
     p.add_argument("--property-id", default="phi", help="name of the input property")
+    p.add_argument("--seed", type=int, default=0, help="RNG seed")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("verify", help="decide a safety query by MILP search")
@@ -269,6 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-seconds", type=float, default=float("inf"))
     p.add_argument("--timing", action="store_true",
                    help="include wall_time in the report (breaks bitwise idempotence)")
+    p.add_argument("--debug-lp-dump", metavar="PATH", default=None,
+                   help="dump the root LP as plain text to PATH")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("monitor", help="stream containment checks (CSV in, LDJSON out)")
@@ -294,13 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "bounds":
-        if args.static and not args.box:
-            parser.error("--static requires --box LO,HI")
-        if not args.static and args.box:
-            parser.error("--box is only meaningful with --static")
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (SafecutError, ValueError, OSError) as exc:

@@ -214,12 +214,6 @@ class Network:
             raise ShapeError(f"cut position {position} outside [1, {self.depth})")
         return self.dim_at(position)
 
-    def suffix(self, from_layer: int) -> "Network":
-        """Sub-network of layers from_layer+1 .. depth."""
-        if not 0 <= from_layer < self.depth:
-            raise ShapeError(f"cut position {from_layer} outside [0, {self.depth})")
-        return Network(self.layers[from_layer:], self.dim_at(from_layer))
-
 
 def _layer_range(net: Network, from_layer: int, to_layer: Optional[int]) -> tuple:
     if to_layer is None:

@@ -57,17 +57,28 @@ class StatisticalGuarantee:
     premise_checked: bool
 
 
+def head_logits(
+    net: Network, h: Characterizer, layer: int, data: Dataset
+) -> tuple[np.ndarray, np.ndarray]:
+    """(f^(l)(in), head logit) of every sample: the one pass over the data
+    that `estimate_confusion` and `check_premise` share."""
+    net.cut_dim(layer)
+    feats = forward_batch(net, data.inputs, 0, layer)
+    return feats, forward_batch(h.head, feats)[:, 0]
+
+
 def estimate_confusion(
-    net: Network, h: Characterizer, layer: int, eval_data: Dataset
+    net: Network, h: Characterizer, layer: int, eval_data: Dataset, cut=None
 ) -> ConfusionEstimate:
-    """Fill the four cells from (label, decide(h, f^(l)(in))) per sample."""
+    """Fill the four cells from (label, decide(h, f^(l)(in))) per sample.
+
+    `cut` is `head_logits` of the same arguments, computed here if omitted.
+    """
     if eval_data.labels is None:
         raise UnlabeledDataError("confusion estimation needs labeled data")
     if len(eval_data) == 0:
         raise EmptyDatasetError("confusion estimation needs at least one sample")
-    net.cut_dim(layer)
-    feats = forward_batch(net, eval_data.inputs, 0, layer)
-    logits = forward_batch(h.head, feats)[:, 0]
+    _, logits = head_logits(net, h, layer, eval_data) if cut is None else cut
     pred = (logits >= 0.0).astype(np.int64)
     truth = eval_data.labels
     return ConfusionEstimate(
@@ -107,22 +118,23 @@ def guarantee(
 
 
 def check_premise(
-    net: Network, h: Characterizer, layer: int, data: Dataset, risk: RiskCondition
+    net: Network, h: Characterizer, layer: int, data: Dataset, risk: RiskCondition, cut=None
 ) -> bool:
     """The footnote premise: every omitted in-phi sample is itself output-safe.
 
     Samples with label 1 but h=0 slip past the verification envelope; the
     conditional claim needs each of them to avoid the risk set exactly.
+    `cut` is `head_logits` of the same arguments, computed here if omitted;
+    the omitted samples run on from their cut features (row-exact, so the
+    outputs are those of a whole forward pass).
     """
     if data.labels is None:
         raise UnlabeledDataError("premise check needs labeled data")
-    net.cut_dim(layer)
-    feats = forward_batch(net, data.inputs, 0, layer)
-    logits = forward_batch(h.head, feats)[:, 0]
+    feats, logits = head_logits(net, h, layer, data) if cut is None else cut
     omitted = (data.labels == 1) & (logits < 0.0)
     if not omitted.any():
         return True
-    outputs = forward_batch(net, data.inputs[omitted])
+    outputs = forward_batch(net, feats[omitted], layer)
     return not any(risk.holds_exact(out) for out in outputs)
 
 

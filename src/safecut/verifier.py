@@ -229,11 +229,14 @@ class _Search:
         The zero-objective solve lands on an arbitrary vertex, frequently on
         the logit = 0 face where replay's exact decide() is one rounding away
         from rejecting a genuine witness.  Two remedies, tried in order:
-        decimal-snapping the candidate (simplex eliminations leave ~1e-15
-        dirt on coordinates that are really short rationals), and re-solving
-        the leaf with a logit-maximizing objective to move the candidate as
-        deep into the phi region as the leaf allows; it starts from the
-        leaf's own final basis (`start`), so it runs phase 2 only.
+        decimal-snapping the candidate to 12, 9 and 6 digits (simplex
+        eliminations leave ~1e-15 dirt on coordinates that are really short
+        rationals), and re-solving the leaf with a logit-maximizing
+        objective to move the candidate as deep into the phi region as the
+        leaf allows; it starts from the leaf's own final basis (`start`), so
+        it runs phase 2 only.  The polished point is tried as it is: it has
+        the largest logit the leaf allows, and snapping it moves it away
+        from that optimum.
         """
         for digits in (12, 9, 6):
             yield np.round(x[: self.cut_dim], digits)
@@ -250,10 +253,7 @@ class _Search:
             return
         if out.status != OPTIMAL:
             return
-        polished = out.point[: self.cut_dim]
-        yield polished
-        for digits in (12, 9, 6):
-            yield np.round(polished, digits)
+        yield out.point[: self.cut_dim]
 
     def run(self) -> None:
         """Depth-first until the tree closes, a witness replays or the budget ends."""

@@ -264,16 +264,47 @@ def test_malformed_artifact_is_input_error_naming_the_file(workdir, tmp_path, ca
 
 
 def test_static_without_box_is_usage_error(workdir):
-    r = run_cli(
-        ["bounds", "net.json", "x.json", "--static", "--layer", 1], workdir
-    )
+    # an envelope comes from --data or from --box, and from exactly one
+    r = run_cli(["bounds", "net.json", "x.json", "--layer", 1], workdir)
     assert r.returncode == 2
+    assert "one of the arguments --data --box is required" in r.stderr, r.stderr
+    assert not (workdir / "x.json").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["bounds", "net.json", "x.json", "--static", "--box=-1,1", "--layer", 1],
+     "unrecognized arguments: --static"),
+    (["bounds", "net.json", "x.json", "--data", "data.csv", "--box=-1,1", "--layer", 1],
+     "argument --box: not allowed with argument --data"),
+    (["--seed", 3, "train-characterizer", "net.json", "data.csv", "x.json", "--layer", 1],
+     "invalid choice"),
+    (["--debug-lp-dump", "x.lp", "verify", "net.json", "query_safe.json", "x.json"],
+     "invalid choice"),
+], ids=["static", "data-and-box", "top-level-seed", "top-level-dump"])
+def test_old_option_spellings_exit_2(workdir, argv, message):
+    # each option lives on the one subcommand that reads it, and --box alone
+    # asks for a static envelope; the old spellings are usage errors that
+    # write nothing
+    r = run_cli(argv, workdir)
+    assert r.returncode == 2 and message in r.stderr, r.stderr
+    assert not (workdir / "x.json").exists() and not (workdir / "x.lp").exists()
+
+
+def test_train_characterizer_reads_its_seed(workdir, tmp_path):
+    # the seed draws a hidden head's initial weights: the same seed gives
+    # the same file, another seed another head
+    def head(seed, name):
+        r = run_cli(["train-characterizer", "net.json", "data.csv", str(tmp_path / name),
+                     "--layer", 1, "--hidden", 3, "--epochs", 3, "--seed", seed], workdir)
+        assert r.returncode == 0, r.stderr
+        return (tmp_path / name).read_bytes()
+
+    assert head(1, "a.json") == head(1, "b.json") != head(2, "c.json")
 
 
 def test_static_bounds_give_unconditional_verdict(workdir, tmp_path):
     r = run_cli(
-        ["bounds", "net.json", str(tmp_path / "sb.json"), "--static",
-         "--box=-1,1", "--layer", 1],
+        ["bounds", "net.json", str(tmp_path / "sb.json"), "--box=-1,1", "--layer", 1],
         workdir,
     )
     assert r.returncode == 0, r.stderr
@@ -417,7 +448,7 @@ def _refuse_constant(token):
 
 
 def test_monitor_reports_non_finite_rows_as_errors(tiny_path, tmp_path):
-    r = run_cli(["bounds", tiny_path, "b.json", "--static", "--box=-1,1", "--layer", 1],
+    r = run_cli(["bounds", tiny_path, "b.json", "--box=-1,1", "--layer", 1],
                 tmp_path)
     assert r.returncode == 0, r.stderr
     # -1.7e308 - 1.7e308 overflows to -inf in the third cut unit
@@ -431,7 +462,7 @@ def test_monitor_reports_non_finite_rows_as_errors(tiny_path, tmp_path):
 
 
 def test_monitor_and_verify_refuse_nan_envelope(tiny_path, tmp_path):
-    r = run_cli(["bounds", tiny_path, "b.json", "--static", "--box=-1,1", "--layer", 1],
+    r = run_cli(["bounds", tiny_path, "b.json", "--box=-1,1", "--layer", 1],
                 tmp_path)
     assert r.returncode == 0, r.stderr
     b = json.loads((tmp_path / "b.json").read_text())
@@ -458,7 +489,7 @@ def test_monitor_and_verify_refuse_nan_envelope(tiny_path, tmp_path):
 
 
 def test_infinite_box_gives_infinite_envelope_that_verify_refuses(tiny_path, tmp_path):
-    r = run_cli(["bounds", tiny_path, "b.json", "--static", "--box=-inf,inf", "--layer", 1],
+    r = run_cli(["bounds", tiny_path, "b.json", "--box=-inf,inf", "--layer", 1],
                 tmp_path)
     assert r.returncode == 0 and r.stderr == "", r.stderr
     b = load_bounds(str(tmp_path / "b.json"))
@@ -484,7 +515,7 @@ def test_overflowing_widen_and_tolerance_are_silent(tiny_path, tmp_path):
     # RuntimeWarnings made errors, as CI sets them, both exit 0 with nothing
     # on stderr
     env = child_env(PYTHONWARNINGS="error::RuntimeWarning")
-    box = ["--static", "--box=-1e308,1e308", "--layer", 1]
+    box = ["--box=-1e308,1e308", "--layer", 1]
 
     def run(args, stdin_text=None):
         return subprocess.run(
@@ -533,7 +564,7 @@ def test_monitor_overflowing_difference_is_a_strict_json_error_line(tiny_path, t
     ("-inf,-inf", "input box hi[0] is -inf"),
 ])
 def test_bad_box_endpoint_is_input_error(tiny_path, tmp_path, box, message):
-    r = run_cli(["bounds", tiny_path, "b.json", "--static", f"--box={box}", "--layer", 1],
+    r = run_cli(["bounds", tiny_path, "b.json", f"--box={box}", "--layer", 1],
                 tmp_path)
     assert r.returncode == 2 and message in r.stderr, r.stderr
     assert not (tmp_path / "b.json").exists()
@@ -619,8 +650,8 @@ def test_nan_risk_query_refused_before_search_and_dump(workdir, tmp_path, field)
     (tmp_path / "nan.json").write_text(json.dumps(obj))
     dump = tmp_path / "nan.lp"
     r = run_cli(
-        ["--debug-lp-dump", dump, "verify", "net.json", tmp_path / "nan.json",
-         tmp_path / "v.json", "--max-nodes", 0],
+        ["verify", "net.json", tmp_path / "nan.json", tmp_path / "v.json",
+         "--max-nodes", 0, "--debug-lp-dump", dump],
         workdir,
     )
     assert r.returncode == 2, r.stderr
@@ -631,8 +662,8 @@ def test_nan_risk_query_refused_before_search_and_dump(workdir, tmp_path, field)
 def test_debug_lp_dump(workdir, tmp_path):
     dump = tmp_path / "root.lp"
     r = run_cli(
-        ["--debug-lp-dump", str(dump), "verify", "net.json", "query_safe.json",
-         str(tmp_path / "v.json")],
+        ["verify", "net.json", "query_safe.json", str(tmp_path / "v.json"),
+         "--debug-lp-dump", str(dump)],
         workdir,
     )
     assert r.returncode == 0, r.stderr
@@ -706,7 +737,7 @@ def test_overflowing_static_bounds_are_sound_and_silent(tmp_path, weights, box, 
         input_dim=w.shape[1],
     )
     save_network(net, str(tmp_path / "net.json"))
-    r = run_cli(["bounds", "net.json", "b.json", "--static", f"--box={box}", "--layer", 1],
+    r = run_cli(["bounds", "net.json", "b.json", f"--box={box}", "--layer", 1],
                 tmp_path)
     assert r.returncode == 0 and r.stderr == "", r.stderr
     b = load_bounds(str(tmp_path / "b.json"))

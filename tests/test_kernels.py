@@ -163,6 +163,24 @@ def _gaussian_lp(rng):
     return c, A, rels, rng.normal(size=m), lo, hi
 
 
+def _anchored_lp(rng, zero_objective, integral):
+    """An LP of verifier size, 140 rows by 90 columns in [-5, 5], drawn around
+    an anchor x0 in [-1, 1] that meets every <= row with room to spare; a >=
+    row's rhs lies in [A x0 - 4, A x0 + 2], so the anchor may miss it.  With
+    a zero objective the solve is the dual phase 1 alone, as at a
+    branch-and-bound node; otherwise phase 2 follows, 250-400 pivots in all.
+    Integral entries make equal scores common, as the verifier's +-1 rows
+    do; with Gaussian ones the kernels' tie-breaks rarely decide a pivot."""
+    n, m = 90, 140
+    A = rng.integers(-5, 6, (m, n)).astype(np.float64) if integral else rng.normal(size=(m, n))
+    x0 = rng.uniform(-1.0, 1.0, n)
+    rels = rng.choice(np.array([-1, 1], dtype=np.int8), m)
+    b = A @ x0 + rng.uniform(0.0, 2.0, m)
+    b = np.where(rels == 1, b - rng.uniform(0.0, 4.0, m), b)
+    c = np.zeros(n) if zero_objective else rng.normal(size=n)
+    return c, A, rels, b, np.full(n, -5.0), np.full(n, 5.0)
+
+
 class _Recorder:
     """A kernel wrapper that counts what each call exercised."""
 
@@ -195,14 +213,18 @@ def test_phase2_and_warm_chain_states_match_bitwise(av):
     # every solve of a cold start and three warm children in a row, each
     # kernel from its own previous state: the same outcome, point, proof row
     # and seven state arrays to the byte after phase 2, not only after the
-    # dual phase 1
+    # dual phase 1; small LPs first, then a dozen of verifier size
     rng = np.random.default_rng(8)
     rec = {name: _Recorder(run) for name, run in av.items()}
     statuses = set()
-    for k in range(300):
-        c, A, rels, b, lo, hi = (synth.random_lp if k % 2 else _gaussian_lp)(rng)
+    for k in range(312):
+        if k < 300:
+            c, A, rels, b, lo, hi = (synth.random_lp if k % 2 else _gaussian_lp)(rng)
+        else:
+            c, A, rels, b, lo, hi = _anchored_lp(rng, k % 2 == 0, integral=k % 4 >= 2)
         lp = LinearProgram(c, A, rels, b, lo, hi)
         outs = {name: solve_dense(lp, kernel=rec[name]) for name in av}
+        assert k < 300 or outs["py"].status == OPTIMAL  # so warm children follow
         for depth in range(4):  # the cold solve, then three warm children
             _assert_same_outcome(outs["py"], outs["ext"])
             statuses.add(outs["py"].status)

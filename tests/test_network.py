@@ -167,12 +167,8 @@ def test_overflowing_box_on_tiny_warns_nothing_and_keeps_finite_bits(tiny_net):
     assert b.hi.tolist() == [1e308, 1e308, np.inf]
 
 
-def test_dim_at_and_suffix(tiny_net):
+def test_dim_at(tiny_net):
     assert [tiny_net.dim_at(p) for p in range(4)] == [2, 3, 3, 2]
-    suf = tiny_net.suffix(2)
-    assert suf.depth == 1 and suf.input_dim == 3
-    x = np.array([0.1, 0.0, 2.0])
-    assert np.array_equal(forward(suf, x), forward(tiny_net, x, 2, 3))
 
 
 def test_network_rejects_dim_mismatch():

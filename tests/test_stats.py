@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 
@@ -5,10 +6,13 @@ import numpy as np
 import pytest
 from pytest import approx
 
-from safecut.characterizer import Characterizer, TrainConfig, train_characterizer
+from safecut import cli, stats
+from safecut.characterizer import (
+    Characterizer, TrainConfig, save_characterizer, train_characterizer,
+)
 from safecut.errors import EmptyDatasetError, InvalidDeltaError, UnlabeledDataError
 from safecut.milp import RiskClause, RiskCondition
-from safecut.network import Dataset, Dense, Network
+from safecut.network import Dataset, Dense, Network, save_dataset, save_network
 from safecut.stats import (
     ConfusionEstimate,
     check_premise,
@@ -206,3 +210,30 @@ def test_report_obj_carries_all_fields():
     assert obj["gamma"] == approx(0.1)
     assert obj["confidence"] == approx(0.9)
     assert obj["premise_checked"] is True
+
+
+def test_stats_with_risk_passes_over_the_dataset_once(tmp_path, monkeypatch, capsys):
+    # the confusion cells and the premise share one pass to the cut and one
+    # through the head; only the omitted samples run on to the output
+    net, head = _identity_net(), _sign_head()
+    data = Dataset(inputs=np.array([[-2.0], [-1.0], [1.0], [2.0]]), labels=np.array([1, 1, 0, 1]))
+    save_network(net, str(tmp_path / "net.json"))
+    save_characterizer(head, str(tmp_path / "head.json"))
+    save_dataset(data, str(tmp_path / "data.csv"))
+    (tmp_path / "risk.json").write_text(
+        json.dumps([{"coeffs": [1.0], "op": "<=", "rhs": -1.5}])
+    )
+    rows = []
+    real = stats.forward_batch
+
+    def counted(net_, xs, *args):
+        rows.append(len(xs))
+        return real(net_, xs, *args)
+
+    monkeypatch.setattr(stats, "forward_batch", counted)
+    argv = [str(tmp_path / name) for name in ("net.json", "head.json", "data.csv")]
+    assert cli.main(["stats", *argv, "--layer", "1", "--risk", str(tmp_path / "risk.json")]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["counts"] == {"n11": 1, "n10": 2, "n01": 1, "n00": 0}
+    assert report["premise_checked"] is False  # the omitted x = -2 meets the risk
+    assert rows.count(len(data)) == 2 and rows.count(2) == 1, rows

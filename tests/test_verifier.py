@@ -166,6 +166,18 @@ def test_witness_polish_solve_runs_when_snapped_candidates_fail(monkeypatch):
     rep = replay_witness(net, query, got.witness)
     assert rep["in_bounds"] and rep["characterizer"] == 1 and rep["risk_satisfied"]
 
+    # the polished point is the last candidate: it is not snapped again, and
+    # refusing it too leaves the leaf unreplayable
+    def refuse_all(self, cand):
+        tried.append(cand.copy())
+        return real_try(self, cand)[:2] + (False,)
+
+    tried.clear()
+    monkeypatch.setattr(verifier._Search, "_try_witness", refuse_all)
+    got = verify(net, query)
+    assert len(tried) == 5 and got.status == "unknown"
+    assert any(w.startswith("unreplayable-leaf") for w in got.warnings)
+
 
 def test_spurious_integral_solution_does_not_fool_verifier():
     # same query solved without a budget: leaf replay keeps lying candidates out
