@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands mirror the pipeline stages: `bounds` builds an activation
-envelope from a dataset (`--data`) or an input box (`--box`),
+envelope from a dataset (`--data`, adjacent differences too with
+`--diffs`) or an input box (`--box`; `--diffs` with it is an input error),
 `train-characterizer` fits the property head, `verify` runs the MILP
 search, `monitor` checks a stream of samples against the envelope, and
 `stats` reports the confusion/guarantee numbers.  Every option is declared
@@ -65,6 +66,9 @@ def _parse_box(text: str, dim: int) -> bounds_mod.InputBox:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
+    if args.box is not None and args.diffs:
+        # a box's interval image bounds every adjacent difference already
+        raise ParseError("--diffs needs --data")
     net = load_network(args.network)
     if args.box is not None:
         box = _parse_box(args.box, net.input_dim)
@@ -241,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--layer", type=int, required=True, help="cut position l in [1, L-1]")
     p.add_argument(
         "--diffs", action="store_true",
-        help="also record adjacent-difference bounds (dataset mode)",
+        help="also record adjacent-difference bounds (needs --data)",
     )
     p.add_argument("--widen", type=float, default=0.0, metavar="M",
                    help="pad bounds by M*max(1,|v|) per endpoint")

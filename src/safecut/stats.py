@@ -4,11 +4,13 @@ Cells are indexed (ground truth, characterizer decision): n11 alpha,
 n10 gamma (missed analyses — the dangerous cell), n01 beta (false alarms),
 n00 the remainder.  The point guarantee is 1 - gamma-hat; a Clopper-Pearson
 exact upper bound on gamma is reported alongside it so small evaluation
-sets cannot overstate the claim.
+sets cannot overstate the claim.  That bound is computed in-tree and
+rounded outward: it is never below the exact Beta quantile.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,19 +91,119 @@ def estimate_confusion(
     )
 
 
+_EPS = math.ulp(1.0)
+
+
+def _log_front(a: int, b: int, x: float) -> tuple[float, float]:
+    """log(x^a (1-x)^b / B(a, b)) and a bound on its rounding error.
+
+    Each term is allowed 4 ulps (CPython's lgamma is within about 3 at
+    integers; log and log1p are within one, the product adds half) and
+    each sum one ulp of the partial result.
+    """
+    terms = (
+        math.lgamma(a + b), -math.lgamma(a), -math.lgamma(b),
+        a * math.log(x), b * math.log1p(-x),
+    )
+    s = terms[0]
+    err = 4.0 * math.ulp(s)
+    for t in terms[1:]:
+        s += t
+        err += 4.0 * math.ulp(t) + math.ulp(s)
+    return s, err
+
+
+def _beta_cf(a: int, b: int, x: float):
+    """(h, bound on the relative error of h) with I_x(a, b) = front * h / a.
+
+    The continued fraction by the modified Lentz method (Numerical Recipes
+    section 6.4), for x < (a + 1) / (a + b + 2).  A running first-order
+    bound follows the rounding of every step, including the cancellation in
+    1 + aa * d; x may itself be 1 - x' rounded.  None when a denominator
+    vanishes or the fraction does not settle.
+    """
+    qab, qap, qam = a + b, a + 1.0, a - 1.0
+    ea = 4.0 * _EPS  # x, one product and one quotient in each coefficient
+    t = -qab * x / qap
+    if t == -1.0:
+        return None
+    d, c = 1.0 / (1.0 + t), 1.0
+    ed, ec = abs(t) * ea * abs(d) + 2.0 * _EPS, 0.0
+    h, eh = d, ed
+    for m in range(1, 64 + 4 * math.isqrt(qab)):
+        m2 = 2 * m
+        for aa in (
+            m * (b - m) * x / ((qam + m2) * (a + m2)),
+            -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2)),
+        ):
+            t, q = aa * d, aa / c
+            c = 1.0 + q
+            if t == -1.0 or c == 0.0:
+                return None
+            d = 1.0 / (1.0 + t)
+            ed = abs(t) * (ea + ed + _EPS) * abs(d) + 2.0 * _EPS
+            ec = abs(q) * (ea + ec + _EPS) / abs(c) + _EPS
+            de = d * c
+            h *= de
+            eh += ed + ec + 2.0 * _EPS
+        if abs(de - 1.0) <= 2.0 * _EPS:
+            # the tail past this point stays under one eps; allow 16
+            return h, eh + 16.0 * _EPS
+    return None
+
+
+def _covers(a: int, b: int, x: float, delta: float) -> bool:
+    """Whether I_x(a, b) >= 1 - delta, decided on a certified lower bound.
+
+    Below (a + 1) / (a + b + 2) the fraction gives I_x directly; above it
+    gives 1 - I_x = I_{1-x}(b, a), which must be at most delta.
+    """
+    s, err = _log_front(a, b, x)
+    upper = x >= (a + 1.0) / (a + b + 2.0)
+    cf = _beta_cf(b, a, 1.0 - x) if upper else _beta_cf(a, b, x)
+    if cf is None:
+        return False
+    h, eh = cf
+    log_h = math.log(h / (b if upper else a))
+    s += log_h
+    # the sum, the final subtraction, exp and h / a each round by ~eps * (1 + |s|)
+    err += eh + math.ulp(log_h) + 4.0 * _EPS * (1.0 + abs(s))
+    if upper:
+        return math.exp(s + err) <= delta
+    return math.exp(s - err) >= math.nextafter(1.0 - delta, 2.0)
+
+
+def _count(name: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+        raise ValueError(f"{name} must be a nonnegative integer count, got {value!r}")
+    return int(value)
+
+
 def gamma_upper_bound(n10: int, n: int, delta: float) -> float:
-    """Clopper-Pearson exact one-sided upper bound on gamma at level 1-delta."""
+    """Clopper-Pearson exact one-sided upper bound on gamma at level 1-delta.
+
+    The (1 - delta) quantile u of Beta(n10 + 1, n - n10), rounded outward:
+    bisection moves its upper end only to points where a lower bound on
+    the regularized incomplete beta I_u(n10 + 1, n - n10) reaches 1 - delta,
+    so P[Bin(n, u) <= n10] <= delta holds exactly and u is never below the
+    exact quantile.
+    """
+    n10, n = _count("n10", n10), _count("n", n)
     if not 0.0 < delta < 1.0:
         raise InvalidDeltaError(f"delta must lie in (0, 1), got {delta}")
-    if n <= 0:
+    if n == 0:
         raise EmptyDatasetError("upper bound needs n >= 1")
     if n10 >= n:
         return 1.0
-    # the (1 - delta) quantile of Beta(n10 + 1, n - n10); imported here
-    # because scipy's import costs every safecut process about a second
-    from scipy.special import betaincinv
-
-    return float(betaincinv(n10 + 1, n - n10, 1.0 - delta))
+    lo, hi = 0.0, 1.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return hi
+        if _covers(n10 + 1, n - n10, mid, delta):
+            hi = mid
+        else:
+            lo = mid
 
 
 def guarantee(

@@ -26,9 +26,17 @@ import synth
 from harness import child_env
 
 
-def run_cli(args, cwd, stdin_text=None):
+# `python -m safecut.cli` in an interpreter where every import of scipy fails
+WITHOUT_SCIPY = (
+    "-c",
+    "import runpy, sys; sys.modules['scipy'] = None; "
+    "runpy.run_module('safecut.cli', run_name='__main__', alter_sys=True)",
+)
+
+
+def run_cli(args, cwd, stdin_text=None, entry=("-m", "safecut.cli")):
     return subprocess.run(
-        [sys.executable, "-m", "safecut.cli", *[str(a) for a in args]],
+        [sys.executable, *entry, *[str(a) for a in args]],
         capture_output=True,
         text=True,
         input=stdin_text,
@@ -288,6 +296,32 @@ def test_old_option_spellings_exit_2(workdir, argv, message):
     r = run_cli(argv, workdir)
     assert r.returncode == 2 and message in r.stderr, r.stderr
     assert not (workdir / "x.json").exists() and not (workdir / "x.lp").exists()
+
+
+def test_box_with_diffs_is_input_error(workdir):
+    # a box's interval image bounds every adjacent difference already, so
+    # --diffs would add nothing; it is refused, not ignored
+    r = run_cli(["bounds", "net.json", "x.json", "--box=-1,1", "--layer", 1, "--diffs"], workdir)
+    assert r.returncode == 2
+    assert "safecut: error: --diffs needs --data" in r.stderr, r.stderr
+    assert not (workdir / "x.json").exists()
+
+
+def test_every_subcommand_runs_without_scipy(workdir, tmp_path):
+    # numpy is the only runtime dependency
+    for args, want, stdin_text in (
+        (["bounds", "net.json", tmp_path / "b.json", "--data", "data.csv", "--layer", 1,
+          "--diffs"], 0, None),
+        (["train-characterizer", "net.json", "data.csv", tmp_path / "h.json", "--layer", 1],
+         0, None),
+        (["verify", "net.json", "query_unsafe.json", tmp_path / "v.json"], 1, None),
+        (["stats", "net.json", "head.json", "data.csv", "--layer", 1,
+          "--risk", "query_safe.json"], 0, None),
+        (["monitor", "net.json", "bounds.json"], 0, "0.5,0.5\n9.0,9.0\n"),
+    ):
+        r = run_cli(args, workdir, stdin_text, entry=WITHOUT_SCIPY)
+        assert r.returncode == want, (args[0], r.stderr)
+        assert "Traceback" not in r.stderr, r.stderr
 
 
 def test_train_characterizer_reads_its_seed(workdir, tmp_path):

@@ -1,6 +1,8 @@
 import json
+import math
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -117,27 +119,107 @@ def test_gamma_upper_bound_exceeds_point_estimate():
     assert ub < 0.20  # sanity: the exact bound for 10/100 sits near 0.162
 
 
-def test_gamma_upper_bound_is_the_beta_quantile():
-    from scipy.stats import beta
+# every n10 of these n, at the deltas a report is read at
+SMALL_GRID = [
+    (n10, n, delta)
+    for delta in (0.01, 0.05, 0.1)
+    for n in (1, 2, 3, 5, 8, 13, 21, 34, 59)
+    for n10 in range(n)
+]
 
-    for delta in (0.01, 0.05, 0.1):
-        for n in range(1, 60):
-            for n10 in range(n):
-                want = float(beta.ppf(1.0 - delta, n10 + 1, n - n10))
-                assert gamma_upper_bound(n10, n, delta) == want
+
+@pytest.fixture(scope="module")
+def small_bounds():
+    return [(n10, n, delta, gamma_upper_bound(n10, n, delta)) for n10, n, delta in SMALL_GRID]
 
 
-def test_importing_the_cli_does_not_import_scipy():
-    # scipy costs every safecut process about a second; only `stats` needs it
+def _binomial_cdf(n, k, u):
+    """P[Bin(n, u) <= k] as an exact rational, for the float u."""
+    p, q = u.as_integer_ratio()
+    return Fraction(
+        sum(math.comb(n, j) * p**j * (q - p) ** (n - j) for j in range(k + 1)), q**n
+    )
+
+
+def test_gamma_upper_bound_covers_exactly(small_bounds):
+    # the defining property of the one-sided Clopper-Pearson bound, in exact
+    # arithmetic: seeing at most n10 misses at rate u has chance <= delta
+    misses = [
+        (n10, n, delta, u)
+        for n10, n, delta, u in small_bounds
+        if _binomial_cdf(n, n10, u) > Fraction(delta)
+    ]
+    assert misses == []
+
+
+def test_gamma_upper_bound_is_tight_against_scipy(small_bounds):
+    # outward rounding costs at most a few ulps of the bound for small n,
+    # and under 1e-7 relative where large lgamma terms cancel
+    from scipy.special import betaincinv
+
+    for n10, n, delta, u in small_bounds:
+        q = float(betaincinv(n10 + 1, n - n10, 1.0 - delta))
+        assert u <= q * (1.0 + 1e-12), (n10, n, delta, u, q)
+    eps = sys.float_info.epsilon
+    for n in (400, 10_000, 1_000_000):
+        for n10 in (0, 1, n // 100, n // 2, n - 1):
+            for delta in (0.01, 0.05, 0.5, 0.9):
+                u = gamma_upper_bound(n10, n, delta)
+                q = float(betaincinv(n10 + 1, n - n10, 1.0 - delta))
+                assert q * (1.0 - 4 * eps) <= u <= q * (1.0 + 1e-7), (n10, n, delta, u, q)
+
+
+def _exact_fraction(a, b, x):
+    """h with I_x(a, b) = x^a (1-x)^b / B(a, b) * h / a, exactly."""
+    x, n = Fraction(x), a + b - 1
+    tail = sum(math.comb(n, j) * x**j * (1 - x) ** (n - j) for j in range(a, n + 1))
+    inv_beta = Fraction(math.factorial(n), math.factorial(a - 1) * math.factorial(b - 1))
+    return tail * a / (x**a * (1 - x) ** b * inv_beta)
+
+
+def test_continued_fraction_error_bound_covers_its_rounding():
+    # near (a + 1) / (a + b + 2) each step cancels in 1 + aa * d; the
+    # running bound must cover errors well past a fixed few eps
+    eps = sys.float_info.epsilon
+    worst = 0.0
+    for a, b, x in ((150, 2, 0.98), (100, 3, 0.96), (199, 1, 0.989), (60, 60, 0.49), (2, 50, 0.05)):
+        h, bound = stats._beta_cf(a, b, x)
+        exact = _exact_fraction(a, b, x)
+        err = float(abs(Fraction(h) - exact) / exact)
+        assert err <= bound, (a, b, x, err / eps, bound / eps)
+        worst = max(worst, err)
+    assert worst > 16 * eps
+
+
+@pytest.mark.parametrize("n10, n", [(-1, 10), (2.5, 10), (True, 10), (1, 10.0), (1, -3), (0, False)])
+def test_gamma_upper_bound_refuses_what_is_no_count(n10, n):
+    with pytest.raises(ValueError, match="integer count"):
+        gamma_upper_bound(n10, n, 0.05)
+
+
+def test_gamma_upper_bound_accepts_numpy_counts():
+    assert gamma_upper_bound(np.int64(3), np.int64(40), 0.05) == gamma_upper_bound(3, 40, 0.05)
+
+
+def test_importing_the_cli_does_not_import_scipy(tmp_path):
+    # numpy is the only runtime dependency: neither the import nor a whole
+    # `stats --risk` run, bound included, may load scipy
+    _stats_files(tmp_path)
     code = (
-        "import sys, safecut.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "import runpy, sys\n"
+        "try:\n"
+        "    runpy.run_module('safecut.cli', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), file=sys.stderr)"
     )
     r = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
+        [sys.executable, "-c", code, "stats", *STATS_FILES, "--layer", "1", "--risk", "risk.json"],
+        capture_output=True, text=True, cwd=tmp_path, env=child_env(),
     )
     assert r.returncode == 0, r.stderr
-    assert r.stdout.strip() == "[]"
+    assert "conservative_guarantee" in json.loads(r.stdout)
+    assert r.stderr.strip() == "[]"
 
 
 def test_gamma_upper_bound_monotone_in_delta():
@@ -155,6 +237,8 @@ def test_invalid_delta_rejected():
 def test_empty_estimate_rejected():
     with pytest.raises(EmptyDatasetError):
         ConfusionEstimate(n11=0, n10=0, n01=0, n00=0)
+    with pytest.raises(EmptyDatasetError):
+        gamma_upper_bound(0, 0, 0.05)
     with pytest.raises(ValueError):
         ConfusionEstimate(n11=-1, n10=1, n01=1, n00=1)
 
@@ -212,9 +296,11 @@ def test_report_obj_carries_all_fields():
     assert obj["premise_checked"] is True
 
 
-def test_stats_with_risk_passes_over_the_dataset_once(tmp_path, monkeypatch, capsys):
-    # the confusion cells and the premise share one pass to the cut and one
-    # through the head; only the omitted samples run on to the output
+STATS_FILES = ("net.json", "head.json", "data.csv")
+
+
+def _stats_files(tmp_path):
+    """Write STATS_FILES and risk.json for `stats`; returns the dataset."""
     net, head = _identity_net(), _sign_head()
     data = Dataset(inputs=np.array([[-2.0], [-1.0], [1.0], [2.0]]), labels=np.array([1, 1, 0, 1]))
     save_network(net, str(tmp_path / "net.json"))
@@ -223,6 +309,13 @@ def test_stats_with_risk_passes_over_the_dataset_once(tmp_path, monkeypatch, cap
     (tmp_path / "risk.json").write_text(
         json.dumps([{"coeffs": [1.0], "op": "<=", "rhs": -1.5}])
     )
+    return data
+
+
+def test_stats_with_risk_passes_over_the_dataset_once(tmp_path, monkeypatch, capsys):
+    # the confusion cells and the premise share one pass to the cut and one
+    # through the head; only the omitted samples run on to the output
+    data = _stats_files(tmp_path)
     rows = []
     real = stats.forward_batch
 
@@ -231,7 +324,7 @@ def test_stats_with_risk_passes_over_the_dataset_once(tmp_path, monkeypatch, cap
         return real(net_, xs, *args)
 
     monkeypatch.setattr(stats, "forward_batch", counted)
-    argv = [str(tmp_path / name) for name in ("net.json", "head.json", "data.csv")]
+    argv = [str(tmp_path / name) for name in STATS_FILES]
     assert cli.main(["stats", *argv, "--layer", "1", "--risk", str(tmp_path / "risk.json")]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["counts"] == {"n11": 1, "n10": 2, "n01": 1, "n00": 0}
