@@ -8,7 +8,8 @@
  * simplex at zero cost: the most violated basic variable leaves at the
  * bound it violates, the column of the largest |D[r, j]| that repairs its
  * row enters, and a violated row that no column repairs proves the LP
- * infeasible.  Phase 2 is the primal simplex.  Every floating-point update
+ * infeasible; that row goes back to the caller in `dead`, a one-element
+ * int64 array (-1 on every other outcome).  Phase 2 is the primal simplex.  Every floating-point update
  * is the same mul-then-sub or divide sequence (built with
  * -ffp-contract=off, so no fused multiply-add), and both phases pick by one
  * rule (pick), ties going to the lowest variable id, which keeps the two
@@ -36,7 +37,7 @@ enum { CLOSED, INC, DEC, FREE };
 
 typedef struct {
     double *D, *z, *xB, *lo, *hi;
-    int64_t *basis, *nb, *vstat;
+    int64_t *basis, *nb, *vstat, *dead;
     Py_ssize_t m, w;
 } State;
 
@@ -98,6 +99,7 @@ static int run(const State *s, const Work *wk, int phase, double viol_tol,
     for (p = 0; p < w; p++)
         kind[p] = kind_of(s, nb[p]);
     memset(wk->banned, 0, (size_t)w); /* only phase 2 bans */
+    s->dead[0] = -1;
 
     for (;; iters++) {
         *iters_out = iters;
@@ -120,8 +122,10 @@ static int run(const State *s, const Work *wk, int phase, double viol_tol,
             const double sign = up ? 1.0 : -1.0;
             score_columns(s, wk, row, sign);
             p = pick(wk->score, nb, w, tiny, bland);
-            if (p < 0)
+            if (p < 0) {
+                s->dead[0] = r;
                 return INFEASIBLE;
+            }
             q = nb[p];
             d = (vstat[q] == 1 || (vstat[q] == 3 && sign * row[p] < 0.0)) ? 1.0 : -1.0;
             t_limit = (xB[r] - (up ? lo[basis[r]] : hi[basis[r]])) / (d * row[p]);
@@ -255,8 +259,9 @@ static int get_buffer(PyObject *obj, Py_buffer *view, const char *name,
     return 0;
 }
 
-enum { NBUF = 8 };
-static const char *const names[NBUF] = {"D", "z", "xB", "basis", "nb", "vstat", "lo", "hi"};
+enum { NBUF = 9 };
+static const char *const names[NBUF] = {"D", "z", "xB", "basis", "nb", "vstat", "lo", "hi",
+                                        "dead"};
 
 /* Check the lengths and the basis and nb indices of the acquired buffers,
  * then run. */
@@ -265,14 +270,14 @@ static PyObject *run_views(Py_buffer *view, int phase, double viol_tol,
                            double opt_tol, double tiny)
 {
     const Py_ssize_t m = view[0].shape[0], w = view[0].shape[1], n = w + m;
-    const Py_ssize_t expect[NBUF] = {0, w, m, m, w, n, n, n};
+    const Py_ssize_t expect[NBUF] = {0, w, m, m, w, n, n, n, 1};
     for (int k = 1; k < NBUF; k++)
         if (view[k].shape[0] != expect[k])
             return PyErr_Format(PyExc_ValueError, "%s has length %zd, D.shape gives %zd",
                                 names[k], view[k].shape[0], expect[k]);
     const State s = {.D = view[0].buf, .z = view[1].buf, .xB = view[2].buf,
                      .basis = view[3].buf, .nb = view[4].buf, .vstat = view[5].buf,
-                     .lo = view[6].buf, .hi = view[7].buf,
+                     .lo = view[6].buf, .hi = view[7].buf, .dead = view[8].buf,
                      .m = m, .w = w};
     for (Py_ssize_t i = 0; i < m; i++)
         if (s.basis[i] < 0 || s.basis[i] >= n)
@@ -307,17 +312,17 @@ static PyObject *run_phase(PyObject *self, PyObject *args)
     int phase;
     double viol_tol, opt_tol, tiny;
     long long dantzig_limit, max_iter;
-    if (!PyArg_ParseTuple(args, "OOOOOOOOidLLdd:run_phase", &obj[0], &obj[1],
+    if (!PyArg_ParseTuple(args, "OOOOOOOOidLLddO:run_phase", &obj[0], &obj[1],
                           &obj[2], &obj[3], &obj[4], &obj[5], &obj[6], &obj[7],
                           &phase, &viol_tol, &dantzig_limit, &max_iter, &opt_tol,
-                          &tiny))
+                          &tiny, &obj[8]))
         return NULL;
 
     Py_buffer view[NBUF];
     PyObject *result = NULL;
     int held = 0;
     while (held < NBUF) {
-        const int is_index = held >= 3 && held <= 5;
+        const int is_index = (held >= 3 && held <= 5) || held == 8;
         if (get_buffer(obj[held], &view[held], names[held], held == 0 ? 2 : 1,
                        is_index ? "lq" : "d") < 0)
             break;
@@ -333,7 +338,8 @@ static PyObject *run_phase(PyObject *self, PyObject *args)
 
 static PyMethodDef methods[] = {
     {"run_phase", run_phase, METH_VARARGS,
-     "Drop-in replacement for _simplex_py.run_phase; returns (status, iters)."},
+     "Drop-in replacement for _simplex_py.run_phase; returns (status, iters)\n"
+     "and puts the row that proves an INFEASIBLE dual phase in dead[0]."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -28,7 +28,9 @@ feasible.  Basic variables may sit outside their bounds.  Each iteration
 takes the basic variable of the largest violation (above ``viol_tol``) out
 at the bound it violates, and brings in the column of the largest
 ``|D[r, j]|`` among those that can move the way that repairs row r.  A
-violated row that no column can repair proves the LP infeasible.  Phase 2 is
+violated row that no column can repair proves the LP infeasible; the kernel
+hands that row back in ``dead``, a one-element int64 array, so the driver
+checks that one row instead of searching for it.  Phase 2 is
 the primal simplex from a feasible basis: Dantzig pricing and a ratio test.
 Both phases pick with one rule (`_pick`): the largest score, the lowest
 variable id on ties, and from ``dantzig_limit`` iterations on Bland's rule,
@@ -49,7 +51,8 @@ into them with ``out=``.
 Return status codes (shared with the compiled kernel):
   0 OPTIMAL        phase 1: every basic variable is within viol_tol of its
                    bounds; phase 2: no eligible entering column
-  1 INFEASIBLE     phase 1: a violated row has no column that can repair it
+  1 INFEASIBLE     phase 1: a violated row has no column that can repair it;
+                   its index is in dead[0]
   2 UNBOUNDED      phase 2: an improving direction has no blocking bound
   3 TINY_PIVOT     phase 2: progress blocked only by pivots smaller than `tiny`
   4 ITER_LIMIT     max_iter successful pivots/flips without termination
@@ -102,11 +105,14 @@ def run_phase(
     max_iter: int,
     opt_tol: float,
     tiny: float,
+    dead: np.ndarray,
 ) -> tuple:
     """Run phase 1 (dual, zero cost) or phase 2 (primal, costs `z`) in place;
-    returns (status, iters)."""
+    returns (status, iters).  ``dead[0]`` is set to the row that ends the
+    dual phase INFEASIBLE, -1 on every other outcome."""
     m, w = D.shape
     iters = 0
+    dead[0] = -1
     # score signs and free flags, kept in step with vstat/lo/hi at the
     # column a step touches
     vs = vstat[nb]
@@ -151,6 +157,7 @@ def run_phase(
                 np.absolute(vec, out=score, where=free)
             p = _pick(score, nb, tiny, bland, eq_col)
             if p < 0:
+                dead[0] = r
                 return INFEASIBLE, iters
             q = int(nb[p])
             sq = vstat[q]

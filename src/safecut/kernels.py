@@ -4,8 +4,11 @@ The compiled kernel (``_simplex_c``) and the NumPy kernel (``_simplex_py``)
 implement the same contract, one ``run_phase`` for the dual phase 1 and the
 primal phase 2, and produce bitwise-identical pivot sequences, so the
 choice changes speed only: the compiled one is used whenever the
-build produced it.  ``verify(kernel=...)`` and ``solve_dense(kernel=...)``
-take any entry of ``available_kernels()``.
+build produced it.  ``run_phase`` returns ``(status, iters)``; its last
+argument, a one-element int64 array, receives the row that ends the dual
+phase INFEASIBLE, which lp.py checks instead of searching for one.
+``verify(kernel=...)`` and ``solve_dense(kernel=...)`` take any entry of
+``available_kernels()``.
 """
 
 from __future__ import annotations

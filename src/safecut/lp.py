@@ -13,9 +13,11 @@ A x + s = b (<= gives slack in [0,inf), >= in (-inf,0], = pinned at [0,0]).
 Dantzig pricing switches to Bland's rule after 10*(m+N) iterations;
 feasibility tolerance 1e-7, reduced-cost tolerance 1e-7, pivots below 1e-11
 are never taken (in phase 2, NumericalBreakdown when no alternative
-exists).  Optimal points are re-checked against every constraint
-independently of the solver state — a failed recheck raises rather than
-returning a silently wrong answer.
+exists).  A phase-2 optimum is re-checked against every constraint
+independently of the solver state, and a failed recheck raises rather than
+returning a silently wrong answer.  A point that phase 1 alone produced (a
+zero objective) is not: branch and bound only steers by it, and replays
+every witness it takes from it through the real network.
 
 The tableau keeps only its nonbasic columns: a state is
 ``(D, xB, basis, nb, vstat, lo_all, hi_all)`` with ``D = B^-1 N`` of shape
@@ -33,9 +35,13 @@ where it is.  Phase 1, the dual simplex at zero cost, then repairs those
 rows, so a child that differs from its parent in one bound costs a few
 pivots; a violation of at most VIOL_TOL counts as inside.  When a violated
 row has no column that can repair it, the LP is infeasible and that row is
-the proof: the outcome carries it as ``proof_row`` with the state, and
-``y = e_r B^-1`` gives the row multipliers of a certificate.  Phase 2, the
-primal simplex, then optimizes a nonzero objective.
+the proof.  The kernel hands it back (its ``dead`` argument); `solve_dense`
+checks that one row, violated beyond VIOL_TOL with no column above TINY
+that repairs it, and raises NumericalBreakdownError when the check fails,
+so a wrong kernel claim never prunes.  The outcome carries the row as
+``proof_row`` with the state, and ``y = e_r B^-1`` gives the row
+multipliers of a certificate.  Phase 2, the primal simplex, then optimizes
+a nonzero objective.
 """
 
 from __future__ import annotations
@@ -180,29 +186,23 @@ def _warm_state(start, A, lo, hi):
     return D.copy(), xB, basis.copy(), nb.copy(), vstat, lo_all, hi_all
 
 
-def _proof_row(state) -> int:
-    """The violated row of largest violation (lowest row on ties) that no
-    column can repair, which the dual phase found; raises if there is none.
-
-    Rows are tested one at a time in that order and the first dead one is
-    returned, so the search usually stops at the row the kernel gave up on.
-    """
+def _is_dead(state, r: int) -> bool:
+    """Whether row r of the state is violated beyond VIOL_TOL and no column
+    can repair it: the claim a kernel makes when it ends phase 1 INFEASIBLE."""
     D, xB, basis, nb, vstat, lo_all, hi_all = state
-    blo, bhi = lo_all[basis], hi_all[basis]
-    viol = np.maximum(blo - xB, xB - bhi)
-    rows = np.flatnonzero(viol > VIOL_TOL)
+    if not 0 <= r < xB.shape[0]:
+        return False
+    blo, bhi = lo_all[basis[r]], hi_all[basis[r]]
+    if not max(blo - xB[r], xB[r] - bhi) > VIOL_TOL:
+        return False
     # a column repairs a row that must rise if it may rise and its entry is
     # negative, or may fall and its entry is positive; the reverse for a
     # row that must fall
     vs = vstat[nb]
     is_open = lo_all[nb] != hi_all[nb]
     sign = np.where(is_open & (vs == 1), -1.0, np.where(is_open & (vs == 2), 1.0, 0.0))
-    free = is_open & (vs == 3)
-    for r in rows[np.argsort(-viol[rows], kind="stable")].tolist():
-        R = D[r] * (1.0 if xB[r] < blo[r] else -1.0)
-        if not (np.where(free, np.abs(R), R * sign) > TINY).any():
-            return r
-    raise NumericalBreakdownError("dual phase reported infeasible, but every row can be repaired")
+    R = D[r] * (1.0 if xB[r] < blo else -1.0)
+    return not (np.where(is_open & (vs == 3), np.abs(R), R * sign) > TINY).any()
 
 
 def _extract(vstat, lo_all, hi_all, basis, xB, n):
@@ -227,7 +227,7 @@ def _recheck(x, A, rels, b, lo, hi) -> Optional[str]:
     return f"row {i}: {_STR_OF_REL[int(rels[i])]} violated by {excess[i]:.3e}"
 
 
-def _phase(run, cost, state, phase, dantzig_limit):
+def _phase(run, cost, state, phase, dantzig_limit, dead):
     """Price `cost` against the state's basis and run one kernel phase on it.
 
     Phase 1 has zero cost.  Pricing sums ``cost_B * D`` over the rows in
@@ -242,7 +242,7 @@ def _phase(run, cost, state, phase, dantzig_limit):
         z = cost[nb] - (np.add.accumulate(P, axis=0, out=P)[-1] if P.shape[0] else 0.0)
     return run(
         D, z, xB, basis, nb, vstat, lo_all, hi_all,
-        phase, VIOL_TOL, dantzig_limit, MAX_ITER, OPT_TOL, TINY,
+        phase, VIOL_TOL, dantzig_limit, MAX_ITER, OPT_TOL, TINY, dead,
     )
 
 
@@ -269,15 +269,19 @@ def solve_dense(lp: LinearProgram, lo=None, hi=None, kernel=None, start=None) ->
     state = _warm_state(start or _slack_basis(A, rels, b, lo, hi), A, lo, hi)
     dantzig_limit = 10 * (m + state[4].shape[0])
 
-    status, pivots = _phase(run, None, state, 1, dantzig_limit)
+    dead = np.empty(1, dtype=np.int64)
+    status, pivots = _phase(run, None, state, 1, dantzig_limit, dead)
     if status == kernels.INFEASIBLE:
-        return LpOutcome(INFEASIBLE, pivots=pivots, state=state, proof_row=_proof_row(state))
+        r = int(dead[0])
+        if not _is_dead(state, r):
+            raise NumericalBreakdownError(f"dual phase named row {r} dead, but it is not")
+        return LpOutcome(INFEASIBLE, pivots=pivots, state=state, proof_row=r)
     if status != kernels.OPTIMAL:
         raise NumericalBreakdownError(f"phase 1 stalled (kernel status {status})")
 
-    if c.any():
-        c2 = np.concatenate([c, np.zeros(m)])
-        status, iters = _phase(run, c2, state, 2, dantzig_limit)
+    optimize = bool(c.any())
+    if optimize:
+        status, iters = _phase(run, np.concatenate([c, np.zeros(m)]), state, 2, dantzig_limit, dead)
         pivots += iters
         if status == kernels.UNBOUNDED:
             return LpOutcome(UNBOUNDED, pivots=pivots)
@@ -286,9 +290,10 @@ def solve_dense(lp: LinearProgram, lo=None, hi=None, kernel=None, start=None) ->
 
     D, xB, basis, nb, vstat, lo_all, hi_all = state
     x = _extract(vstat, lo_all, hi_all, basis, xB, n)
-    msg = _recheck(x, A, rels, b, lo, hi)
-    if msg is not None:
-        raise NumericalBreakdownError(f"optimal point failed recheck: {msg}")
+    if optimize:  # only a phase-2 optimum is re-checked (module doc)
+        msg = _recheck(x, A, rels, b, lo, hi)
+        if msg is not None:
+            raise NumericalBreakdownError(f"optimal point failed recheck: {msg}")
     return LpOutcome(OPTIMAL, x, float(np.dot(c, x)), pivots, state)
 
 

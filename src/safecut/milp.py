@@ -1,23 +1,38 @@
 """Big-M MILP encoding of the cut-layer safety verification problem.
 
-Variables cover every neuron from the cut position through the suffix output
-plus every neuron of the characterizer head (which consumes the same
-cut-layer variables, giving the shared-neuron coupling).  ReLUs whose
-pre-activation interval straddles zero get a binary indicator and the four
-big-M rows; stable ReLUs are encoded exactly (y=x or y=0).  Interval bounds
-come from propagating the cut-layer box only — the adjacent-difference
-constraints join the LP as rows but never tighten the intervals.  The
-result is one `LinearProgram`, checked once, which the verifier hands to
-`solve_dense`.  Zero Dense weights and zero risk coefficients (a `-0.0` among
-them) are skipped and so stay `+0.0` entries; BatchNorm scales are written as
-given.
+The LP covers the suffix from the cut position through the output and the
+characterizer head, which consumes the same cut-layer columns (the
+shared-neuron coupling).  ReLUs whose pre-activation interval straddles
+zero get a binary indicator and three big-M rows; stable ReLUs are encoded
+exactly (y = x, or y pinned to [0, 0]).  Interval bounds come from
+propagating the cut-layer box only; the adjacent-difference constraints
+join the LP as rows but never tighten the intervals.
+
+Columns are kept only for the cut activations, every ReLU output (named
+``<s|h><layer>_<neuron>``; a stable-inactive one is a [0, 0] column), the
+binaries, and a Dense or BatchNorm output that some row cannot take as a
+substitution.  Such an output is first an affine map of kept columns, its
+copied weights and bias.  A row that holds it with coefficient +-1 and none
+of its columns yet (the split-ReLU rows, a stable ReLU's y = x row, the
+``logit >= 0`` row, a +-1 risk term) takes the map's coefficients in its
+place and moves the bias into its rhs, so every entry of A is still a
+weight, a BatchNorm scale, +-1, a big-M constant or a risk coefficient.
+An inexact rhs shift (``bias - xlo`` say) is rounded outward for an
+inequality, which only loosens it; anywhere else the output gets its column
+and its defining equality, as before: a Dense input (composing weights
+would round), a BatchNorm input, a risk coefficient other than +-1.  The
+maps stay in the `MilpProblem` (``pre`` for the ReLUs, ``logit`` for the
+head) for branching and the witness polish.  The result is one
+`LinearProgram`, checked once, which the verifier hands to `solve_dense`.
+Zero weights, scales and risk coefficients (a ``-0.0`` among them) are
+skipped and so stay ``+0.0`` entries.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -133,7 +148,6 @@ class SafetyQuery:
 
 @dataclass(frozen=True)
 class ReluInfo:
-    pre_col: int
     post_col: int
     binary_col: Optional[int]
     xlo: float
@@ -143,21 +157,63 @@ class ReluInfo:
 
 @dataclass(frozen=True)
 class MilpProblem:
+    """The LP with the maps from its columns back to the network.
+
+    Row i of ``pre @ x + pre0`` is the pre-activation of ``relus[i]`` at the
+    LP point x, and ``logit @ x + logit0`` the head's logit.
+    """
+
     lp: LinearProgram
     binaries: Tuple[int, ...]
     cut_cols: Tuple[int, ...]
-    out_cols: Tuple[int, ...]
-    logit_col: int
     diff_rows: Tuple[int, ...]
     relus: Tuple[ReluInfo, ...]
+    pre: np.ndarray
+    pre0: np.ndarray
+    logit: np.ndarray
+    logit0: float
+
+
+@dataclass
+class _Affine:
+    """A Dense or BatchNorm output not (yet) given a column: the sum of
+    ``terms`` (column -> copied weight) and ``const`` (the copied bias)."""
+
+    terms: Dict[int, float]
+    const: float
+    name: str
+    lo: float
+    hi: float
+    col: Optional[int] = None  # its column, once a row needs one
+
+
+Value = Union[int, _Affine]  # a column, or an affine map of columns
+
+
+def _shift(rhs: float, t: float, rel: int) -> Optional[float]:
+    """``rhs - t`` for a row with relation `rel`: exact, or rounded outward
+    (up for <=, down for >=) when the difference is inexact, which only
+    loosens the row; None for an inexact equality or an overflow."""
+    s = rhs - t
+    if not np.isfinite(s):
+        return None
+    sb = s - rhs  # TwoSum: err is the exact rhs - t - s
+    err = (rhs - (s - sb)) + (-t - sb)
+    if err == 0.0:
+        return s
+    if rel == REL_EQ:
+        return None
+    if rel == REL_LE:
+        return float(np.nextafter(s, np.inf)) if err > 0.0 else s
+    return float(np.nextafter(s, -np.inf)) if err < 0.0 else s
 
 
 class _Builder:
     """Accumulates columns and rows, then scatters them into a LinearProgram.
 
     A row records only the coefficients it is given; every other entry of A
-    stays +0.0, so a coefficient a caller skips as zero cannot carry a sign
-    (a coefficient it passes, a -0.0 BatchNorm scale say, keeps its bits).
+    stays +0.0, and zero weights are never given, so no entry carries a
+    sign bit.
     """
 
     def __init__(self) -> None:
@@ -181,11 +237,38 @@ class _Builder:
         self.rhs.append(rhs)
         return i
 
+    def column(self, v: Value) -> int:
+        """The column of `v`, made with its defining row on first request."""
+        if isinstance(v, int):
+            return v
+        if v.col is None:
+            v.col = self.var(v.name, v.lo, v.hi)
+            self.row({**v.terms, v.col: -1.0}, REL_EQ, -v.const)
+        return v.col
+
+    def use(self, coeffs: Dict[int, float], v: Value, s: float, rel: int, rhs: float) -> float:
+        """Add ``s * v`` to a row's `coeffs`; returns the row's rhs.
+
+        An affine `v` is substituted where that copies its coefficients (s is
+        +-1 and the row holds none of its columns yet) and the rhs shift is
+        exact or, for an inequality, rounded outward; otherwise `v` gets its
+        column.
+        """
+        copies = abs(s) == 1.0 and isinstance(v, _Affine) and v.col is None
+        if copies and not coeffs.keys() & v.terms.keys():
+            shifted = _shift(rhs, s * v.const, rel)
+            if shifted is not None:
+                coeffs.update((j, s * w) for j, w in v.terms.items())
+                return shifted
+        coeffs[self.column(v)] = s
+        return rhs
+
     def freeze(self) -> LinearProgram:
         n = len(self.names)
         A = np.zeros((len(self.rhs), n))
-        rows, cols, vals = zip(*self.entries)
-        A[rows, cols] = vals
+        if self.entries:
+            rows, cols, vals = zip(*self.entries)
+            A[rows, cols] = vals
         return LinearProgram(
             c=np.zeros(n),
             A=A,
@@ -200,15 +283,18 @@ class _Builder:
 def _encode_layers(
     bld: _Builder,
     layers: Sequence,
-    in_cols: List[int],
+    inputs: List[Value],
     in_lo: np.ndarray,
     in_hi: np.ndarray,
     prefix: str,
     binaries: List[int],
-    relus: List[ReluInfo],
-) -> List[int]:
-    """Emit variables and rows for a Dense/Relu/BatchNorm stack; its output columns."""
-    cols = list(in_cols)
+    relus: List[Tuple[ReluInfo, Value]],
+) -> List[Value]:
+    """Emit columns and rows for a Dense/Relu/BatchNorm stack; its outputs.
+
+    Appends each ReLU with its input value to `relus`.
+    """
+    vals = list(inputs)
     cur_lo, cur_hi = in_lo, in_hi
     for li, layer in enumerate(layers, start=1):
         if not isinstance(layer, (Dense, Relu, BatchNorm)):
@@ -217,51 +303,71 @@ def _encode_layers(
             )
         out_lo, out_hi = layer.propagate(cur_lo, cur_hi)
         if isinstance(layer, Dense):
-            new_cols = []
-            for k in range(layer.out_dim):
-                y = bld.var(f"{prefix}{li}_{k}", out_lo[k], out_hi[k])
-                coeffs = {c: float(w) for c, w in zip(cols, layer.weights[k]) if w != 0.0}
-                coeffs[y] = -1.0
-                bld.row(coeffs, REL_EQ, -float(layer.bias[k]))
-                new_cols.append(y)
-            cols = new_cols
+            cols = [bld.column(v) for v in vals]  # composing weights would round
+            vals = [
+                _Affine({c: float(w) for c, w in zip(cols, layer.weights[k]) if w != 0.0},
+                        float(layer.bias[k]), f"{prefix}{li}_{k}", out_lo[k], out_hi[k])
+                for k in range(layer.out_dim)
+            ]
         elif isinstance(layer, BatchNorm):
             a, c0 = layer.affine()
-            new_cols = []
-            for k in range(layer.out_dim):
-                y = bld.var(f"{prefix}{li}_{k}", out_lo[k], out_hi[k])
-                bld.row({cols[k]: float(a[k]), y: -1.0}, REL_EQ, -float(c0[k]))
-                new_cols.append(y)
-            cols = new_cols
+            vals = [
+                _Affine({bld.column(v): float(a[k])} if a[k] != 0.0 else {},
+                        float(c0[k]), f"{prefix}{li}_{k}", out_lo[k], out_hi[k])
+                for k, v in enumerate(vals)
+            ]
         elif isinstance(layer, Relu):
-            new_cols = []
-            for k in range(layer.out_dim):
+            new_vals = []
+            for k, x in enumerate(vals):
                 xlo, xhi = float(cur_lo[k]), float(cur_hi[k])
-                x = cols[k]
+                name = f"{prefix}{li}_{k}"
                 if xlo >= 0.0:
-                    y = bld.var(f"{prefix}{li}_{k}", xlo, xhi)
-                    bld.row({y: 1.0, x: -1.0}, REL_EQ, 0.0)
-                    relus.append(ReluInfo(x, y, None, xlo, xhi, "pos"))
+                    y = bld.var(name, xlo, xhi)
+                    coeffs = {y: 1.0}  # y = x
+                    rhs = bld.use(coeffs, x, -1.0, REL_EQ, 0.0)
+                    bld.row(coeffs, REL_EQ, rhs)
+                    info = ReluInfo(y, None, xlo, xhi, "pos")
                 elif xhi <= 0.0:
-                    y = bld.var(f"{prefix}{li}_{k}", 0.0, 0.0)
-                    relus.append(ReluInfo(x, y, None, xlo, xhi, "neg"))
+                    y = bld.var(name, 0.0, 0.0)
+                    info = ReluInfo(y, None, xlo, xhi, "neg")
                 else:
                     if not (np.isfinite(xlo) and np.isfinite(xhi)):
                         raise UnboundedBigMError(
-                            f"ReLU {prefix}{li}_{k} has unbounded pre-activation "
+                            f"ReLU {name} has unbounded pre-activation "
                             f"interval [{xlo}, {xhi}]"
                         )
-                    y = bld.var(f"{prefix}{li}_{k}", 0.0, xhi)
+                    y = bld.var(name, 0.0, xhi)
                     a_col = bld.var(f"a{len(binaries)}", 0.0, 1.0)
                     binaries.append(a_col)
-                    bld.row({y: 1.0, x: -1.0}, REL_GE, 0.0)  # y >= x (y >= 0 is a bound)
-                    bld.row({y: 1.0, x: -1.0, a_col: -xlo}, REL_LE, -xlo)  # y <= x - xlo(1-a)
+                    coeffs = {y: 1.0}  # y >= x (y >= 0 is a bound)
+                    rhs = bld.use(coeffs, x, -1.0, REL_GE, 0.0)
+                    bld.row(coeffs, REL_GE, rhs)
+                    coeffs = {y: 1.0}  # y <= x - xlo(1-a)
+                    rhs = bld.use(coeffs, x, -1.0, REL_LE, -xlo)
+                    coeffs[a_col] = -xlo
+                    bld.row(coeffs, REL_LE, rhs)
                     bld.row({y: 1.0, a_col: -xhi}, REL_LE, 0.0)  # y <= xhi*a
-                    relus.append(ReluInfo(x, y, a_col, xlo, xhi, "split"))
-                new_cols.append(y)
-            cols = new_cols
+                    info = ReluInfo(y, a_col, xlo, xhi, "split")
+                relus.append((info, x))
+                new_vals.append(y)
+            vals = new_vals
         cur_lo, cur_hi = out_lo, out_hi
-    return cols
+    return vals
+
+
+def _affine_rows(values: Sequence[Value], n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(M, m0) with ``M @ x + m0`` the values at an LP point x of n columns."""
+    M = np.zeros((len(values), n))
+    m0 = np.zeros(len(values))
+    for i, v in enumerate(values):
+        if isinstance(v, int) or v.col is not None:
+            M[i, v if isinstance(v, int) else v.col] = 1.0
+        else:
+            M[i, list(v.terms)] = list(v.terms.values())
+            m0[i] = v.const
+    M.setflags(write=False)
+    m0.setflags(write=False)
+    return M, m0
 
 
 def encode(net: Network, query: SafetyQuery) -> MilpProblem:
@@ -277,7 +383,7 @@ def encode(net: Network, query: SafetyQuery) -> MilpProblem:
 
     bld = _Builder()
     binaries: List[int] = []
-    relus: List[ReluInfo] = []
+    relus: List[Tuple[ReluInfo, Value]] = []
     box_lo = query.bounds.lo
     box_hi = query.bounds.hi
 
@@ -293,36 +399,43 @@ def encode(net: Network, query: SafetyQuery) -> MilpProblem:
             diff_rows.append(bld.row(coeffs, REL_GE, float(query.bounds.diff_lo[j])))
 
     # (c)+(d) suffix layers after the cut
-    out_cols = _encode_layers(
+    outs = _encode_layers(
         bld, net.layers[l:], cut_cols, box_lo, box_hi, "s", binaries, relus
     )
 
     # head shares the cut-layer variables only
-    head_cols = _encode_layers(
+    logit = _encode_layers(
         bld, query.characterizer.head.layers, cut_cols, box_lo, box_hi, "h",
         binaries, relus,
-    )
-    logit_col = head_cols[0]
+    )[0]
 
     # (e) characterizer class-1: logit >= 0
-    bld.row({logit_col: 1.0}, REL_GE, 0.0)
+    coeffs: Dict[int, float] = {}
+    rhs = bld.use(coeffs, logit, 1.0, REL_GE, 0.0)
+    bld.row(coeffs, REL_GE, rhs)
 
     # (f) risk clauses, strict relaxed to non-strict
     for clause in query.risk.clauses:
-        coeffs = {
-            col: float(v) for col, v in zip(out_cols, clause.coeffs) if v != 0.0
-        }
         rel = REL_LE if clause.relaxed_rel == "<=" else REL_GE
-        bld.row(coeffs, rel, clause.rhs)
+        coeffs, rhs = {}, clause.rhs
+        for v, ck in zip(outs, clause.coeffs):
+            if ck != 0.0:
+                rhs = bld.use(coeffs, v, float(ck), rel, rhs)
+        bld.row(coeffs, rel, rhs)
 
+    lp = bld.freeze()
+    pre, pre0 = _affine_rows([x for _, x in relus], lp.num_vars)
+    logit_map, logit0 = _affine_rows([logit], lp.num_vars)
     return MilpProblem(
-        lp=bld.freeze(),
+        lp=lp,
         binaries=tuple(binaries),
         cut_cols=tuple(cut_cols),
-        out_cols=tuple(out_cols),
-        logit_col=logit_col,
         diff_rows=tuple(diff_rows),
-        relus=tuple(relus),
+        relus=tuple(info for info, _ in relus),
+        pre=pre,
+        pre0=pre0,
+        logit=logit_map[0],
+        logit0=float(logit0[0]),
     )
 
 

@@ -5,12 +5,14 @@ is the network input and position L the final output.  ``forward(net, x, a, b)``
 evaluates layers a+1..b, i.e. g^(b) ∘ ... ∘ g^(a+1).
 
 There is one forward pass, and it is row-exact: every `Layer.apply` takes a
-vector or a batch of rows, and a dense layer computes each row with the same
-matrix-vector product (``np.matmul(W, rows[:, :, None])``, one gemv per row)
-rather than one matrix-matrix product over the batch, whose blocking would
-change the last bits of a row with the batch it arrives in.  `forward` is
-`forward_batch` on one row, so a row's activation has the same bits alone,
-in any chunk of a stream, and in the batch a dataset envelope was built from.
+vector or a batch of rows, and a dense layer computes each row with a
+matrix-vector product (``W @ x`` for a vector, ``np.matmul(W, rows[:, :,
+None])`` for a batch, one gemv per row) rather than one matrix-matrix
+product over the batch, whose blocking would change the last bits of a row
+with the batch it arrives in.  `forward` runs the layers on the vector, and
+a test pins its bits to the rows of `forward_batch`, so a row's activation
+has the same bits alone, in any chunk of a stream, and in the batch a
+dataset envelope was built from.
 
 A layer's concrete and interval semantics sit together: beside `apply`, each
 layer's `propagate(lo, hi)` maps a box to the interval hull of its image.
@@ -83,6 +85,8 @@ class Dense:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """W @ row + b for a vector or for each row of a batch, one gemv per row."""
+        if x.ndim == 1:
+            return self.weights @ x + self.bias
         return np.matmul(self.weights, x[..., None])[..., 0] + self.bias
 
     @np.errstate(over="ignore", invalid="ignore")
@@ -239,7 +243,7 @@ def forward(
 ) -> np.ndarray:
     """Evaluate layers from_layer+1 .. to_layer on a single vector.
 
-    The batch pass on one row: bit-identical to that row of `forward_batch`.
+    Bit-identical to that row of `forward_batch`.
     """
     layers = _layer_range(net, from_layer, to_layer)
     v = np.asarray(x, dtype=np.float64)
@@ -248,7 +252,7 @@ def forward(
             f"input length {v.shape} does not match dim {net.dim_at(from_layer)} "
             f"at position {from_layer}"
         )
-    return _run(layers, v[None, :])[0]
+    return _run(layers, v)
 
 
 def forward_batch(
@@ -428,17 +432,3 @@ def load_dataset(path: str, expected_dim: Optional[int] = None) -> Dataset:
     else:
         inputs = np.array(rows, dtype=np.float64)
     return Dataset(inputs, np.array(labels, dtype=np.int64) if has_label else None)
-
-
-def save_dataset(ds: Dataset, path: str) -> None:
-    header = [f"x{i}" for i in range(ds.dim)]
-    if ds.labels is not None:
-        header.append("label")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(len(ds)):
-            row = [repr(float(v)) for v in ds.inputs[i]]
-            if ds.labels is not None:
-                row.append(str(int(ds.labels[i])))
-            writer.writerow(row)

@@ -3,9 +3,10 @@
 Each node relaxes the remaining binaries to [0,1] and solves the LP
 feasibility problem (the dual phase 1 only — the query asks existence,
 nothing is optimized).  Infeasible nodes prune; the outcome names the row of
-the final basis that proves it (``LpOutcome.proof_row``), a check made in
-floating point only.  A feasible point with all binaries integral is
-replayed through the real network before being believed.
+the final basis that proves it (``LpOutcome.proof_row``): the kernel's own
+dead row, which lp.py checks in floating point only.  A feasible point with
+all binaries integral is replayed through the real network before being
+believed.
 Feasibility vertices like to sit exactly on the logit = 0 face, where the
 replay's exact decide() can flip on a one-ulp recompute, so a leaf whose
 candidate fails replay is re-solved once with a logit-maximizing objective
@@ -17,7 +18,12 @@ whose ReLU the node's LP point violates most, weighted by the width of its
 pre-activation interval: ``(y - max(x, 0)) * (xhi - xlo)`` for pre-activation
 x and output y (lowest index on ties), and takes the phase nearer the
 binary's LP value first, so witnesses surface early; the node order, the
-witness and every stat are deterministic.  ``stats["max_depth"]`` is the
+witness and every stat are deterministic.  The LP has no pre-activation
+columns (milp.py); x comes from the encoder's affine map ``pre @ z + pre0``,
+evaluated once per node at the LP point z.  A node's LP point is a phase-1
+point that lp.py does not re-check: it only steers branching, and a witness
+taken from it is replayed.  A node whose binaries are all fixed is a leaf
+whatever its point says.  ``stats["max_depth"]`` is the
 largest number of fixed binaries at any node solved.
 The root LP is solved cold; every child, and the polish re-solve of a leaf,
 starts from the final simplex basis of the node it came from (lp.py's warm
@@ -104,17 +110,18 @@ def replay_witness(
 
 
 def _pick_branch(
-    x: np.ndarray, pre: np.ndarray, post: np.ndarray, width: np.ndarray, fixed: np.ndarray
+    x: np.ndarray, P: np.ndarray, p0: np.ndarray, post: np.ndarray, width: np.ndarray,
+    fixed: np.ndarray,
 ) -> int:
     """Unfixed binary whose ReLU the LP point `x` violates most, by width.
 
-    The score of binary j is ``(x[post[j]] - max(x[pre[j]], 0)) * width[j]``:
-    how far the relaxed output sits above the true ReLU of its input, times
-    the width of the pre-activation interval (BaBSR-style, Bunel et al.,
-    JMLR 2020).  The lowest index breaks ties; an all-zero score still
-    returns an unfixed binary.
+    Binary j's ReLU has pre-activation ``(P @ x + p0)[j]`` and output
+    ``x[post[j]]``; its score is the output's excess over the ReLU of the
+    pre-activation, times the width of the pre-activation interval
+    (BaBSR-style, Bunel et al., JMLR 2020).  The lowest index breaks ties;
+    an all-zero score still returns an unfixed binary.
     """
-    score = (x[post] - np.maximum(x[pre], 0.0)) * width
+    score = (x[post] - np.maximum(P @ x + p0, 0.0)) * width
     score[fixed] = -np.inf
     return int(np.argmax(score))
 
@@ -130,11 +137,12 @@ class _Search:
         self.kernel = kernel
         self.polish_lp: Optional[LinearProgram] = None  # built on first use
         self.bin_cols = np.array(prob.binaries, dtype=np.int64)
-        split = [r for r in prob.relus if r.binary_col is not None]
-        assert tuple(r.binary_col for r in split) == prob.binaries
-        self.pre_cols = np.array([r.pre_col for r in split], dtype=np.int64)
-        self.post_cols = np.array([r.post_col for r in split], dtype=np.int64)
-        self.widths = np.array([r.xhi - r.xlo for r in split], dtype=np.float64)
+        split = [i for i, r in enumerate(prob.relus) if r.binary_col is not None]
+        infos = [prob.relus[i] for i in split]
+        assert tuple(r.binary_col for r in infos) == prob.binaries
+        self.pre, self.pre0 = prob.pre[split], prob.pre0[split]
+        self.post_cols = np.array([r.post_col for r in infos], dtype=np.int64)
+        self.widths = np.array([r.xhi - r.xlo for r in infos], dtype=np.float64)
         self.cut_dim = len(prob.cut_cols)
         self.t0 = time.monotonic()
         self.nodes = 0
@@ -186,7 +194,7 @@ class _Search:
         vals = x[self.bin_cols]
         integral = np.abs(vals - np.round(vals)) <= INTEGRALITY_TOL
 
-        if integral.all():
+        if fixed.all() or integral.all():
             w, rep, ok = self._try_witness(x[: self.cut_dim])
             if not ok and fixed.all():
                 for cand in self._polish_candidates(x, lo, hi, out.state):
@@ -206,7 +214,7 @@ class _Search:
                 return []
             # integral by luck but not yet fixed — keep branching
 
-        j = _pick_branch(x, self.pre_cols, self.post_cols, self.widths, fixed)
+        j = _pick_branch(x, self.pre, self.pre0, self.post_cols, self.widths, fixed)
         near = 1.0 if vals[j] > 0.5 else 0.0
         col = self.bin_cols[j]
         children = []
@@ -241,10 +249,8 @@ class _Search:
         for digits in (12, 9, 6):
             yield np.round(x[: self.cut_dim], digits)
         self.lp_solves += 1
-        if self.polish_lp is None:
-            c = np.zeros(self.prob.lp.num_vars)
-            c[self.prob.logit_col] = -1.0  # minimize -logit
-            self.polish_lp = dataclasses.replace(self.prob.lp, c=c)
+        if self.polish_lp is None:  # minimize -logit
+            self.polish_lp = dataclasses.replace(self.prob.lp, c=-self.prob.logit)
         try:
             out = self._solve(self.polish_lp, lo, hi, start)
         except NumericalBreakdownError as exc:

@@ -180,28 +180,23 @@ def _repairs(T, xB, basis, vstat, lo, hi, tiny, r):
     return out
 
 
-def tableau_proof_row(state, viol_tol, tiny):
-    """The violated row of largest violation, lowest row on ties, that no
-    variable can repair; None when there is none."""
+def tableau_row_is_dead(state, viol_tol, tiny, r):
+    """Whether row r is violated beyond `viol_tol` and no variable can
+    repair it."""
     T, xB, basis, vstat, lo, hi = state
-    dead = [
-        i for i in range(xB.shape[0])
-        if _violation(xB, basis, lo, hi, i) > viol_tol
-        and not _repairs(T, xB, basis, vstat, lo, hi, tiny, i)
-    ]
-    if not dead:
-        return None
-    return max(dead, key=lambda i: (_violation(xB, basis, lo, hi, i), -i))
+    return (_violation(xB, basis, lo, hi, r) > viol_tol
+            and not _repairs(T, xB, basis, vstat, lo, hi, tiny, r))
 
 
 def tableau_run_phase(
     T, z, xB, basis, vstat, lo, hi, phase, viol_tol,
-    dantzig_limit, max_iter, opt_tol, tiny,
+    dantzig_limit, max_iter, opt_tol, tiny, dead,
 ):
     """The full-tableau kernel; same contract and status codes as
     ``safecut._simplex_py.run_phase`` with T (m, N) in place of D and nb."""
     m = T.shape[0]
     iters = 0
+    dead[0] = -1
     while True:
         if iters >= max_iter:
             return ITER_LIMIT, iters
@@ -216,6 +211,7 @@ def tableau_run_phase(
                 r = min(rows, key=lambda i: (-_violation(xB, basis, lo, hi, i), basis[i]))
             cands = _repairs(T, xB, basis, vstat, lo, hi, tiny, r)
             if not cands:
+                dead[0] = r
                 return K_INFEASIBLE, iters
             if bland:
                 q, d = cands[0]
@@ -304,6 +300,7 @@ def tableau_solve(lp, lo=None, hi=None, run=tableau_run_phase, start=None):
     state = tableau_warm_state(start or tableau_state(_slack_basis(A, rels, b, lo, hi)), A, lo, hi)
     T, xB, basis, vstat, lo_all, hi_all = state
     limit = 10 * (m + T.shape[1])
+    dead = np.empty(1, dtype=np.int64)
 
     def phase(cost, k):
         if cost is None:  # the dual phase: zero cost
@@ -312,15 +309,18 @@ def tableau_solve(lp, lo=None, hi=None, run=tableau_run_phase, start=None):
             P = cost[basis][:, None] * T
             z = cost - (np.add.accumulate(P, axis=0)[-1] if m else 0.0)
             z[basis] = 0.0
-        return run(T, z, xB, basis, vstat, lo_all, hi_all, k, VIOL_TOL, limit, MAX_ITER, OPT_TOL, TINY)
+        return run(T, z, xB, basis, vstat, lo_all, hi_all, k, VIOL_TOL, limit, MAX_ITER, OPT_TOL, TINY, dead)
 
     status, pivots = phase(None, 1)
     if status == K_INFEASIBLE:
-        proof = tableau_proof_row(state, VIOL_TOL, TINY)
-        return (INFEASIBLE if proof is not None else "breakdown"), pivots, None, state, proof
+        r = int(dead[0])
+        if not tableau_row_is_dead(state, VIOL_TOL, TINY, r):
+            return "breakdown", pivots, None, None, None
+        return INFEASIBLE, pivots, None, state, r
     if status != K_OPTIMAL:
         return "breakdown", pivots, None, None, None
-    if np.any(c != 0.0):
+    optimize = np.any(c != 0.0)
+    if optimize:
         status, iters = phase(np.concatenate([c, np.zeros(m)]), 2)
         pivots += iters
         if status == K_UNBOUNDED:
@@ -328,7 +328,7 @@ def tableau_solve(lp, lo=None, hi=None, run=tableau_run_phase, start=None):
         if status != K_OPTIMAL:
             return "breakdown", pivots, None, None, None
     x = _extract(vstat, lo_all, hi_all, basis, xB, n)
-    if _recheck(x, A, rels, b, lo, hi) is not None:
+    if optimize and _recheck(x, A, rels, b, lo, hi) is not None:
         return "breakdown", pivots, None, None, None
     return OPTIMAL, pivots, x, state, None
 

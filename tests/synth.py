@@ -1,11 +1,13 @@
 """Random problem generators shared by solver, verifier and acceptance tests."""
 
+import csv
+
 import numpy as np
 
 from safecut.bounds import ActivationBounds
 from safecut.characterizer import Characterizer
 from safecut.milp import RiskClause, RiskCondition, SafetyQuery
-from safecut.network import BatchNorm, Dense, Network, Relu
+from safecut.network import BatchNorm, Dataset, Dense, Network, Relu
 
 import oracles
 
@@ -364,3 +366,18 @@ def road_regressor(seed=7, undertrained=False):
         params = init_regressor(rng, 0.4)
         params = train_regressor(params, X, Y, epochs=4000, lr=0.05)
     return regressor_network(params), X
+
+
+def save_dataset(ds: Dataset, path: str) -> None:
+    """Write `ds` as the CSV `safecut.network.load_dataset` reads."""
+    header = [f"x{i}" for i in range(ds.dim)]
+    if ds.labels is not None:
+        header.append("label")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for i in range(len(ds)):
+            row = [repr(float(v)) for v in ds.inputs[i]]
+            if ds.labels is not None:
+                row.append(str(int(ds.labels[i])))
+            writer.writerow(row)

@@ -21,7 +21,6 @@ from safecut.network import (
     Dataset,
     forward_batch,
     load_network,
-    save_dataset,
     save_network,
 )
 from safecut.stats import ConfusionEstimate, estimate_confusion, gamma_upper_bound, guarantee
@@ -30,6 +29,7 @@ from safecut.verifier import replay_witness, verify
 import oracles
 import synth
 from harness import child_env
+from synth import save_dataset
 
 SWEEP_SEED = 20260817
 SWEEP_SIZE = 200

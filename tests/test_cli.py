@@ -17,13 +17,14 @@ from safecut import cli
 from safecut.bounds import ActivationBounds, load_bounds, save_bounds
 from safecut.monitor import monitor_stream, report_to_obj
 from safecut.network import (
-    Dataset, Dense, Network, Relu, load_network, save_dataset, save_network,
+    Dataset, Dense, Network, Relu, load_network, save_network,
 )
 from safecut.verifier import replay_witness
 from safecut.milp import encode, load_query
 
 import synth
 from harness import child_env
+from synth import save_dataset
 
 
 # `python -m safecut.cli` in an interpreter where every import of scipy fails

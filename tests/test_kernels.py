@@ -22,7 +22,7 @@ import safecut.verifier
 from safecut import _simplex_py, kernels, verify
 from safecut.errors import NumericalBreakdownError
 from safecut.lp import (
-    INFEASIBLE, OPTIMAL, UNBOUNDED, VIOL_TOL, LinearProgram, _proof_row, _slack_basis, _warm_state,
+    INFEASIBLE, OPTIMAL, UNBOUNDED, VIOL_TOL, LinearProgram, _is_dead, _slack_basis, _warm_state,
     solve_dense,
 )
 
@@ -279,8 +279,9 @@ def _phase1_args(c, A, rels, b, lo, hi):
 )
 def test_run_phase_state_arrays_match_bitwise(av, dantzig_limit, tiny):
     # the dual phase 1 from a slack start, then phase 2 on a random cost
-    # from where it ended: status, iterations, every array and the proof row
-    # to the byte after each
+    # from where it ended: status, iterations, every array and the row
+    # handed back in `dead` to the byte after each; an infeasible dual phase
+    # hands back a row that is dead
     rng = np.random.default_rng(77)
     statuses = {1: set(), 2: set()}
     for _ in range(400):
@@ -298,11 +299,13 @@ def test_run_phase_state_arrays_match_bitwise(av, dantzig_limit, tiny):
                     P = cost[basis][:, None] * D
                     z[:] = cost[nb] - np.add.accumulate(P, axis=0)[-1]
                 limit = 10 * (D.shape[0] + arrays[5].shape[0]) if dantzig_limit is None else dantzig_limit
-                status, iters = kern(*arrays, phase, VIOL_TOL, limit, 50_000, 1e-7, tiny)
-                # solve_dense names the proof row with lp.TINY
-                infeasible = status == kernels.INFEASIBLE and tiny == 1e-11
-                proof = _proof_row(arrays[:1] + arrays[2:]) if infeasible else None
-                out[name] = (status, iters, proof, [a.tobytes() for a in arrays])
+                dead = np.full(1, 7, dtype=np.int64)
+                status, iters = kern(*arrays, phase, VIOL_TOL, limit, 50_000, 1e-7, tiny, dead)
+                if status != kernels.INFEASIBLE:
+                    assert dead[0] == -1
+                elif tiny == 1e-11:  # the pivot floor solve_dense checks with
+                    assert _is_dead(arrays[:1] + arrays[2:], int(dead[0]))
+                out[name] = (status, iters, int(dead[0]), [a.tobytes() for a in arrays])
             assert out["py"] == out["ext"]  # every byte, zero signs too
             statuses[phase].add(out["py"][0])
             if out["py"][0] != kernels.OPTIMAL:
@@ -326,11 +329,13 @@ def _refused_args():
     "case",
     [
         "fortran_T", "int32_basis", "int64_T", "flat_T", "short_z", "long_xB",
-        "bad_basis", "short_nb", "bad_nb", "long_vstat",
+        "bad_basis", "short_nb", "bad_nb", "long_vstat", "float_dead", "long_dead",
+        "readonly_dead",
     ],
 )
 def test_ext_refuses_malformed_arrays(av, case):
     D, z, xB, basis, nb, vstat, lo, hi = _refused_args()
+    dead = np.full(1, 7, dtype=np.int64)
     # "T" in a case id is the tableau, D
     if case == "fortran_T":
         D = np.asfortranarray(D)
@@ -354,10 +359,16 @@ def test_ext_refuses_malformed_arrays(av, case):
         nb[0] = -1
     elif case == "long_vstat":
         vstat = np.append(vstat, 1)
-    bad = [D, z, xB, basis, nb, vstat, lo, hi]
+    elif case == "float_dead":
+        dead = dead.astype(np.float64)
+    elif case == "long_dead":
+        dead = np.append(dead, 7)
+    elif case == "readonly_dead":
+        dead.setflags(write=False)
+    bad = [D, z, xB, basis, nb, vstat, lo, hi, dead]
     before = [a.copy() for a in bad]
     with pytest.raises((ValueError, BufferError)):
-        av["ext"](*bad, 1, 1e-9, 100, 50_000, 1e-7, 1e-11)
+        av["ext"](*bad[:8], 1, 1e-9, 100, 50_000, 1e-7, 1e-11, dead)
     for a, a0 in zip(bad, before):
         assert a.tobytes() == a0.tobytes()
 
@@ -369,8 +380,9 @@ class _Lockstep:
     solve are filed under the state its caller will hand back as ``start``
     (the ``py`` one).  After every phase, the dual phase 1 and phase 2, the
     kernels must match the reference: status, iterations, z, xB, basis,
-    vstat and bounds to the byte, and ``D`` equal to ``T[:, nb]``, zero signs
-    included; an infeasible outcome must name the reference's proof row.
+    vstat and bounds to the byte, ``D`` equal to ``T[:, nb]``, zero signs
+    included, and the row handed back in ``dead``; an infeasible outcome
+    must name the reference's proof row.
     """
 
     def __init__(self, av):
@@ -383,7 +395,7 @@ class _Lockstep:
     def _recording(run, log):
         def recorded(*args):
             status, iters = run(*args)
-            log.append((status, iters, [a.copy() for a in args[:-6]]))
+            log.append((status, iters, int(args[-1][0]), [a.copy() for a in args[:-7]]))
             return status, iters
 
         return recorded
@@ -426,8 +438,8 @@ class _Lockstep:
     @staticmethod
     def _assert_phases_match(got, want):
         assert len(got) == len(want)
-        for (status, iters, arrays), (w_status, w_iters, w_arrays) in zip(got, want):
-            assert (status, iters) == (w_status, w_iters)
+        for (status, iters, dead, arrays), (w_status, w_iters, w_dead, w_arrays) in zip(got, want):
+            assert (status, iters, dead) == (w_status, w_iters, w_dead)
             D, z, xB, basis, nb, vstat, lo, hi = arrays
             T, wz, wxB, wbasis, wvstat, wlo, whi = w_arrays
             for a, w in ((xB, wxB), (basis, wbasis), (vstat, wvstat), (lo, wlo), (hi, whi)):
@@ -460,7 +472,7 @@ def test_both_kernels_match_the_full_tableau_reference(av, monkeypatch):
     assert {OPTIMAL, INFEASIBLE, UNBOUNDED} <= lock.statuses
     phases = lock.phases
     monkeypatch.setattr(safecut.verifier, "solve_dense", lock.solve)
-    net, query = synth.ladder_member()
+    net, query = synth.ladder_member(32)
     verdict = verify(net, query)
     assert verdict.status == "safe"
     assert verdict.stats["lp_solves"] >= 100

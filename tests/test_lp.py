@@ -7,7 +7,7 @@ import pytest
 
 import safecut.lp as lp_module
 import safecut.verifier
-from safecut import verify
+from safecut import kernels, verify
 from safecut.errors import NumericalBreakdownError, ShapeError
 from safecut.lp import (
     FEAS_TOL,
@@ -20,8 +20,8 @@ from safecut.lp import (
     UNBOUNDED,
     VIOL_TOL,
     LinearProgram,
+    _is_dead,
     _phase,
-    _proof_row,
     _recheck,
     _slack_basis,
     _warm_state,
@@ -181,7 +181,7 @@ def test_pricing_reduces_over_rows_in_order():
             return 0, 0
 
         state = (D, np.zeros(m), basis, nb, None, None, None)
-        _phase(run, cost, state, 2, 0)
+        _phase(run, cost, state, 2, 0, None)
         want = cost[nb].copy()
         for j in range(m and n):
             dot = cost[basis[0]] * D[0, j]
@@ -190,7 +190,7 @@ def test_pricing_reduces_over_rows_in_order():
             want[j] -= dot
         assert seen[0].tobytes() == want.tobytes()
         perm = rng.permutation(n)
-        _phase(run, cost, (np.ascontiguousarray(D[:, perm]),) + state[1:3] + (nb[perm],) + state[4:], 2, 0)
+        _phase(run, cost, (np.ascontiguousarray(D[:, perm]),) + state[1:3] + (nb[perm],) + state[4:], 2, 0, None)
         assert seen[1].tobytes() == want[perm].tobytes()
 
 
@@ -370,14 +370,14 @@ def test_slack_block_is_the_basis_inverse():
     assert min(count.values()) >= 50, count
 
 
-def test_proof_row_matches_the_tableau_reference_past_its_first_row():
+def test_dead_row_check_matches_the_tableau_reference():
     # final states of random solves with basic values pushed outside their
-    # bounds, violations tied on purpose: the most violated row is often
-    # repairable, so the search must go on to a later row, and it must name
-    # the reference's row (largest violation, lowest row on ties), or raise
-    # where the reference finds no dead row
+    # bounds, and in half of them a nonbasic column made free: the check
+    # solve_dense makes of the row a kernel calls dead must agree with the
+    # full-tableau reference on every row, violated and repairable, violated
+    # and dead, or not violated, and refuse a row index outside the tableau
     rng = np.random.default_rng(29)
-    seen = dict(past_first=0, first=0, none=0)
+    seen = dict(dead=0, repairable=0, inside=0, free=0)
     for k in range(400):
         c, A, rels, b, lo, hi = (synth.random_lp if k % 2 else _free_bounds_lp)(rng)
         out = solve_dense(LinearProgram(c, A, rels, b, lo, hi))
@@ -386,27 +386,93 @@ def test_proof_row_matches_the_tableau_reference_past_its_first_row():
         D, xB, basis, nb, vstat, lo_all, hi_all = out.state
         xB = xB.copy()
         blo, bhi = lo_all[basis], hi_all[basis]
-        for i in rng.permutation(A.shape[0])[: int(rng.integers(2, A.shape[0] + 1))]:
+        for i in rng.permutation(A.shape[0])[: int(rng.integers(1, A.shape[0]))]:
             v = float(rng.choice([1e-3, 1.0, 2.0]))
             if np.isfinite(blo[i]) and (rng.random() < 0.5 or not np.isfinite(bhi[i])):
                 xB[i] = blo[i] - v
             elif np.isfinite(bhi[i]):
                 xB[i] = bhi[i] + v
+        free = np.flatnonzero(nb < A.shape[1])
+        if free.shape[0] and rng.random() < 0.5:  # a nonbasic column made free
+            j = nb[free[int(rng.integers(free.shape[0]))]]
+            vstat, lo_all, hi_all = vstat.copy(), lo_all.copy(), hi_all.copy()
+            vstat[j], lo_all[j], hi_all[j] = 3, -np.inf, np.inf
+            seen["free"] += 1
         state = (D, xB, basis, nb, vstat, lo_all, hi_all)
-        T = oracles.tableau_state(state)[0]
-        ref = (T, xB, basis, vstat, lo_all, hi_all)
-        want = oracles.tableau_proof_row(ref, VIOL_TOL, TINY)
-        if want is None:
-            with pytest.raises(NumericalBreakdownError):
-                _proof_row(state)
-            seen["none"] += 1
-            continue
-        assert _proof_row(state) == want
-        viol = np.maximum(blo - xB, xB - bhi)
-        first = int(np.argmax(viol))
-        seen["first" if first == want else "past_first"] += 1
-        assert first == want or oracles._repairs(T, xB, basis, vstat, lo_all, hi_all, TINY, first)
+        ref = (oracles.tableau_state(state)[0], xB, basis, vstat, lo_all, hi_all)
+        for r in range(A.shape[0]):
+            want = oracles.tableau_row_is_dead(ref, VIOL_TOL, TINY, r)
+            assert _is_dead(state, r) == want
+            if want:
+                seen["dead"] += 1
+            else:
+                violated = max(blo[r] - xB[r], xB[r] - bhi[r]) > VIOL_TOL
+                seen["repairable" if violated else "inside"] += 1
+        assert not _is_dead(state, -1) and not _is_dead(state, A.shape[0])
     assert min(seen.values()) >= 20, seen
+
+
+def test_only_a_phase_2_optimum_is_rechecked():
+    # a kernel whose every phase ends with the basic values moved far off:
+    # the zero-objective solve hands the moved point back unchecked (a
+    # search only steers by it and replays any witness it takes from it),
+    # an objective's phase-2 optimum fails the recheck
+    lp = LinearProgram(np.zeros(2), [[1.0, 1.0]], [REL_GE], [3.0], np.zeros(2), np.full(2, 2.0))
+
+    def moved(*args):
+        status, iters = kernels.run_phase(*args)
+        args[2][:] += 1e3  # xB
+        return status, iters
+
+    out = solve_dense(lp, kernel=moved)
+    assert out.status == OPTIMAL and _recheck(out.point, lp.A, lp.rels, lp.b, lp.lo, lp.hi) is not None
+    with pytest.raises(NumericalBreakdownError, match="failed recheck"):
+        solve_dense(dataclasses.replace(lp, c=np.array([1.0, 2.0])), kernel=moved)
+
+
+def _lying_kernel(row):
+    """A kernel that runs the real one, then claims its dual phase ended
+    INFEASIBLE on `row` (a function of the state's xB)."""
+
+    def run(D, z, xB, basis, nb, vstat, lo, hi, phase, *rest):
+        status, iters = kernels.run_phase(D, z, xB, basis, nb, vstat, lo, hi, phase, *rest)
+        if phase == 1:
+            rest[-1][0] = row(xB)
+            return kernels.INFEASIBLE, iters
+        return status, iters
+
+    return run
+
+
+def test_a_kernel_naming_a_repairable_row_dead_breaks_down():
+    # x0 + x1 >= 3 over [0, 2]^2 is feasible: stopped before its first pivot,
+    # the dual phase leaves row 0 violated but repairable, and a kernel that
+    # names it dead there, or names a row that is not violated at all, or
+    # one that does not exist, must not make the LP infeasible
+    lp = LinearProgram(np.zeros(2), [[1.0, 1.0]], [REL_GE], [3.0], np.zeros(2), np.full(2, 2.0))
+    assert solve_dense(lp).status == OPTIMAL
+
+    def stopped(*args):
+        args = list(args)
+        args[11] = 0  # max_iter
+        kernels.run_phase(*args)
+        args[-1][0] = 0
+        return kernels.INFEASIBLE, 0
+
+    for kern in (stopped, _lying_kernel(lambda xB: 0), _lying_kernel(lambda xB: xB.shape[0])):
+        with pytest.raises(NumericalBreakdownError, match="dead, but it is not"):
+            solve_dense(lp, kernel=kern)
+
+
+def test_a_dead_row_claim_never_prunes_a_node(monkeypatch):
+    # the same lie inside branch and bound, on the 24-unstable member: every
+    # solve breaks down (warm, then the cold retry), so no node is pruned
+    # and the verdict is unknown, never safe
+    net, query = synth.ladder_member()
+    got = verify(net, query, kernel=_lying_kernel(lambda xB: int(np.argmax(xB))))
+    assert got.status == "unknown"
+    assert got.stats["nodes_explored"] == 1
+    assert any(w.startswith("lp breakdown, node discarded: dual phase named row") for w in got.warnings)
 
 
 def test_infeasible_prunes_carry_a_proof_row(monkeypatch):

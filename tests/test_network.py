@@ -19,11 +19,11 @@ from safecut.network import (
     load_dataset,
     load_network,
     network_to_obj,
-    save_dataset,
     save_network,
 )
 
 import synth
+from synth import save_dataset
 
 
 def test_tiny_forward_by_hand(tiny_net):
@@ -64,6 +64,26 @@ def test_forward_batch_is_row_exact_under_any_chunking():
         cuts = np.sort(rng.choice(np.arange(1, len(X)), 25, replace=False))
         chunks = [forward_batch(net, part, 0, to_layer) for part in np.split(X, cuts)]
         assert np.array_equal(np.concatenate(chunks), whole)
+
+
+def test_vector_pass_is_bit_equal_to_the_batch_rows():
+    # Dense.apply takes W @ x on a vector and one stacked matmul on a batch;
+    # the two must give every row the same bits, on the 64-128-64 stack and
+    # on dense layers of many shapes, so forward() and forward_batch() agree
+    rng = np.random.default_rng(43)
+    net = synth.wide_network(rng)
+    X = rng.uniform(-1.0, 1.0, (64, net.input_dim))
+    for a, b in ((0, net.depth), (synth.WIDE_CUT, net.depth), (0, synth.WIDE_CUT)):
+        rows = forward_batch(net, forward_batch(net, X, 0, a) if a else X, a, b)
+        for i, x in enumerate(forward_batch(net, X, 0, a) if a else X):
+            assert forward(net, x, a, b).tobytes() == rows[i].tobytes()
+    for _ in range(200):
+        m, n = (int(v) for v in rng.integers(1, 140, 2))
+        layer = Dense(weights=rng.normal(size=(m, n)), bias=rng.normal(size=m))
+        X = rng.normal(size=(int(rng.integers(1, 9)), n)) * 10.0 ** rng.integers(-3, 4)
+        batch = layer.apply(X)
+        for i, x in enumerate(X):
+            assert layer.apply(x).tobytes() == batch[i].tobytes()
 
 
 def test_relu_idempotent():

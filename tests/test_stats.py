@@ -14,7 +14,7 @@ from safecut.characterizer import (
 )
 from safecut.errors import EmptyDatasetError, InvalidDeltaError, UnlabeledDataError
 from safecut.milp import RiskClause, RiskCondition
-from safecut.network import Dataset, Dense, Network, save_dataset, save_network
+from safecut.network import Dataset, Dense, Network, save_network
 from safecut.stats import (
     ConfusionEstimate,
     check_premise,
@@ -25,6 +25,7 @@ from safecut.stats import (
 )
 
 from harness import child_env
+from synth import save_dataset
 
 
 def _identity_net(d=1):

@@ -284,27 +284,37 @@ def test_replay_honours_difference_bounds():
 
 
 def test_pick_branch_prefers_widest_violation():
-    # binaries 0..3: pre-activations in x[0:4], ReLU outputs in x[4:8]
-    pre, post = np.arange(4), np.arange(4, 8)
+    # binaries 0..3: pre-activations x[0:4] (through the map P x + p0), ReLU
+    # outputs in x[4:8]
+    P, p0, post = np.eye(4, 8), np.zeros(4), np.arange(4, 8)
     x = np.array([-1.0, 0.5, 2.0, -0.5, 0.5, 1.0, 2.0, 0.5])
     # violations 0.5, 0.5, 0, 0.5: the widths decide (violation alone would
     # take 0, width alone 2)
     width = np.array([1.0, 4.0, 10.0, 2.0])
     none = np.zeros(4, dtype=bool)
-    assert verifier._pick_branch(x, pre, post, width, none) == 1
+    assert verifier._pick_branch(x, P, p0, post, width, none) == 1
     # a fixed binary is never picked, whatever its score
-    assert verifier._pick_branch(x, pre, post, width, np.array([0, 1, 0, 0], bool)) == 3
+    assert verifier._pick_branch(x, P, p0, post, width, np.array([0, 1, 0, 0], bool)) == 3
     # equal scores (2.0 and 2.0): the lowest index
-    assert verifier._pick_branch(x, pre, post, np.array([1.0, 4.0, 10.0, 4.0]), none) == 1
+    assert verifier._pick_branch(x, P, p0, post, np.array([1.0, 4.0, 10.0, 4.0]), none) == 1
     # no violation at all, even one rounded below zero: still an unfixed binary
     flat = np.r_[x[:4], np.maximum(x[:4], 0.0) - np.array([0.0, 1e-17, 0.0, 0.0])]
-    assert verifier._pick_branch(flat, pre, post, width, np.array([1, 0, 1, 1], bool)) == 1
-    assert verifier._pick_branch(flat, pre, post, width, np.array([1, 1, 0, 1], bool)) == 2
+    assert verifier._pick_branch(flat, P, p0, post, width, np.array([1, 0, 1, 1], bool)) == 1
+    assert verifier._pick_branch(flat, P, p0, post, width, np.array([1, 1, 0, 1], bool)) == 2
+    # the map's offset and mixing count: pre-activations x[0] + x[3] + 2 and
+    # 2 * x[1] - 3 turn binary 0's violation to 0 and binary 1's to 1.0
+    P2 = np.zeros((4, 8))
+    P2[0, [0, 3]] = 1.0
+    P2[1, 1] = 2.0
+    P2[2, 2] = P2[3, 3] = 1.0
+    p2 = np.array([2.0, -3.0, 0.0, 0.0])
+    assert verifier._pick_branch(x, P2, p2, post, np.ones(4), none) == 1
+    assert verifier._pick_branch(x, P2, p2, post, np.ones(4), np.array([0, 1, 0, 0], bool)) == 3
 
 
 def test_branching_closes_wide_member_within_budget(monkeypatch):
     # 32 unstable ReLUs: the violation-times-width rule closes the tree in 377
-    # nodes, branching on the binary nearest 0.5 needs 5731
+    # nodes, branching on the binary nearest 0.5 needs 5679
     net, query = synth.ladder_member(32)
     bins = np.array(encode(net, query).binaries)
     budget = Budget(max_nodes=1000)
@@ -313,7 +323,7 @@ def test_branching_closes_wide_member_within_budget(monkeypatch):
     assert got.status == oracles.milp_verify(net, query) == "safe"
     assert 0 < got.stats["max_depth"] <= len(bins) == 32
 
-    def nearest_half(x, pre, post, width, fixed):
+    def nearest_half(x, P, p0, post, width, fixed):
         dist = np.abs(x[bins] - 0.5)
         dist[fixed] = np.inf
         return int(np.argmin(dist))
@@ -350,7 +360,7 @@ def test_solve_calls_and_kernel_iterations_match_the_stats(monkeypatch):
     net, query = synth.ladder_member()
     v = verify(net, query, kernel=kernel)
     assert v.status == "safe"
-    assert (v.stats["nodes_explored"], v.stats["pivots"]) == (167, 2069)
+    assert (v.stats["nodes_explored"], v.stats["pivots"]) == (147, 1725)
     assert len(calls) == v.stats["lp_solves"]
     assert sum(iters) == v.stats["pivots"]
 
@@ -372,3 +382,27 @@ def test_polish_solve_is_counted_like_a_node(monkeypatch):
     assert v.stats["lp_solves"] == v.stats["nodes_explored"] + 1
     assert len(calls) == v.stats["lp_solves"]
     assert sum(iters) == v.stats["pivots"] > 0
+
+
+def test_corrupt_phase1_point_at_a_leaf_is_unknown_never_safe_or_unsafe():
+    # the verifier does not re-check a phase-1 point; a kernel that turns
+    # the dual phase's INFEASIBLE at an all-fixed leaf into OPTIMAL, with its
+    # basic values moved far off, must leave a safe query unknown: the point
+    # is not a witness (replay refuses it), and the leaf is not pruned
+    for net, query in (_fractional_root_query(), _scalar_query(-0.1, 0.6, 0.0, 1.0, ">=", 0.7)):
+        assert verify(net, query).status == "safe"
+        bins = list(encode(net, query).binaries)
+        corrupted = []
+
+        def kernel(D, z, xB, basis, nb, vstat, lo, hi, phase, *rest):
+            status, iters = kernels.run_phase(D, z, xB, basis, nb, vstat, lo, hi, phase, *rest)
+            if phase == 1 and status == kernels.INFEASIBLE and (lo[bins] == hi[bins]).all():
+                xB += 1e3
+                corrupted.append(True)
+                return kernels.OPTIMAL, iters
+            return status, iters
+
+        got = verify(net, query, kernel=kernel)
+        assert corrupted
+        assert got.status == "unknown" and got.witness is None
+        assert any(w.startswith(("unreplayable-leaf", "lp breakdown")) for w in got.warnings)
