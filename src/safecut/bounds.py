@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import EmptyDatasetError, ParseError, ShapeError
 from .jsonio import integer, read_json, write_json
-from .network import Dataset, Network, forward_batch
+from .network import Dataset, Network, forward
 
 _BATCH = 4096  # chunk size for dataset scans (row-exact: no bit depends on it)
 
@@ -119,7 +119,7 @@ def dataset_bounds(
     dhi = np.full(d - 1, -np.inf) if want_diffs else None
 
     for start in range(0, len(data), _BATCH):
-        acts = forward_batch(net, data.inputs[start : start + _BATCH], 0, layer)
+        acts = forward(net, data.inputs[start : start + _BATCH], 0, layer)
         np.minimum(lo, acts.min(axis=0), out=lo)
         np.maximum(hi, acts.max(axis=0), out=hi)
         if want_diffs:

@@ -26,7 +26,6 @@ from .network import (
     Network,
     Relu,
     forward,
-    forward_batch,
     network_from_obj,
     network_to_obj,
 )
@@ -72,10 +71,11 @@ class Characterizer:
         return self.head.input_dim
 
 
-def decide(h: Characterizer, activation) -> int:
-    """1 iff the head logit is >= 0 (boundary goes to class 1)."""
-    logit = forward(h.head, activation)[0]
-    return 1 if logit >= 0.0 else 0
+def decide(h: Characterizer, activation):
+    """1 iff the head logit is >= 0 (boundary goes to class 1): an int for a
+    vector, an int64 array for a batch of rows."""
+    pred = forward(h.head, activation)[..., 0] >= 0.0
+    return pred.astype(np.int64) if pred.ndim else int(pred)
 
 
 def extract_features(net: Network, data: Dataset, layer: int) -> Dataset:
@@ -83,7 +83,7 @@ def extract_features(net: Network, data: Dataset, layer: int) -> Dataset:
     if data.labels is None:
         raise UnlabeledDataError("feature extraction needs labeled data")
     net.cut_dim(layer)
-    feats = forward_batch(net, data.inputs, 0, layer)
+    feats = forward(net, data.inputs, 0, layer)
     return Dataset(feats, data.labels)
 
 
@@ -147,7 +147,7 @@ def train(features: Dataset, cfg: TrainConfig, property_id: str = "phi") -> Char
             b2 -= cfg.learning_rate * gb2
         head = Network((Dense(w1, b1), Relu(h), Dense(w2, b2)), d)
 
-    logits = forward_batch(head, x)[:, 0]
+    logits = forward(head, x)[:, 0]
     acc = float(((logits >= 0).astype(np.float64) == y).mean())
     return Characterizer(head=head, property_id=property_id, achieved_accuracy=acc)
 

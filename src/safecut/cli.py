@@ -37,7 +37,7 @@ from .errors import ParseError, SafecutError, ShapeError
 from .jsonio import canonical, read_json, write_json
 from .lp import format_lp
 from .milp import encode, load_query, risk_from_obj
-from .network import forward_batch, load_dataset, load_network
+from .network import forward, load_dataset, load_network
 from .verifier import Budget, SAFE, UNKNOWN, UNSAFE, verify
 
 _EXIT_OK = 0
@@ -148,12 +148,13 @@ def _monitor_chunk(net, b, lines: list, args: argparse.Namespace, first_id: int)
     """The report lines of one chunk of stdin lines, sample ids from first_id.
 
     One parse (`np.loadtxt`, in C), one forward and one containment test for
-    the whole chunk.  The parser accepts a subset of what `float()` does (no
-    `1_0`, no non-ASCII digits) and rounds the same; a chunk it refuses, or
-    one with a row of the wrong width or a non-finite cell, activation or
-    adjacent difference, goes through `monitor_stream` row by row on the
-    split cells, which parses with `float()` and whose StreamError lines name
-    the bad rows.
+    the whole chunk.  The forward gives each row the bits it has alone, so
+    where reads cut the stream into chunks changes no report.  The parser
+    accepts a subset of what `float()` does (no `1_0`, no non-ASCII digits)
+    and rounds the same; a chunk it refuses, or one with a row of the wrong
+    width or a non-finite cell, activation or adjacent difference, goes
+    through `monitor_stream` row by row on the split cells, which parses
+    with `float()` and whose StreamError lines name the bad rows.
     """
     width = b.dim if args.activations else net.input_dim
     try:
@@ -161,7 +162,7 @@ def _monitor_chunk(net, b, lines: list, args: argparse.Namespace, first_id: int)
         if m.shape != (len(lines), width):
             raise ShapeError(f"chunk of shape {m.shape}, expected ({len(lines)}, {width})")
         with np.errstate(over="ignore", invalid="ignore"):
-            acts = m if args.activations else forward_batch(net, m, 0, b.layer)
+            acts = m if args.activations else forward(net, m, 0, b.layer)
             diffs = np.diff(acts, axis=1) if b.has_diffs else acts
         if not (np.isfinite(m).all() and np.isfinite(acts).all() and np.isfinite(diffs).all()):
             raise ValueError("chunk has a non-finite cell, activation or difference")
@@ -192,10 +193,11 @@ def cmd_monitor(args: argparse.Namespace) -> int:
     pending = b""
     while True:
         # whatever one read returns: a row is reported as soon as its line
-        # is complete, never held back to fill a chunk
+        # ends (in \n, \r\n or a lone \r), never held back to fill a chunk;
+        # a \r\n split across reads leaves an empty line, dropped below
         data = stdin.read1(_MONITOR_READ_BYTES)
         pending += data
-        cut = len(pending) if not data else pending.rfind(b"\n") + 1
+        cut = len(pending) if not data else max(pending.rfind(b"\n"), pending.rfind(b"\r")) + 1
         block, pending = pending[:cut], pending[cut:]
         text = block.decode(sys.stdin.encoding, sys.stdin.errors)
         # universal newlines, as text-mode stdin reads them
@@ -213,7 +215,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     net = load_network(args.network)
     h = load_characterizer(args.characterizer)
     data = load_dataset(args.data, expected_dim=net.input_dim)
-    cut = stats_mod.head_logits(net, h, args.layer, data)
+    cut = stats_mod.head_pass(net, h, args.layer, data)
     est = stats_mod.estimate_confusion(net, h, args.layer, data, cut)
     premise = False
     if args.risk:
@@ -256,20 +258,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("data", help="labeled dataset CSV")
     p.add_argument("out", help="output characterizer JSON")
     p.add_argument("--layer", type=int, required=True)
-    p.add_argument("--hidden", type=int, default=0,
+    p.add_argument("--hidden", type=int, default=TrainConfig.hidden_units,
                    help="hidden ReLU units (0 = logistic regression)")
-    p.add_argument("--lr", type=float, default=0.5, help="learning rate")
-    p.add_argument("--epochs", type=int, default=2000, help="max epochs")
+    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate, help="learning rate")
+    p.add_argument("--epochs", type=int, default=TrainConfig.max_epochs, help="max epochs")
     p.add_argument("--property-id", default="phi", help="name of the input property")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed")
+    p.add_argument("--seed", type=int, default=TrainConfig.seed, help="RNG seed")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("verify", help="decide a safety query by MILP search")
     p.add_argument("network", help="network JSON")
     p.add_argument("query", help="query JSON (cut_layer, bounds, characterizer, risk)")
     p.add_argument("out", help="output verdict JSON")
-    p.add_argument("--max-nodes", type=int, default=200_000)
-    p.add_argument("--max-seconds", type=float, default=float("inf"))
+    p.add_argument("--max-nodes", type=int, default=Budget.max_nodes)
+    p.add_argument("--max-seconds", type=float, default=Budget.max_seconds)
     p.add_argument("--timing", action="store_true",
                    help="include wall_time in the report (breaks bitwise idempotence)")
     p.add_argument("--debug-lp-dump", metavar="PATH", default=None,

@@ -76,9 +76,10 @@ class LinearProgram:
     """The arrays `solve_dense` takes, plus a name per column.
 
     minimize c.x subject to A x (rels) b, lo <= x <= hi; `rels` holds
-    REL_LE / REL_EQ / REL_GE per row.  Construction checks shapes, relation
-    codes and NaN, and keeps read-only C-contiguous copies (float64, int8
-    for `rels`), so the checks stay true; `dataclasses.replace` re-checks.
+    REL_LE / REL_EQ / REL_GE per row.  Construction checks shapes (of
+    `names` too, when given), relation codes and NaN, and keeps read-only
+    C-contiguous copies (float64, int8 for `rels`), so the checks stay true;
+    `dataclasses.replace` re-checks.
     """
 
     c: np.ndarray
@@ -103,6 +104,8 @@ class LinearProgram:
             raise ShapeError("objective/rhs/relation shapes do not match A")
         if self.lo.shape != (n,) or self.hi.shape != (n,):
             raise ShapeError("bound shapes do not match variable count")
+        if self.names is not None and len(self.names) != n:
+            raise ShapeError(f"{len(self.names)} column names for {n} columns")
         if any(np.isnan(a).any() for a in (self.c, self.A, self.b, self.lo, self.hi)):
             raise ValueError("LP contains NaN data")
 
@@ -115,7 +118,7 @@ class LinearProgram:
         return self.A.shape[1]
 
     def name_of(self, j: int) -> str:
-        if self.names is not None and j < len(self.names):
+        if self.names is not None:
             return self.names[j]
         return f"x{j}"
 

@@ -12,8 +12,9 @@ verifier's witness replay uses; `monitor_stream` drives `check` over a
 stream of network inputs one row at a time (so it never waits on a live
 iterator), surviving malformed rows; `safecut monitor` runs `violations`
 over stdin a chunk of rows at a time.
-Activations come from the row-exact forward pass, so a row of the dataset
-an envelope was built from is contained.
+Activations come from the one forward pass that built the envelope, whose
+dense layers give a row the same bits alone as in a batch, so a row of the
+dataset an envelope was built from is contained.
 """
 
 from __future__ import annotations

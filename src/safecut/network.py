@@ -4,15 +4,14 @@ Layer indexing convention: *position* l means "after layer l", so position 0
 is the network input and position L the final output.  ``forward(net, x, a, b)``
 evaluates layers a+1..b, i.e. g^(b) ∘ ... ∘ g^(a+1).
 
-There is one forward pass, and it is row-exact: every `Layer.apply` takes a
-vector or a batch of rows, and a dense layer computes each row with a
-matrix-vector product (``W @ x`` for a vector, ``np.matmul(W, rows[:, :,
-None])`` for a batch, one gemv per row) rather than one matrix-matrix
-product over the batch, whose blocking would change the last bits of a row
-with the batch it arrives in.  `forward` runs the layers on the vector, and
-a test pins its bits to the rows of `forward_batch`, so a row's activation
-has the same bits alone, in any chunk of a stream, and in the batch a
-dataset envelope was built from.
+There is one forward pass, and it is row-exact: `forward` takes a vector or
+a batch of rows, made C-contiguous, and a dense layer computes both with the
+one expression ``(W @ x[..., None])[..., 0] + b``, a matrix-vector
+product per row rather than one matrix-matrix product over the batch, whose
+blocking would change the last bits of a row with the batch it arrives in.
+A vector is a batch of one row to that expression, so a row's activation has
+the same bits alone, in any chunk of a stream, and in the batch a dataset
+envelope was built from.
 
 A layer's concrete and interval semantics sit together: beside `apply`, each
 layer's `propagate(lo, hi)` maps a box to the interval hull of its image.
@@ -85,9 +84,7 @@ class Dense:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """W @ row + b for a vector or for each row of a batch, one gemv per row."""
-        if x.ndim == 1:
-            return self.weights @ x + self.bias
-        return np.matmul(self.weights, x[..., None])[..., 0] + self.bias
+        return (self.weights @ x[..., None])[..., 0] + self.bias
 
     @np.errstate(over="ignore", invalid="ignore")
     def propagate(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -229,50 +226,27 @@ def _layer_range(net: Network, from_layer: int, to_layer: Optional[int]) -> tupl
     return net.layers[from_layer:to_layer]
 
 
-def _run(layers: tuple, m: np.ndarray) -> np.ndarray:
+def forward(
+    net: Network,
+    x: Union[Sequence[float], np.ndarray],
+    from_layer: int = 0,
+    to_layer: Optional[int] = None,
+) -> np.ndarray:
+    """Evaluate layers from_layer+1 .. to_layer on a vector (d_from,) or on
+    each row of a batch (n, d_from).
+
+    Row-exact: a row's result does not depend on the other rows, nor on
+    whether it arrives alone.
+    """
+    layers = _layer_range(net, from_layer, to_layer)
+    m = np.asarray(x, dtype=np.float64, order="C")
+    d = net.dim_at(from_layer)
+    if m.ndim not in (1, 2) or m.shape[-1] != d:
+        what = "input length" if m.ndim == 1 else "batch shape"
+        raise ShapeError(f"{what} {m.shape} does not match dim {d} at position {from_layer}")
     for layer in layers:
         m = layer.apply(m)
     return m
-
-
-def forward(
-    net: Network,
-    x: Sequence[float],
-    from_layer: int = 0,
-    to_layer: Optional[int] = None,
-) -> np.ndarray:
-    """Evaluate layers from_layer+1 .. to_layer on a single vector.
-
-    Bit-identical to that row of `forward_batch`.
-    """
-    layers = _layer_range(net, from_layer, to_layer)
-    v = np.asarray(x, dtype=np.float64)
-    if v.ndim != 1 or v.shape[0] != net.dim_at(from_layer):
-        raise ShapeError(
-            f"input length {v.shape} does not match dim {net.dim_at(from_layer)} "
-            f"at position {from_layer}"
-        )
-    return _run(layers, v)
-
-
-def forward_batch(
-    net: Network,
-    xs: np.ndarray,
-    from_layer: int = 0,
-    to_layer: Optional[int] = None,
-) -> np.ndarray:
-    """Row-wise forward: xs has shape (n, d_from); returns (n, d_to).
-
-    Row-exact: a row's result does not depend on the other rows of `xs`.
-    """
-    layers = _layer_range(net, from_layer, to_layer)
-    m = np.asarray(xs, dtype=np.float64)
-    if m.ndim != 2 or m.shape[1] != net.dim_at(from_layer):
-        raise ShapeError(
-            f"batch shape {m.shape} does not match dim {net.dim_at(from_layer)} "
-            f"at position {from_layer}"
-        )
-    return _run(layers, m)
 
 
 # ---------------------------------------------------------------------------
@@ -407,6 +381,7 @@ def load_dataset(path: str, expected_dim: Optional[int] = None) -> Dataset:
             )
 
         rows: List[List[float]] = []
+        linenos: List[int] = []
         labels: List[int] = []
         for lineno, row in enumerate(reader, start=2):
             if not row or (len(row) == 1 and not row[0].strip()):
@@ -419,6 +394,7 @@ def load_dataset(path: str, expected_dim: Optional[int] = None) -> Dataset:
                 rows.append([float(c) for c in row[: len(feature_cols)]])
             except ValueError:
                 raise ParseError(f"{path}:{lineno}: non-numeric feature value") from None
+            linenos.append(lineno)
             if has_label:
                 raw = row[-1].strip()
                 if raw not in ("0", "1"):
@@ -431,4 +407,8 @@ def load_dataset(path: str, expected_dim: Optional[int] = None) -> Dataset:
         inputs = np.zeros((0, len(feature_cols)))
     else:
         inputs = np.array(rows, dtype=np.float64)
+    # float() also takes nan, inf and 1e400, which no network input may be
+    finite = np.isfinite(inputs).all(axis=1)
+    if not finite.all():
+        raise ParseError(f"{path}:{linenos[int(np.argmin(finite))]}: non-finite feature value")
     return Dataset(inputs, np.array(labels, dtype=np.int64) if has_label else None)

@@ -5,7 +5,9 @@ n10 gamma (missed analyses — the dangerous cell), n01 beta (false alarms),
 n00 the remainder.  The point guarantee is 1 - gamma-hat; a Clopper-Pearson
 exact upper bound on gamma is reported alongside it so small evaluation
 sets cannot overstate the claim.  That bound is computed in-tree and
-rounded outward: it is never below the exact Beta quantile.
+rounded outward: it is never below the exact Beta quantile.  The decisions
+are `characterizer.decide` over the batch of cut features, the rule the
+verifier's witness replay applies to one vector.
 """
 
 from __future__ import annotations
@@ -15,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .characterizer import Characterizer
+from .characterizer import Characterizer, decide
 from .errors import EmptyDatasetError, InvalidDeltaError, UnlabeledDataError
 from .milp import RiskCondition
-from .network import Dataset, Network, forward_batch
+from .network import Dataset, Network, forward
 
 
 @dataclass(frozen=True)
@@ -59,14 +61,14 @@ class StatisticalGuarantee:
     premise_checked: bool
 
 
-def head_logits(
+def head_pass(
     net: Network, h: Characterizer, layer: int, data: Dataset
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(f^(l)(in), head logit) of every sample: the one pass over the data
-    that `estimate_confusion` and `check_premise` share."""
+    """(f^(l)(in), decide(h, f^(l)(in))) of every sample: the one pass over
+    the data that `estimate_confusion` and `check_premise` share."""
     net.cut_dim(layer)
-    feats = forward_batch(net, data.inputs, 0, layer)
-    return feats, forward_batch(h.head, feats)[:, 0]
+    feats = forward(net, data.inputs, 0, layer)
+    return feats, decide(h, feats)
 
 
 def estimate_confusion(
@@ -74,14 +76,13 @@ def estimate_confusion(
 ) -> ConfusionEstimate:
     """Fill the four cells from (label, decide(h, f^(l)(in))) per sample.
 
-    `cut` is `head_logits` of the same arguments, computed here if omitted.
+    `cut` is `head_pass` of the same arguments, computed here if omitted.
     """
     if eval_data.labels is None:
         raise UnlabeledDataError("confusion estimation needs labeled data")
     if len(eval_data) == 0:
         raise EmptyDatasetError("confusion estimation needs at least one sample")
-    _, logits = head_logits(net, h, layer, eval_data) if cut is None else cut
-    pred = (logits >= 0.0).astype(np.int64)
+    _, pred = head_pass(net, h, layer, eval_data) if cut is None else cut
     truth = eval_data.labels
     return ConfusionEstimate(
         n11=int(((truth == 1) & (pred == 1)).sum()),
@@ -226,17 +227,17 @@ def check_premise(
 
     Samples with label 1 but h=0 slip past the verification envelope; the
     conditional claim needs each of them to avoid the risk set exactly.
-    `cut` is `head_logits` of the same arguments, computed here if omitted;
+    `cut` is `head_pass` of the same arguments, computed here if omitted;
     the omitted samples run on from their cut features (row-exact, so the
     outputs are those of a whole forward pass).
     """
     if data.labels is None:
         raise UnlabeledDataError("premise check needs labeled data")
-    feats, logits = head_logits(net, h, layer, data) if cut is None else cut
-    omitted = (data.labels == 1) & (logits < 0.0)
+    feats, pred = head_pass(net, h, layer, data) if cut is None else cut
+    omitted = (data.labels == 1) & (pred == 0)
     if not omitted.any():
         return True
-    outputs = forward_batch(net, feats[omitted], layer)
+    outputs = forward(net, feats[omitted], layer)
     return not any(risk.holds_exact(out) for out in outputs)
 
 

@@ -19,7 +19,7 @@ from safecut.milp import encode, load_query
 from safecut.monitor import check_containment
 from safecut.network import (
     Dataset,
-    forward_batch,
+    forward,
     load_network,
     save_network,
 )
@@ -166,7 +166,7 @@ def test_criterion_3_abstraction_soundness(capsys):
         cut = max(1, net.depth - 1)
         b = static_bounds(net, InputBox(lo=lo, hi=hi), layer=cut)
         xs = rng.uniform(lo, hi, size=(10_000, len(lo)))
-        acts = forward_batch(net, xs, 0, cut)
+        acts = forward(net, xs, 0, cut)
         mc_escapes += int(((acts < b.lo) | (acts > b.hi)).any(axis=1).sum())
 
     ds_misses = 0
@@ -175,7 +175,7 @@ def test_criterion_3_abstraction_soundness(capsys):
         cut = max(1, net.depth - 1)
         X = rng.uniform(lo, hi, size=(400, len(lo)))
         db = dataset_bounds(net, Dataset(inputs=X), cut)
-        acts = forward_batch(net, X, 0, cut)
+        acts = forward(net, X, 0, cut)
         ds_misses += sum(not check_containment(db, a) for a in acts)
 
     ok = mc_escapes == 0 and ds_misses == 0

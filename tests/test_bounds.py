@@ -15,7 +15,7 @@ from safecut.bounds import (
 )
 from safecut.errors import EmptyDatasetError, ParseError, ShapeError
 from safecut.monitor import check_containment
-from safecut.network import Dataset, Dense, Network, forward, forward_batch
+from safecut.network import Dataset, Dense, Network, forward
 
 import oracles
 import synth
@@ -42,7 +42,7 @@ def test_dataset_bounds_match_brute_force(tiny_net):
     rng = np.random.default_rng(5)
     ds = Dataset(inputs=rng.normal(size=(300, 2)))
     b = dataset_bounds(tiny_net, ds, layer=2)
-    acts = forward_batch(tiny_net, ds.inputs, 0, 2)
+    acts = forward(tiny_net, ds.inputs, 0, 2)
     assert np.array_equal(b.lo, acts.min(axis=0))
     assert np.array_equal(b.hi, acts.max(axis=0))
     diffs = np.diff(acts, axis=1)
@@ -54,7 +54,7 @@ def test_dataset_bounds_contain_their_samples(tiny_net):
     rng = np.random.default_rng(6)
     ds = Dataset(inputs=rng.uniform(-2, 2, size=(500, 2)))
     b = dataset_bounds(tiny_net, ds, layer=2)
-    acts = forward_batch(tiny_net, ds.inputs, 0, 2)
+    acts = forward(tiny_net, ds.inputs, 0, 2)
     assert all(check_containment(b, a) for a in acts)
 
 
@@ -65,7 +65,7 @@ def test_static_bounds_sound_monte_carlo():
         cut = max(1, net.depth - 1)
         b = static_bounds(net, InputBox(lo=lo, hi=hi), layer=cut)
         xs = rng.uniform(lo, hi, size=(2000, len(lo)))
-        acts = forward_batch(net, xs, 0, cut)
+        acts = forward(net, xs, 0, cut)
         assert (acts >= b.lo - 1e-12).all() and (acts <= b.hi + 1e-12).all()
 
 

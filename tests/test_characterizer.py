@@ -45,6 +45,15 @@ def test_decision_rule_is_logit_ge_zero():
     assert decide(h, np.array([3.0, -4.0])) == 1
 
 
+def test_decide_on_a_batch_is_decide_row_by_row():
+    h = train(XOR, TrainConfig(hidden_units=4, max_epochs=4000, seed=0))
+    X = np.random.default_rng(5).uniform(-1.0, 2.0, (200, 2))
+    got = decide(h, X)
+    assert got.dtype == np.int64
+    assert got.tolist() == [decide(h, x) for x in X]
+    assert all(type(decide(h, x)) is int for x in X[:3])
+
+
 def test_xor_linear_head_cannot_fit():
     h = train(XOR, TrainConfig(seed=0))
     assert h.achieved_accuracy < 1.0

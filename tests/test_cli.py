@@ -15,11 +15,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from safecut import cli
 from safecut.bounds import ActivationBounds, load_bounds, save_bounds
+from safecut.characterizer import TrainConfig
 from safecut.monitor import monitor_stream, report_to_obj
 from safecut.network import (
     Dataset, Dense, Network, Relu, load_network, save_network,
 )
-from safecut.verifier import replay_witness
+from safecut.verifier import Budget, replay_witness
 from safecut.milp import encode, load_query
 
 import synth
@@ -325,6 +326,32 @@ def test_every_subcommand_runs_without_scipy(workdir, tmp_path):
         assert "Traceback" not in r.stderr, r.stderr
 
 
+def test_option_defaults_are_those_of_train_config_and_budget():
+    parser = cli.build_parser()
+    a = parser.parse_args(["train-characterizer", "n.json", "d.csv", "h.json", "--layer", "1"])
+    cfg = TrainConfig(hidden_units=a.hidden, learning_rate=a.lr, max_epochs=a.epochs, seed=a.seed)
+    assert cfg == TrainConfig()
+    a = parser.parse_args(["verify", "n.json", "q.json", "v.json"])
+    assert Budget(max_nodes=a.max_nodes, max_seconds=a.max_seconds) == Budget()
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "1e400"])
+def test_non_finite_dataset_cell_is_input_error_naming_the_row(workdir, tmp_path, cell):
+    # float() takes these; each subcommand that reads a dataset refuses it
+    # before any arithmetic, with the file and line and no RuntimeWarning
+    data = tmp_path / "bad.csv"
+    data.write_text(f"x0,x1,label\n0.5,0.5,1\n{cell},0.5,1\n-0.5,0.5,0\n")
+    for args in (
+        ["stats", "net.json", "head.json", data, "--layer", 1],
+        ["bounds", "net.json", tmp_path / "b.json", "--data", data, "--layer", 1],
+        ["train-characterizer", "net.json", data, tmp_path / "h.json", "--layer", 1],
+    ):
+        r = run_cli(args, workdir)
+        assert r.returncode == 2, (args[0], r.stderr)
+        assert r.stderr == f"safecut: error: {data}:3: non-finite feature value\n", r.stderr
+    assert not (tmp_path / "b.json").exists() and not (tmp_path / "h.json").exists()
+
+
 def test_train_characterizer_reads_its_seed(workdir, tmp_path):
     # the seed draws a hidden head's initial weights: the same seed gives
     # the same file, another seed another head
@@ -612,8 +639,10 @@ def test_monitor_reports_each_row_before_the_next_arrives(workdir):
         cwd=str(workdir), env=child_env(),
     )
     try:
-        for k, row in enumerate(["0.5,0.5", "9.0,9.0", "bad,row", "0.1,0.2"]):
-            proc.stdin.write(row.encode() + b"\n")
+        rows = ["0.5,0.5", "9.0,9.0", "bad,row", "0.1,0.2", "0.2,0.1", "0.3,0.3"]
+        # a lone \r ends a row as \n and \r\n do: each is answered at once
+        for k, (row, eol) in enumerate(zip(rows, ["\n", "\r", "\r\n", "\r", "\n", "\r"])):
+            proc.stdin.write((row + eol).encode())
             proc.stdin.flush()
             ready, _, _ = select.select([proc.stdout], [], [], 60.0)
             assert ready, f"no report for row {k} while stdin stayed open"

@@ -620,3 +620,10 @@ def test_format_lp_mentions_every_row():
     text = format_lp(lp)
     assert "alpha" in text and "beta" in text
     assert "<=" in text and ">=" in text
+
+
+@pytest.mark.parametrize("names", [("alpha",), ("alpha", "beta", "gamma")])
+def test_column_names_must_name_every_column(names):
+    with pytest.raises(ShapeError, match=f"{len(names)} column names for 2 columns"):
+        LinearProgram(np.zeros(2), [[1.0, 1.0]], [REL_GE], [3.0], np.zeros(2), np.ones(2),
+                      names=names)

@@ -17,7 +17,7 @@ from safecut.monitor import (
     report_to_obj,
     violations,
 )
-from safecut.network import Dataset, Dense, Network, forward, forward_batch
+from safecut.network import Dataset, Dense, Network, forward
 from safecut.verifier import replay_witness
 
 import synth
@@ -126,7 +126,7 @@ def test_dataset_replay_is_contained_at_zero_tolerance():
     X = rng.normal(size=(80, net.input_dim))
     layer = max(1, net.depth // 2)
     b = dataset_bounds(net, Dataset(inputs=X), layer)
-    acts = forward_batch(net, X, 0, layer)
+    acts = forward(net, X, 0, layer)
     for x, act in zip(X, acts):
         assert check_containment(b, act)
         assert check_containment(b, forward(net, x, 0, layer))

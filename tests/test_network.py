@@ -15,7 +15,6 @@ from safecut.network import (
     Network,
     Relu,
     forward,
-    forward_batch,
     load_dataset,
     load_network,
     network_to_obj,
@@ -40,42 +39,43 @@ def test_partial_forward_composes(tiny_net):
     assert np.max(np.abs(out - full)) <= 1e-9
 
 
-def test_forward_batch_matches_single(tiny_net):
+def test_batch_rows_match_single_vectors(tiny_net):
     rng = np.random.default_rng(0)
     xs = rng.normal(size=(50, 2))
-    batch = forward_batch(tiny_net, xs)
+    batch = forward(tiny_net, xs)
     for i in range(50):
-        assert np.allclose(batch[i], forward(tiny_net, xs[i]), atol=1e-12)
+        assert batch[i].tobytes() == forward(tiny_net, xs[i]).tobytes()
 
 
-def test_forward_batch_is_row_exact_under_any_chunking():
+def test_forward_is_row_exact_under_any_chunking():
     rng = np.random.default_rng(41)
     net = synth.wide_network(rng)
     X = rng.uniform(-1.0, 1.0, (300, net.input_dim))
     for to_layer in (synth.WIDE_CUT, net.depth):
-        whole = forward_batch(net, X, 0, to_layer)
+        whole = forward(net, X, 0, to_layer)
         per_row = np.array([forward(net, x, 0, to_layer) for x in X])
         assert np.array_equal(whole, per_row)
         for size in range(1, 9):
             chunks = [
-                forward_batch(net, X[i : i + size], 0, to_layer) for i in range(0, len(X), size)
+                forward(net, X[i : i + size], 0, to_layer) for i in range(0, len(X), size)
             ]
             assert np.array_equal(np.concatenate(chunks), whole), size
         cuts = np.sort(rng.choice(np.arange(1, len(X)), 25, replace=False))
-        chunks = [forward_batch(net, part, 0, to_layer) for part in np.split(X, cuts)]
+        chunks = [forward(net, part, 0, to_layer) for part in np.split(X, cuts)]
         assert np.array_equal(np.concatenate(chunks), whole)
 
 
 def test_vector_pass_is_bit_equal_to_the_batch_rows():
-    # Dense.apply takes W @ x on a vector and one stacked matmul on a batch;
-    # the two must give every row the same bits, on the 64-128-64 stack and
-    # on dense layers of many shapes, so forward() and forward_batch() agree
+    # Dense.apply has one expression, a stacked matmul that a vector meets
+    # as a batch of one row; a vector must get the bits of its batch row, on
+    # the 64-128-64 stack and on dense layers of many shapes
     rng = np.random.default_rng(43)
     net = synth.wide_network(rng)
     X = rng.uniform(-1.0, 1.0, (64, net.input_dim))
     for a, b in ((0, net.depth), (synth.WIDE_CUT, net.depth), (0, synth.WIDE_CUT)):
-        rows = forward_batch(net, forward_batch(net, X, 0, a) if a else X, a, b)
-        for i, x in enumerate(forward_batch(net, X, 0, a) if a else X):
+        inputs = forward(net, X, 0, a) if a else X
+        rows = forward(net, inputs, a, b)
+        for i, x in enumerate(inputs):
             assert forward(net, x, a, b).tobytes() == rows[i].tobytes()
     for _ in range(200):
         m, n = (int(v) for v in rng.integers(1, 140, 2))
@@ -84,6 +84,35 @@ def test_vector_pass_is_bit_equal_to_the_batch_rows():
         batch = layer.apply(X)
         for i, x in enumerate(X):
             assert layer.apply(x).tobytes() == batch[i].tobytes()
+
+
+def test_forward_refuses_scalars_and_stacks_of_batches(tiny_net):
+    for x in (np.float64(0.5), np.zeros((1, 3, 2))):
+        with pytest.raises(ShapeError, match="batch shape"):
+            forward(tiny_net, x)
+
+
+def test_forward_names_a_vector_or_batch_of_the_wrong_width(tiny_net):
+    # these texts reach `safecut monitor` error lines
+    with pytest.raises(ShapeError) as exc:
+        forward(tiny_net, [1.0, 2.0, 3.0])
+    assert str(exc.value) == "input length (3,) does not match dim 2 at position 0"
+    with pytest.raises(ShapeError) as exc:
+        forward(tiny_net, np.zeros((4, 3)), 0, 2)
+    assert str(exc.value) == "batch shape (4, 3) does not match dim 2 at position 0"
+
+
+def test_strided_input_gives_the_bits_of_its_contiguous_copy():
+    rng = np.random.default_rng(47)
+    net = synth.wide_network(rng)
+    wide = rng.uniform(-1.0, 1.0, (40, 2 * net.input_dim))
+    X = wide[:, ::2]  # a column slice: neither rows nor columns contiguous
+    assert not X.flags.c_contiguous
+    whole = forward(net, np.ascontiguousarray(X))
+    assert forward(net, X).tobytes() == whole.tobytes()
+    for i in range(len(X)):
+        col = wide[i, ::2]
+        assert forward(net, col).tobytes() == whole[i].tobytes()
 
 
 def test_relu_idempotent():
@@ -269,6 +298,15 @@ def test_dataset_bad_cell_reports_line(tmp_path):
     with pytest.raises(ParseError) as err:
         load_dataset(str(p))
     assert "3" in str(err.value)  # 1-based line number of the bad row
+
+
+def test_dataset_refuses_non_finite_cells(tmp_path):
+    p = tmp_path / "d.csv"
+    for cell in ("nan", "inf", "-inf", "1e400"):
+        p.write_text(f"x0,x1,label\n0.5,1.0,1\n\n0.1,{cell},0\n")
+        with pytest.raises(ParseError) as err:
+            load_dataset(str(p))
+        assert str(err.value) == f"{p}:4: non-finite feature value"
 
 
 def test_dataset_expected_dim(tmp_path):

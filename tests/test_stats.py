@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from pytest import approx
 
-from safecut import cli, stats
+from safecut import characterizer, cli, stats
 from safecut.characterizer import (
     Characterizer, TrainConfig, save_characterizer, train_characterizer,
 )
@@ -315,16 +315,18 @@ def _stats_files(tmp_path):
 
 def test_stats_with_risk_passes_over_the_dataset_once(tmp_path, monkeypatch, capsys):
     # the confusion cells and the premise share one pass to the cut and one
-    # through the head; only the omitted samples run on to the output
+    # through the head (`decide`, in the characterizer module); only the
+    # omitted samples run on to the output
     data = _stats_files(tmp_path)
     rows = []
-    real = stats.forward_batch
+    real = stats.forward
 
     def counted(net_, xs, *args):
         rows.append(len(xs))
         return real(net_, xs, *args)
 
-    monkeypatch.setattr(stats, "forward_batch", counted)
+    monkeypatch.setattr(stats, "forward", counted)
+    monkeypatch.setattr(characterizer, "forward", counted)
     argv = [str(tmp_path / name) for name in STATS_FILES]
     assert cli.main(["stats", *argv, "--layer", "1", "--risk", str(tmp_path / "risk.json")]) == 0
     report = json.loads(capsys.readouterr().out)
