@@ -34,19 +34,30 @@ checks that one row instead of searching for it.  Phase 2 is
 the primal simplex from a feasible basis: Dantzig pricing and a ratio test.
 Both phases pick with one rule (`_pick`): the largest score, the lowest
 variable id on ties, and from ``dantzig_limit`` iterations on Bland's rule,
-the lowest id of all eligible.
+the lowest id of all eligible.  ``argmax`` returns the first maximum, so the
+maximum is unique exactly when the first maximum of the reversed scores is
+the same entry; only a real tie pays for the equality mask and the id
+search.
 
 Kept in step for the whole call, not rebuilt per pivot: one score sign per
 column of D (-1 may increase, +1 may decrease, 0 closed; a free column is
-flagged apart and scores the magnitude), and the basic bounds
-``blo = lo[basis]`` and ``bhi = hi[basis]``.  A column's score is its
-pricing vector times its sign: ``z`` in phase 2, row r of D oriented by the
-repair direction in phase 1.  A pivot updates the kept arrays at the
-entering column, which the leaving variable now holds, and the pivot row; a
-bound flip at the entering column.  A column banned on the TINY_PIVOT path
-is cleared in masked copies.  Each call allocates these once, with its work
-vectors and one (m, n) buffer for the rank-1 update; the pivot loop writes
-into them with ``out=``.
+flagged apart and scores the magnitude), in phase 1 its negation ``nsign``
+too, and the basic bounds ``blo = lo[basis]`` and ``bhi = hi[basis]``.  A
+column's score is its pricing vector times its sign: ``z * sign`` in phase
+2, and in phase 1 ``D[r] * sign`` for a row that must rise, ``D[r] * nsign``
+for one that must fall, one multiply either way.  Multiplying by -1 is
+exact and the sign of a zero product is the xor of its factors' signs, so
+these are the bits of row r oriented first and signed after.  A pivot
+updates the kept arrays at the entering column, which the leaving variable
+now holds, and the pivot row; a bound flip at the entering column.  A
+column banned on the TINY_PIVOT path is cleared in masked copies.  Each
+call allocates these once, with its work vectors (the ratio test's only in
+phase 2) and one (m, n) buffer for the rank-1 update; the pivot loop writes
+into them with ``out=`` and reads scalars with ``.item()``, a Python float
+with the same bits.  The rank-1 update stays three full passes (broadcast
+copy, broadcast multiply, subtract): a one-step product such as ``einsum``,
+a k = 1 ``matmul`` (both compute ``0 + a*b``) or skipping the rows whose
+``col`` entry is zero changes the sign of some zeros.
 
 Return status codes (shared with the compiled kernel):
   0 OPTIMAL        phase 1: every basic variable is within viol_tol of its
@@ -69,6 +80,10 @@ TINY_PIVOT = 3
 ITER_LIMIT = 4
 
 _INF = np.inf
+# the score sign of an open nonbasic column by its vstat: -1 may increase,
+# +1 may decrease, 0 for a free column (scored by magnitude) and any other
+# code (take(mode="clip") maps every code to 0..3)
+SCORE_SIGN = np.array([0.0, -1.0, 1.0, 0.0])
 
 
 def _pick(score: np.ndarray, ids: np.ndarray, thresh: float, bland: bool, eq: np.ndarray) -> int:
@@ -78,15 +93,18 @@ def _pick(score: np.ndarray, ids: np.ndarray, thresh: float, bland: bool, eq: np
     if bland:
         elig = np.greater(score, thresh, out=eq).nonzero()[0]
         return int(elig[ids[elig].argmin()]) if elig.shape[0] else -1
-    if not score.shape[0]:
+    n = score.shape[0]
+    if not n:
         return -1
     p = int(score.argmax())
-    s = score[p]
+    s = score.item(p)
     if not s > thresh:
         return -1
-    if np.count_nonzero(np.equal(score, s, out=eq)) == 1:
+    # argmax takes the first maximum, so the maximum is unique iff the
+    # first one from the end is the same entry
+    if p == n - 1 - int(score[::-1].argmax()):
         return p
-    ties = eq.nonzero()[0]
+    ties = np.equal(score, s, out=eq).nonzero()[0]
     return int(ties[ids[ties].argmin()])
 
 
@@ -114,27 +132,31 @@ def run_phase(
     iters = 0
     dead[0] = -1
     # score signs and free flags, kept in step with vstat/lo/hi at the
-    # column a step touches
+    # column a step touches; nsign = -sign orients a row that must fall
     vs = vstat[nb]
     is_open = lo[nb] != hi[nb]
-    sign = np.where(is_open & (vs == 1), -1.0, np.where(is_open & (vs == 2), 1.0, 0.0))
+    sign = np.where(is_open, SCORE_SIGN.take(vs, mode="clip"), 0.0)
     free = is_open & (vs == 3)
-    any_free = bool(free.any())
+    any_free = np.count_nonzero(free) > 0
     blo = lo[basis]  # bounds of the basic variables, kept in step with basis
     bhi = hi[basis]
     score = np.empty(w)
-    vec = np.empty(w)
-    zrow = np.empty(w)
-    viol = np.empty(m)
-    below = np.empty(m)
-    alpha = np.empty(m)
-    big = np.empty(m, dtype=bool)
-    eq_row = np.empty(m, dtype=bool)  # _pick's buffers
-    eq_col = np.empty(w, dtype=bool)
-    tt = np.empty(m)
+    eq_col = np.empty(w, dtype=bool)  # _pick's buffer
     step = np.empty(m)
     col = np.empty(m)
+    col_t = col[:, None]
     outer = np.empty((m, w))
+    multiply, subtract = np.multiply, np.subtract
+    if phase == 1:
+        nsign = np.negative(sign)
+        viol = np.empty(m)
+        below = np.empty(m)
+        eq_row = np.empty(m, dtype=bool)
+    else:
+        zrow = np.empty(w)
+        alpha = np.empty(m)
+        big = np.empty(m, dtype=bool)
+        tt = np.empty(m)
 
     while True:
         if iters >= max_iter:
@@ -143,26 +165,29 @@ def run_phase(
 
         if phase == 1:
             # ---- dual: the most violated basic variable leaves ----
-            np.subtract(blo, xB, out=below)
-            np.subtract(xB, bhi, out=viol)
+            subtract(blo, xB, out=below)
+            subtract(xB, bhi, out=viol)
             np.maximum(below, viol, out=viol)
             r = _pick(viol, basis, viol_tol, bland, eq_row)
             if r < 0:
                 return OPTIMAL, iters
-            up = bool(xB[r] < blo[r])  # the repair raises x_B[r]
+            xr = xB.item(r)
+            up = xr < blo.item(r)  # the repair raises x_B[r]
             # ---- the column that repairs row r with the largest |D[r, j]| ----
-            np.multiply(D[r], 1.0 if up else -1.0, out=vec)
-            np.multiply(vec, sign, out=score)
+            row = D[r]
+            multiply(row, sign if up else nsign, out=score)
             if any_free:
-                np.absolute(vec, out=score, where=free)
+                np.absolute(row, out=score, where=free)
             p = _pick(score, nb, tiny, bland, eq_col)
             if p < 0:
                 dead[0] = r
                 return INFEASIBLE, iters
-            q = int(nb[p])
-            sq = vstat[q]
-            d = 1.0 if (sq == 1 or (sq == 3 and vec[p] < 0.0)) else -1.0
-            t = (xB[r] - (blo[r] if up else bhi[r])) / (d * D[r, p])
+            q = nb.item(p)
+            sq = vstat.item(q)
+            drp = row.item(p)
+            # a free column moves the way its oriented entry is negative
+            d = 1.0 if (sq == 1 or (sq == 3 and (drp < 0.0 if up else drp > 0.0))) else -1.0
+            t = (xr - (blo.item(r) if up else bhi.item(r))) / (d * drp)
             leave_to = 1 if up else 2
             Dp = D[:, p]
         else:
@@ -170,39 +195,40 @@ def run_phase(
             banned_any = False
             while True:
                 # ---- primal pricing: score > opt_tol is eligible ----
-                np.multiply(z, sign_ok, out=score)
+                multiply(z, sign_ok, out=score)
                 if any_free:
                     np.absolute(z, out=score, where=free_ok)
                 p = _pick(score, nb, opt_tol, bland, eq_col)
                 if p < 0:
                     return (TINY_PIVOT if banned_any else OPTIMAL), iters
-                q = int(nb[p])
-                sq = vstat[q]
-                d = 1.0 if (sq == 1 or (sq == 3 and z[p] < 0.0)) else -1.0
+                q = nb.item(p)
+                sq = vstat.item(q)
+                d = 1.0 if (sq == 1 or (sq == 3 and z.item(p) < 0.0)) else -1.0
 
                 # ---- ratio test ----
                 Dp = D[:, p]
-                np.multiply(Dp, d, out=alpha)
+                multiply(Dp, d, out=alpha)
                 np.greater(np.absolute(alpha), tiny, out=big)
                 tt.fill(_INF)
-                np.subtract(xB, np.where(alpha > 0.0, blo, bhi), out=tt, where=big)
+                subtract(xB, np.where(alpha > 0.0, blo, bhi), out=tt, where=big)
                 np.divide(tt, alpha, out=tt, where=big)
                 np.maximum(tt, 0.0, out=tt)
 
-                t = hi[q] - lo[q]  # inf when either bound is infinite
+                t = hi.item(q) - lo.item(q)  # inf when either bound is infinite
                 r = -1
                 if m > 0:
                     if bland:
-                        tmin = tt.min()
+                        tmin = tt.min().item()
                         if tmin < t:
                             ties = np.flatnonzero(tt == tmin)
                             r = int(ties[basis[ties].argmin()])
                             t = tmin
                     else:
                         rmin = int(tt.argmin())
-                        if tt[rmin] < t:
+                        tr = tt.item(rmin)
+                        if tr < t:
                             r = rmin
-                            t = tt[rmin]
+                            t = tr
 
                 if t == _INF:
                     # a row with a sub-tiny nonzero coefficient may still block;
@@ -220,51 +246,52 @@ def run_phase(
                         continue
                     return UNBOUNDED, iters
                 break
-            leave_to = 1 if r >= 0 and alpha[r] > 0.0 else 2
+            leave_to = 1 if r >= 0 and alpha.item(r) > 0.0 else 2
 
         tstep = d * t
-        np.multiply(Dp, tstep, out=step)
+        multiply(Dp, tstep, out=step)
+        subtract(xB, step, out=xB)
         if r < 0:
             # ---- bound flip ----
-            xB -= step
             vstat[q] = 2 if d > 0.0 else 1
             sign[p] = d
         else:
             # ---- pivot: the leaving variable takes column p as e_r ----
-            leaving = int(basis[r])
+            leaving = basis.item(r)
             if sq == 1:
-                vq = lo[q]
+                vq = lo.item(q)
             elif sq == 2:
-                vq = hi[q]
+                vq = hi.item(q)
             else:
                 vq = 0.0
-            xB -= step
-            xB[r] = vq + d * t
-            np.copyto(col, Dp)
+            xB[r] = vq + tstep
+            col[...] = Dp
             Dp.fill(0.0)
             Dp[r] = 1.0
             row = D[r]
-            row /= col[r]
+            row /= col.item(r)
             if phase != 1:
-                zq = z[p]
+                zq = z.item(p)
                 z[p] = 0.0
-                np.multiply(row, zq, out=zrow)
-                z -= zrow
+                multiply(row, zq, out=zrow)
+                subtract(z, zrow, out=z)
             col[r] = 0.0
             # outer[i, j] = row[j] * col[i]: the product commutes, so these
             # are the bits of col[i] * row[j]
-            np.copyto(outer, row)
-            np.multiply(outer, col[:, None], out=outer)
-            D -= outer
+            outer[...] = row
+            multiply(outer, col_t, out=outer)
+            subtract(D, outer, out=D)
             basis[r] = q
             nb[p] = leaving
             vstat[q] = 0
             vstat[leaving] = leave_to
-            if lo[leaving] == hi[leaving]:
+            if lo.item(leaving) == hi.item(leaving):
                 sign[p] = 0.0
             else:
                 sign[p] = -1.0 if leave_to == 1 else 1.0
             free[p] = False
-            blo[r] = lo[q]
-            bhi[r] = hi[q]
+            blo[r] = lo.item(q)
+            bhi[r] = hi.item(q)
+        if phase == 1:
+            nsign[p] = -sign.item(p)
         iters += 1

@@ -52,6 +52,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import kernels
+from ._simplex_py import SCORE_SIGN
 from .errors import NumericalBreakdownError, ShapeError
 
 FEAS_TOL = 1e-7
@@ -163,27 +164,37 @@ def _slack_basis(A, rels, b, lo, hi):
 
 def _warm_state(start, A, lo, hi):
     """Re-seat a solve's state (same rows) on new column bounds: a copy whose
-    nonbasic columns with changed bounds move to the nearest new bound."""
+    nonbasic columns with changed bounds move to the nearest new bound.
+
+    A branch-and-bound child changes one column, so the columns are re-seated
+    one by one in Python floats (the same IEEE operations as array ones) and
+    only the update of the basic values is one product, ``D[:, sel] @ delta``.
+    """
     D, xB, basis, nb, vstat, lo_all, hi_all = start
     m, n = A.shape
     if D.shape != (m, n) or nb.shape[0] != n or vstat.shape[0] != n + m:
         raise ShapeError("start state does not match the LP's rows and columns")
     xB, vstat = xB.copy(), vstat.copy()
+    sel, delta = [], []
+    for j in ((lo != lo_all[:n]) | (hi != hi_all[:n])).nonzero()[0].tolist():
+        vj = vstat.item(j)
+        if vj == 0:  # basic: it keeps its value, and phase 1 repairs its row
+            continue
+        old = lo_all.item(j) if vj == 1 else hi_all.item(j) if vj == 2 else 0.0
+        lj, hj = lo.item(j), hi.item(j)
+        lo_finite, hi_finite = abs(lj) < np.inf, abs(hj) < np.inf
+        if lo_finite and (abs(old - lj) <= abs(hj - old) or not hi_finite):
+            vstat[j], new = 1, lj
+        elif hi_finite:
+            vstat[j], new = 2, hj
+        else:
+            vstat[j], new = 3, 0.0
+        sel.append(j)
+        delta.append(new - old)
+    if sel:
+        at = nb.tolist()
+        xB -= D[:, [at.index(j) for j in sel]] @ np.array(delta)
     lo_all, hi_all = lo_all.copy(), hi_all.copy()
-
-    vs = vstat[:n]
-    cols = np.flatnonzero((vs != 0) & ((lo != lo_all[:n]) | (hi != hi_all[:n])))
-    if cols.shape[0]:
-        vc, lc, hc = vs[cols], lo[cols], hi[cols]
-        old_val = np.where(vc == 1, lo_all[cols], np.where(vc == 2, hi_all[cols], 0.0))
-        nearer_lo = np.abs(old_val - lc) <= np.abs(hc - old_val)
-        to_lo = np.isfinite(lc) & (nearer_lo | ~np.isfinite(hc))
-        new_stat = np.where(to_lo, 1, np.where(np.isfinite(hc), 2, 3))
-        new_val = np.where(new_stat == 1, lc, np.where(new_stat == 2, hc, 0.0))
-        slot = np.empty(n + m, dtype=np.int64)
-        slot[nb] = np.arange(n)
-        xB -= D[:, slot[cols]] @ (new_val - old_val)
-        vstat[cols] = new_stat
     lo_all[:n] = lo
     hi_all[:n] = hi
     return D.copy(), xB, basis.copy(), nb.copy(), vstat, lo_all, hi_all
@@ -195,17 +206,20 @@ def _is_dead(state, r: int) -> bool:
     D, xB, basis, nb, vstat, lo_all, hi_all = state
     if not 0 <= r < xB.shape[0]:
         return False
-    blo, bhi = lo_all[basis[r]], hi_all[basis[r]]
-    if not max(blo - xB[r], xB[r] - bhi) > VIOL_TOL:
+    x, b = xB.item(r), basis.item(r)
+    blo, bhi = lo_all.item(b), hi_all.item(b)
+    if not max(blo - x, x - bhi) > VIOL_TOL:
         return False
     # a column repairs a row that must rise if it may rise and its entry is
     # negative, or may fall and its entry is positive; the reverse for a
-    # row that must fall
+    # row that must fall.  An open column's score sign is SCORE_SIGN[vstat],
+    # a free one scores the entry's magnitude
     vs = vstat[nb]
     is_open = lo_all[nb] != hi_all[nb]
-    sign = np.where(is_open & (vs == 1), -1.0, np.where(is_open & (vs == 2), 1.0, 0.0))
-    R = D[r] * (1.0 if xB[r] < blo else -1.0)
-    return not (np.where(is_open & (vs == 3), np.abs(R), R * sign) > TINY).any()
+    R = D[r] if x < blo else -D[r]
+    score = R * np.where(is_open, SCORE_SIGN.take(vs, mode="clip"), 0.0)
+    np.absolute(R, out=score, where=is_open & (vs == 3))
+    return not np.count_nonzero(score > TINY)
 
 
 def _extract(vstat, lo_all, hi_all, basis, xB, n):
@@ -264,9 +278,9 @@ def solve_dense(lp: LinearProgram, lo=None, hi=None, kernel=None, start=None) ->
     hi = lp.hi if hi is None else np.asarray(hi, dtype=np.float64)
     if lo.shape != (n,) or hi.shape != (n,):
         raise ShapeError("bound shapes do not match variable count")
-    if np.isnan(lo).any() or np.isnan(hi).any():
-        raise ValueError("LP contains NaN data")
-    if (lo > hi).any():
+    if not (lo <= hi).all():  # NaN fails the test too, but is bad data
+        if np.isnan(lo).any() or np.isnan(hi).any():
+            raise ValueError("LP contains NaN data")
         return LpOutcome(INFEASIBLE)
 
     state = _warm_state(start or _slack_basis(A, rels, b, lo, hi), A, lo, hi)

@@ -123,7 +123,7 @@ def _pick_branch(
     """
     score = (x[post] - np.maximum(P @ x + p0, 0.0)) * width
     score[fixed] = -np.inf
-    return int(np.argmax(score))
+    return int(score.argmax())
 
 
 class _Search:
@@ -180,8 +180,10 @@ class _Search:
         """Solve one node; returns child nodes (near phase last = popped first)."""
         self.nodes += 1
         self.lp_solves += 1
-        fixed = lo[self.bin_cols] == hi[self.bin_cols]
-        self.max_depth = max(self.max_depth, int(fixed.sum()))
+        bin_cols = self.bin_cols
+        fixed = lo[bin_cols] == hi[bin_cols]
+        depth = int(np.count_nonzero(fixed))
+        self.max_depth = max(self.max_depth, depth)
         try:
             out = self._solve(self.prob.lp, lo, hi, start)
         except NumericalBreakdownError as exc:
@@ -191,12 +193,12 @@ class _Search:
         if out.status == INFEASIBLE:
             return []
         x = out.point
-        vals = x[self.bin_cols]
-        integral = np.abs(vals - np.round(vals)) <= INTEGRALITY_TOL
+        vals = x[bin_cols]
+        all_fixed = depth == fixed.shape[0]
 
-        if fixed.all() or integral.all():
+        if all_fixed or (np.abs(vals - np.round(vals)) <= INTEGRALITY_TOL).all():
             w, rep, ok = self._try_witness(x[: self.cut_dim])
-            if not ok and fixed.all():
+            if not ok and all_fixed:
                 for cand in self._polish_candidates(x, lo, hi, out.state):
                     w, rep, ok = self._try_witness(cand)
                     if ok:
@@ -205,7 +207,7 @@ class _Search:
                 self.witness = w
                 self.witness_output = rep["output"]
                 return []
-            if fixed.all():
+            if all_fixed:
                 self.incomplete = True
                 self.warnings.append(
                     "unreplayable-leaf: feasible leaf produced no "
@@ -215,8 +217,8 @@ class _Search:
             # integral by luck but not yet fixed — keep branching
 
         j = _pick_branch(x, self.pre, self.pre0, self.post_cols, self.widths, fixed)
-        near = 1.0 if vals[j] > 0.5 else 0.0
-        col = self.bin_cols[j]
+        near = 1.0 if vals.item(j) > 0.5 else 0.0
+        col = bin_cols.item(j)
         children = []
         for phase in (1.0 - near, near):  # near pushed last, popped first
             clo, chi = lo.copy(), hi.copy()

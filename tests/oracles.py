@@ -345,6 +345,34 @@ def gather_warm_state(start, A, lo, hi):
     return T[:, nb], xB, basis, nb, vstat, lo_all, hi_all
 
 
+def vectorized_warm_state(start, A, lo, hi):
+    """``safecut.lp._warm_state`` as it was written before it re-seated column
+    by column in Python floats: every step an array operation over the
+    changed columns.  Kept as the bit-exact reference of the scalar re-seat.
+    """
+    D, xB, basis, nb, vstat, lo_all, hi_all = start
+    m, n = A.shape
+    xB, vstat = xB.copy(), vstat.copy()
+    lo_all, hi_all = lo_all.copy(), hi_all.copy()
+
+    vs = vstat[:n]
+    cols = np.flatnonzero((vs != 0) & ((lo != lo_all[:n]) | (hi != hi_all[:n])))
+    if cols.shape[0]:
+        vc, lc, hc = vs[cols], lo[cols], hi[cols]
+        old_val = np.where(vc == 1, lo_all[cols], np.where(vc == 2, hi_all[cols], 0.0))
+        nearer_lo = np.abs(old_val - lc) <= np.abs(hc - old_val)
+        to_lo = np.isfinite(lc) & (nearer_lo | ~np.isfinite(hc))
+        new_stat = np.where(to_lo, 1, np.where(np.isfinite(hc), 2, 3))
+        new_val = np.where(new_stat == 1, lc, np.where(new_stat == 2, hc, 0.0))
+        slot = np.empty(n + m, dtype=np.int64)
+        slot[nb] = np.arange(n)
+        xB -= D[:, slot[cols]] @ (new_val - old_val)
+        vstat[cols] = new_stat
+    lo_all[:n] = lo
+    hi_all[:n] = hi
+    return D.copy(), xB, basis.copy(), nb.copy(), vstat, lo_all, hi_all
+
+
 def tableau_state(state):
     """The full-tableau state of a nonbasic-only one: D's columns where nb
     says, an exact unit column for each basic variable."""

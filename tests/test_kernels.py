@@ -149,6 +149,38 @@ def test_pick_matches_its_definition_on_tie_heavy_scores():
         ties += k > 1 and int((score == score.max()).sum()) > 1 and score.max() > thresh
     assert ties >= 500
 
+    # verifier-size vectors (the deep suite's tableaus are 76 x 48), with the
+    # maximum placed at the first and the last entry, alone or tied, and
+    # ties of +0.0 with -0.0: the cases `_pick`'s uniqueness test (first
+    # argmax against the last one) compares
+    seen = dict(first=0, last=0, both=0, signed_zero=0)
+    for _ in range(3000):
+        k = int(rng.integers(9, 81))
+        score = rng.choice(np.array([0.0, -0.0, -1.0, -2.0, 0.5, 1.0]), k)
+        top = float(rng.choice([0.0, -0.0, 1.0, 2.0]))
+        np.minimum(score, top, out=score)
+        where = int(rng.integers(4))  # neither, first, last, both ends
+        if where & 1:
+            score[0] = top
+        if where & 2:
+            score[-1] = top
+        if top == 0.0 and where and rng.random() < 0.5:
+            # the other zero at the other end, or in the middle
+            score[k - 1 if where == 1 else 0 if where == 2 else k // 2] = -top
+        ids = rng.permutation(2 * k)[:k].astype(np.int64)
+        thresh = float(rng.choice([-0.5, -1e-300, 0.0, 0.5, 1.5]))
+        eq = np.empty(k, dtype=bool)
+        for bland in (False, True):
+            got = _simplex_py._pick(score, ids, thresh, bland, eq)
+            assert got == _pick_reference(score, ids, thresh, bland)
+        at_top = score == score.max()
+        if score.max() > thresh:
+            seen["first"] += bool(at_top[0]) and int(at_top.sum()) == 1
+            seen["last"] += bool(at_top[-1]) and int(at_top.sum()) == 1
+            seen["both"] += bool(at_top[0] and at_top[-1])
+            seen["signed_zero"] += score.max() == 0.0 and len(set(np.signbit(score[at_top]))) == 2
+    assert min(seen.values()) >= 100, seen
+
 
 def _gaussian_lp(rng):
     """A Gaussian LP, some columns with an infinite bound or none at all."""

@@ -260,6 +260,25 @@ def test_nan_rejected():
         _solve([1.0], [[1.0]], [REL_LE], [5.0], [0.0], [float("nan")])
 
 
+@pytest.mark.parametrize("side", ["lo", "hi"])
+def test_nan_node_bounds_raise_before_an_empty_box_is_infeasible(side):
+    # solve_dense tests lo <= hi once and sorts a failure out after: NaN
+    # raises even where another column has lo > hi, which alone is an
+    # empty box and so INFEASIBLE
+    lp = LinearProgram([1.0, 1.0, 0.0], np.ones((1, 3)), [REL_LE], [5.0], [0.0] * 3, [1.0] * 3)
+    empty = dict(lo=np.array([2.0, 0.0, 0.0]), hi=np.array([1.0, 1.0, 1.0]))
+    assert solve_dense(lp, **empty).status == INFEASIBLE
+    for j in (0, 1, 2):  # on the empty column, before it and after it
+        bounds = {k: v.copy() for k, v in empty.items()}
+        bounds[side][j] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            solve_dense(lp, **bounds)
+    nan_only = dict(lo=np.zeros(3), hi=np.ones(3))
+    nan_only[side][1] = np.nan
+    with pytest.raises(ValueError, match="NaN"):
+        solve_dense(lp, **nan_only)
+
+
 @pytest.mark.parametrize("rel", [2, 1.5, -2, float("nan")])
 def test_unknown_relation_code_rejected(rel):
     # an int8 cast would solve 2 as an equality and 1.5 as >=; refuse both
@@ -592,6 +611,64 @@ def test_warm_state_matches_gather_reference():
             out = solve_dense(lp, clo, chi, start=out.state)
             lo, hi = clo, chi
     assert min(check.seen.values()) >= 5, check.seen
+
+
+def _random_state(rng, m, n):
+    """A nonbasic-only state with infinite bounds and free columns, and new
+    column bounds that change 0 to 5 of its structurals (basic ones too):
+    moved, pinned, opened to infinity or given a finite side."""
+    N = n + m
+    perm = rng.permutation(N).astype(np.int64)
+    basis, nb = perm[:m].copy(), perm[m:].copy()
+    lo_all = np.where(rng.random(N) < 0.3, -np.inf, rng.normal(size=N).round(1))
+    width = rng.choice([0.0, 0.5, 2.0], N)
+    hi_all = np.where(np.isfinite(lo_all), lo_all + width, rng.normal(size=N).round(1))
+    hi_all[rng.random(N) < 0.3] = np.inf
+    vstat = np.zeros(N, dtype=np.int64)
+    at_lo = np.isfinite(lo_all[nb]) & (~np.isfinite(hi_all[nb]) | (rng.random(n) < 0.5))
+    vstat[nb] = np.where(at_lo, 1, np.where(np.isfinite(hi_all[nb]), 2, 3))
+    D = rng.normal(size=(m, n)) * (rng.random((m, n)) < 0.7)
+    D[rng.random((m, n)) < 0.1] = -0.0
+    xB = rng.normal(size=m)
+    lo, hi = lo_all[:n].copy(), hi_all[:n].copy()
+    for j in rng.choice(n, size=min(n, int(rng.integers(6))), replace=False):
+        kind = int(rng.integers(5))
+        if kind == 0:  # pinned at a point of the old range or outside it
+            lo[j] = hi[j] = round(rng.normal(), 1)
+        elif kind == 1:
+            lo[j] = -np.inf
+        elif kind == 2:
+            hi[j] = np.inf
+        elif kind == 3:
+            lo[j], hi[j] = -np.inf, np.inf
+        else:
+            lo[j] = round(rng.normal(), 1)
+            hi[j] = lo[j] + rng.choice([0.25, 3.0, np.inf])
+    return (D, xB, basis, nb, vstat, lo_all, hi_all), lo, hi
+
+
+def test_warm_state_matches_the_vectorized_reseat():
+    # the re-seat runs column by column in Python floats; the array form it
+    # replaced is the reference, to the byte, on every array
+    rng = np.random.default_rng(23)
+    seen = dict(changed=0, free=0, to_free=0, inf_bound=0, several=0)
+    for k in range(1500):
+        m, n = int(rng.integers(0, 9)), int(rng.integers(1, 9))
+        start, lo, hi = _random_state(rng, m, n)
+        A = np.zeros((m, n))
+        got = _warm_state(start, A, lo, hi)
+        want = oracles.vectorized_warm_state(start, A, lo, hi)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
+        vs = start[4][:n]
+        moved = (vs != 0) & ((lo != start[5][:n]) | (hi != start[6][:n]))
+        seen["changed"] += bool(moved.any())
+        seen["several"] += int(moved.sum()) > 1
+        seen["free"] += bool((vs[moved] == 3).any())
+        seen["to_free"] += bool((got[4][:n][moved] == 3).any())
+        seen["inf_bound"] += bool(np.isinf(lo[moved]).any() or np.isinf(hi[moved]).any())
+    assert min(seen.values()) >= 50, seen
 
 
 def test_warm_state_matches_gather_reference_in_branch_and_bound(monkeypatch):
