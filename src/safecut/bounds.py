@@ -17,8 +17,6 @@ from .errors import EmptyDatasetError, ParseError, ShapeError
 from .jsonio import integer, read_json, write_json
 from .network import Dataset, Network, forward
 
-_BATCH = 4096  # chunk size for dataset scans (row-exact: no bit depends on it)
-
 
 @dataclass(frozen=True)
 class InputBox:
@@ -108,29 +106,20 @@ class ActivationBounds:
 def dataset_bounds(
     net: Network, data: Dataset, layer: int, with_diffs: bool = True
 ) -> ActivationBounds:
-    """Envelope of cut-layer activations over the dataset (streaming min/max)."""
+    """Envelope of cut-layer activations over the dataset: one row-exact
+    forward pass, then each coordinate's exact min and max."""
     if len(data) == 0:
         raise EmptyDatasetError("dataset_bounds needs at least one sample")
     d = net.cut_dim(layer)
-    lo = np.full(d, np.inf)
-    hi = np.full(d, -np.inf)
-    want_diffs = with_diffs and d >= 2
-    dlo = np.full(d - 1, np.inf) if want_diffs else None
-    dhi = np.full(d - 1, -np.inf) if want_diffs else None
-
-    for start in range(0, len(data), _BATCH):
-        acts = forward(net, data.inputs[start : start + _BATCH], 0, layer)
-        np.minimum(lo, acts.min(axis=0), out=lo)
-        np.maximum(hi, acts.max(axis=0), out=hi)
-        if want_diffs:
-            diffs = np.diff(acts, axis=1)
-            np.minimum(dlo, diffs.min(axis=0), out=dlo)
-            np.maximum(dhi, diffs.max(axis=0), out=dhi)
-
+    acts = forward(net, data.inputs, 0, layer)
+    dlo = dhi = None
+    if with_diffs and d >= 2:
+        diffs = np.diff(acts, axis=1)
+        dlo, dhi = diffs.min(axis=0), diffs.max(axis=0)
     return ActivationBounds(
         layer=layer,
-        lo=lo,
-        hi=hi,
+        lo=acts.min(axis=0),
+        hi=acts.max(axis=0),
         diff_lo=dlo,
         diff_hi=dhi,
         provenance="dataset",

@@ -101,6 +101,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    budget = Budget(max_nodes=args.max_nodes, max_seconds=args.max_seconds)
     net = load_network(args.network)
     query = load_query(args.query)
     if args.debug_lp_dump:
@@ -110,7 +111,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
             fh.write(
                 "binaries " + " ".join(prob.lp.name_of(j) for j in prob.binaries) + "\n"
             )
-    budget = Budget(max_nodes=args.max_nodes, max_seconds=args.max_seconds)
     verdict = verify(net, query, budget=budget)
 
     stats = dict(verdict.stats)

@@ -115,6 +115,12 @@ class RiskCondition:
     def out_dim(self) -> int:
         return self.clauses[0].coeffs.shape[0]
 
+    def check_fits(self, net: Network) -> None:
+        """ShapeError unless `net` has `out_dim` outputs."""
+        d_out = net.dim_at(net.depth)
+        if self.out_dim != d_out:
+            raise ShapeError(f"risk clauses have dim {self.out_dim}, network outputs {d_out}")
+
     def holds_exact(self, output: np.ndarray) -> bool:
         return all(c.holds_exact(output) for c in self.clauses)
 
@@ -375,11 +381,7 @@ def encode(net: Network, query: SafetyQuery) -> MilpProblem:
     l = query.cut_layer
     query.bounds.check_fits(net)
     d_l = query.bounds.dim
-    d_out = net.dim_at(net.depth)
-    if query.risk.out_dim != d_out:
-        raise ShapeError(
-            f"risk clauses have dim {query.risk.out_dim}, network outputs {d_out}"
-        )
+    query.risk.check_fits(net)
 
     bld = _Builder()
     binaries: List[int] = []

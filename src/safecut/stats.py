@@ -229,10 +229,13 @@ def check_premise(
     conditional claim needs each of them to avoid the risk set exactly.
     `cut` is `head_pass` of the same arguments, computed here if omitted;
     the omitted samples run on from their cut features (row-exact, so the
-    outputs are those of a whole forward pass).
+    outputs are those of a whole forward pass).  A risk whose dimension is
+    not the network's output dimension is a ShapeError, omitted samples or
+    not.
     """
     if data.labels is None:
         raise UnlabeledDataError("premise check needs labeled data")
+    risk.check_fits(net)
     feats, pred = head_pass(net, h, layer, data) if cut is None else cut
     omitted = (data.labels == 1) & (pred == 0)
     if not omitted.any():

@@ -25,11 +25,13 @@ point that lp.py does not re-check: it only steers branching, and a witness
 taken from it is replayed.  A node whose binaries are all fixed is a leaf
 whatever its point says.  ``stats["max_depth"]`` is the
 largest number of fixed binaries at any node solved.
+Every LP, a node's or a leaf's polish, takes the one path ``_Search._solve``.
 The root LP is solved cold; every child, and the polish re-solve of a leaf,
 starts from the final simplex basis of the node it came from (lp.py's warm
-start), so the dual phase repairs the fixed binary in a few pivots.  A warm solve that
-breaks down numerically is retried once cold before the node is given up;
-only a cold breakdown degrades the verdict.
+start), so the dual phase repairs the fixed binary in a few pivots.  A warm
+solve that breaks down numerically is retried once cold; only a cold
+breakdown gives the LP up, and it degrades the verdict.  ``lp_solves``
+counts every attempt: a warm solve and its cold retry are two.
 
 Verdicts: safe — the tree was exhausted; unsafe — a replayed witness exists;
 unknown — the node/time budget ran out or an LP broke down numerically
@@ -68,6 +70,10 @@ Node = Tuple[np.ndarray, np.ndarray, Optional[tuple]]
 class Budget:
     max_nodes: int = 200_000
     max_seconds: float = float("inf")
+
+    def __post_init__(self) -> None:
+        if self.max_nodes < 0 or not self.max_seconds >= 0:  # a NaN limit never ends
+            raise ValueError(f"budget limits must be >= 0: {self}")
 
 
 @dataclass
@@ -153,60 +159,45 @@ class _Search:
         self.witness: Optional[np.ndarray] = None
         self.witness_output: Optional[np.ndarray] = None
         self.exhausted_budget = False
-        self.breakdown = False
-        self.incomplete = False  # a feasible leaf yielded no replayable witness
+        self.incomplete = False  # a cold LP breakdown or an unreplayable leaf
 
-    def out_of_budget(self) -> bool:
-        return (
-            self.nodes >= self.budget.max_nodes
-            or time.monotonic() - self.t0 > self.budget.max_seconds
-        )
-
-    def _solve(self, lp: LinearProgram, lo: np.ndarray, hi: np.ndarray, start) -> LpOutcome:
-        """One LP solve, warm from `start` when given; a warm breakdown is
-        retried cold once (counted as one more LP solve), a cold one raises."""
-        out = None
-        if start is not None:
-            try:
-                out = solve_dense(lp, lo, hi, kernel=self.kernel, start=start)
-            except NumericalBreakdownError:
-                self.lp_solves += 1
-        if out is None:
-            out = solve_dense(lp, lo, hi, kernel=self.kernel)
+    def _solve(self, lp: LinearProgram, lo, hi, start, what: str) -> Optional[LpOutcome]:
+        """The one LP solve: warm from `start` when given, retried cold once
+        when the warm solve breaks down; every attempt is one ``lp_solves``.
+        A cold breakdown marks the search incomplete and returns None."""
+        self.lp_solves += 1
+        try:
+            out = solve_dense(lp, lo, hi, kernel=self.kernel, start=start)
+        except NumericalBreakdownError as exc:
+            if start is not None:
+                return self._solve(lp, lo, hi, None, what)
+            self.incomplete = True
+            self.warnings.append(f"lp breakdown{what}: {exc}")
+            return None
         self.pivots += out.pivots
         return out
 
     def process(self, lo: np.ndarray, hi: np.ndarray, start) -> List[Node]:
         """Solve one node; returns child nodes (near phase last = popped first)."""
         self.nodes += 1
-        self.lp_solves += 1
         bin_cols = self.bin_cols
         fixed = lo[bin_cols] == hi[bin_cols]
         depth = int(np.count_nonzero(fixed))
         self.max_depth = max(self.max_depth, depth)
-        try:
-            out = self._solve(self.prob.lp, lo, hi, start)
-        except NumericalBreakdownError as exc:
-            self.breakdown = True
-            self.warnings.append(f"lp breakdown, node discarded: {exc}")
-            return []
-        if out.status == INFEASIBLE:
+        out = self._solve(self.prob.lp, lo, hi, start, ", node discarded")
+        if out is None or out.status == INFEASIBLE:
             return []
         x = out.point
         vals = x[bin_cols]
         all_fixed = depth == fixed.shape[0]
 
         if all_fixed or (np.abs(vals - np.round(vals)) <= INTEGRALITY_TOL).all():
-            w, rep, ok = self._try_witness(x[: self.cut_dim])
-            if not ok and all_fixed:
-                for cand in self._polish_candidates(x, lo, hi, out.state):
-                    w, rep, ok = self._try_witness(cand)
-                    if ok:
-                        break
-            if ok:
-                self.witness = w
-                self.witness_output = rep["output"]
-                return []
+            for cand in self._candidates(x, lo, hi, out.state, all_fixed):
+                w, rep, ok = self._try_witness(cand)
+                if ok:
+                    self.witness = w
+                    self.witness_output = rep["output"]
+                    return []
             if all_fixed:
                 self.incomplete = True
                 self.warnings.append(
@@ -233,43 +224,33 @@ class _Search:
         ok = rep["in_bounds"] and rep["characterizer"] == 1 and rep["risk_satisfied"]
         return w, rep, ok
 
-    def _polish_candidates(self, x: np.ndarray, lo: np.ndarray, hi: np.ndarray, start):
-        """Fallback witness candidates for an all-fixed leaf that failed replay.
+    def _candidates(self, x: np.ndarray, lo, hi, start, leaf: bool):
+        """Witness candidates of an integral LP point `x`, in the order tried.
 
-        The zero-objective solve lands on an arbitrary vertex, frequently on
-        the logit = 0 face where replay's exact decide() is one rounding away
-        from rejecting a genuine witness.  Two remedies, tried in order:
-        decimal-snapping the candidate to 12, 9 and 6 digits (simplex
-        eliminations leave ~1e-15 dirt on coordinates that are really short
-        rationals), and re-solving the leaf with a logit-maximizing
-        objective to move the candidate as deep into the phi region as the
-        leaf allows; it starts from the leaf's own final basis (`start`), so
-        it runs phase 2 only.  The polished point is tried as it is: it has
-        the largest logit the leaf allows, and snapping it moves it away
-        from that optimum.
+        The raw point; at an all-fixed `leaf` also its decimal snaps to 12,
+        9 and 6 digits (eliminations leave ~1e-15 dirt on coordinates that
+        are really short rationals), then the point of the leaf re-solved
+        from its own final basis (`start`, so phase 2 only) for the largest
+        logit it allows (module doc).  The polished point is not snapped:
+        that would move it off the optimum.
         """
+        yield x[: self.cut_dim]
+        if not leaf:
+            return
         for digits in (12, 9, 6):
             yield np.round(x[: self.cut_dim], digits)
-        self.lp_solves += 1
         if self.polish_lp is None:  # minimize -logit
             self.polish_lp = dataclasses.replace(self.prob.lp, c=-self.prob.logit)
-        try:
-            out = self._solve(self.polish_lp, lo, hi, start)
-        except NumericalBreakdownError as exc:
-            self.breakdown = True
-            self.warnings.append(f"lp breakdown during witness polish: {exc}")
-            return
-        if out.status != OPTIMAL:
-            return
-        yield out.point[: self.cut_dim]
+        out = self._solve(self.polish_lp, lo, hi, start, " during witness polish")
+        if out is not None and out.status == OPTIMAL:
+            yield out.point[: self.cut_dim]
 
     def run(self) -> None:
         """Depth-first until the tree closes, a witness replays or the budget ends."""
         stack = [(self.prob.lp.lo.copy(), self.prob.lp.hi.copy(), None)]
-        while stack:
-            if self.witness is not None:
-                return
-            if self.out_of_budget():
+        budget = self.budget
+        while stack and self.witness is None:
+            if self.nodes >= budget.max_nodes or time.monotonic() - self.t0 > budget.max_seconds:
                 self.exhausted_budget = True
                 return
             stack.extend(self.process(*stack.pop()))
@@ -285,14 +266,12 @@ def verify(
     prob = encode(net, query)
     search = _Search(net, query, prob, budget, kernel)
     search.run()
-
-    wall = time.monotonic() - search.t0
     stats = {
         "nodes_explored": search.nodes,
         "lp_solves": search.lp_solves,
         "pivots": search.pivots,
         "max_depth": search.max_depth,
-        "wall_time": wall,
+        "wall_time": time.monotonic() - search.t0,
     }
     warnings = search.warnings
     if search.witness is not None:
@@ -306,7 +285,7 @@ def verify(
     elif search.exhausted_budget:
         status = UNKNOWN
         warnings.append("budget exhausted before the tree was closed")
-    elif search.breakdown or search.incomplete:
+    elif search.incomplete:
         status = UNKNOWN
         warnings.append(
             "search tree incomplete (numerical breakdown or unreplayable "

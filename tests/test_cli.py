@@ -202,6 +202,16 @@ def test_verify_budget_unknown_exit_three(workdir, tmp_path):
     assert rep["status"] == "unknown"
 
 
+@pytest.mark.parametrize("flag, value", [("--max-nodes", -1), ("--max-seconds", "nan"),
+                                         ("--max-seconds", -0.5)])
+def test_verify_refuses_a_negative_or_nan_budget(workdir, tmp_path, flag, value):
+    # a NaN time limit would otherwise never end the search
+    out = tmp_path / "v.json"
+    r = run_cli(["verify", "net.json", "query_safe.json", out, flag, value], workdir)
+    assert r.returncode == 2 and "must be >= 0" in r.stderr, r.stderr
+    assert not out.exists()
+
+
 def test_missing_network_file_is_input_error(workdir):
     r = run_cli(["verify", "nope.json", "query_safe.json", "x.json"], workdir)
     assert r.returncode == 2
@@ -702,6 +712,29 @@ def test_stats_with_risk_premise(workdir, tmp_path):
     )
     assert r.returncode == 0, r.stderr
     assert json.loads(r.stdout)["premise_checked"] is True
+
+
+@pytest.mark.parametrize("omitting", [False, True])
+def test_stats_refuses_a_risk_of_the_wrong_output_dim(workdir, tmp_path, omitting):
+    # the shape is checked whether or not the head omits a labeled sample
+    data = workdir / "data.csv"
+    if omitting:  # one label-1 row the head puts outside phi
+        data = tmp_path / "omit.csv"
+        save_dataset(Dataset(inputs=np.array([[-0.9, 0.0]]), labels=np.array([1])), str(data))
+
+    def stats(coeffs, rhs):
+        risk = tmp_path / "risk.json"
+        risk.write_text(json.dumps({"risk": [{"coeffs": coeffs, "op": ">=", "rhs": rhs}]}))
+        return run_cli(
+            ["stats", "net.json", "head.json", data, "--layer", 1, "--risk", risk], workdir
+        )
+
+    r = stats([1.0], -99.0)
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["premise_checked"] is not omitting
+    r = stats([1.0, 0.0, 0.0], 99.0)
+    assert r.returncode == 2 and r.stdout == ""
+    assert "risk clauses have dim 3, network outputs 1" in r.stderr, r.stderr
 
 
 @pytest.mark.parametrize("field", ["coeffs", "rhs"])

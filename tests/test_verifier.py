@@ -114,6 +114,19 @@ def test_budget_exhaustion_is_unknown():
     assert any("budget" in w for w in clipped.warnings)
 
 
+@pytest.mark.parametrize(
+    "kwargs", [{"max_nodes": -1}, {"max_seconds": -1.0}, {"max_seconds": float("nan")}]
+)
+def test_budget_refuses_negative_or_nan_limits(kwargs):
+    with pytest.raises(ValueError, match="must be >= 0"):
+        Budget(**kwargs)
+
+
+def test_zero_node_budget_explores_no_node():
+    got = verify(*_fractional_root_query(), budget=Budget(max_nodes=0, max_seconds=0.0))
+    assert got.status == "unknown" and got.stats["nodes_explored"] == 0
+
+
 def test_warm_breakdown_falls_back_to_cold_solve(monkeypatch):
     net, query = _fractional_root_query()
     plain = verify(net, query)
@@ -177,6 +190,41 @@ def test_witness_polish_solve_runs_when_snapped_candidates_fail(monkeypatch):
     got = verify(net, query)
     assert len(tried) == 5 and got.status == "unknown"
     assert any(w.startswith("unreplayable-leaf") for w in got.warnings)
+
+
+def test_cold_breakdown_during_witness_polish_is_unknown(monkeypatch):
+    # head weight 1.0 gives the polish LP a nonzero objective, so it runs
+    # phase 2; a kernel that stalls there breaks the warm polish and its
+    # cold retry, and the leaf ends unreplayable after the raw point and
+    # its three snaps were refused
+    net, query = _scalar_query(-0.1, 0.6, 1.0, 0.0, ">=", 0.5)
+    plain = verify(net, query)
+    assert plain.status == "unsafe"
+
+    tried = []
+    real_try = verifier._Search._try_witness
+
+    def refuse_unpolished(self, cand):
+        tried.append(cand.copy())
+        return real_try(self, cand)[:2] + (False,)
+
+    def kernel(*args):
+        if args[8] == 2:
+            return kernels.TINY_PIVOT, 0
+        return kernels.run_phase(*args)
+
+    monkeypatch.setattr(verifier._Search, "_try_witness", refuse_unpolished)
+    got = verify(net, query, kernel=kernel)
+    assert got.status == "unknown" and got.witness is None
+    assert got.stats["lp_solves"] == plain.stats["lp_solves"] + 2  # warm polish, cold retry
+    assert got.stats["nodes_explored"] == plain.stats["nodes_explored"]
+    assert len(tried) == 4
+    assert got.warnings[0] == (
+        "lp breakdown during witness polish: phase 2 stalled (kernel status 3)"
+    )
+    assert got.warnings[1].startswith("unreplayable-leaf")
+    assert got.warnings[2].startswith("search tree incomplete")
+    assert len(got.warnings) == 3
 
 
 def test_spurious_integral_solution_does_not_fool_verifier():
