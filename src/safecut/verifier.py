@@ -72,7 +72,7 @@ class Budget:
     max_seconds: float = float("inf")
 
     def __post_init__(self) -> None:
-        if self.max_nodes < 0 or not self.max_seconds >= 0:  # a NaN limit never ends
+        if not (self.max_nodes >= 0 and self.max_seconds >= 0):  # NaN fails too
             raise ValueError(f"budget limits must be >= 0: {self}")
 
 

@@ -115,9 +115,12 @@ def test_budget_exhaustion_is_unknown():
 
 
 @pytest.mark.parametrize(
-    "kwargs", [{"max_nodes": -1}, {"max_seconds": -1.0}, {"max_seconds": float("nan")}]
+    "kwargs",
+    [{"max_nodes": -1}, {"max_nodes": float("nan")}, {"max_seconds": -1.0},
+     {"max_seconds": float("nan")}],
 )
 def test_budget_refuses_negative_or_nan_limits(kwargs):
+    # a NaN limit would turn its limit off: `nodes >= nan` is never true
     with pytest.raises(ValueError, match="must be >= 0"):
         Budget(**kwargs)
 
