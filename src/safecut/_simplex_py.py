@@ -1,12 +1,14 @@
 """Pure-NumPy bounded-variable simplex kernel: a dual phase 1, a primal phase 2.
 
-This is the fallback for the compiled kernel in ``_simplex_c``.  The two
-implementations are kept *bitwise* interchangeable: every floating-point
-expression is written as the same sequence of elementwise multiply/divide/
-subtract operations (the extension is compiled with -ffp-contract=off so no
-FMA contraction sneaks in), and every tie breaks by strict inequality and
-the lowest variable id.  The benchmark and parity tests assert identical
-pivot sequences and end states.
+Phase 2 has this one implementation.  The compiled ``_simplex_c`` holds
+phase 1 alone, ``dual_phase``, which the ``ext`` kernel in kernels.py runs
+before it hands any phase 2 to this module.  The two phase 1s are kept
+*bitwise* interchangeable: every floating-point expression is written as
+the same sequence of elementwise multiply/divide/subtract operations (the
+extension is compiled with -ffp-contract=off so no FMA contraction sneaks
+in), and every tie breaks by strict inequality and the lowest variable id.
+So phase 2 continues from either one's state with the same bits; the
+benchmark and parity tests assert identical pivot sequences and end states.
 
 The tableau keeps only the nonbasic columns (the dictionary form): a basic
 column is a unit vector that a pivot leaves unchanged, so storing it would

@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import (
     DegenerateLabelsError,
+    EmptyDatasetError,
     ParseError,
     ShapeError,
     UnlabeledDataError,
@@ -101,6 +102,8 @@ def train(features: Dataset, cfg: TrainConfig, property_id: str = "phi") -> Char
     """Full-batch GD on logistic loss; early stop at 100% training accuracy."""
     if features.labels is None:
         raise UnlabeledDataError("training needs labeled features")
+    if features.labels.shape[0] == 0:
+        raise EmptyDatasetError("training needs at least one sample")
     y = features.labels.astype(np.float64)
     if len(np.unique(features.labels)) < 2:
         raise DegenerateLabelsError("training data contains a single class")

@@ -374,6 +374,15 @@ def test_train_characterizer_reads_its_seed(workdir, tmp_path):
     assert head(1, "a.json") == head(1, "b.json") != head(2, "c.json")
 
 
+def test_train_characterizer_on_a_header_only_csv_is_input_error(tiny_path, tmp_path):
+    # a dataset without a row is empty, not a single class, and writes nothing
+    (tmp_path / "h.csv").write_text("x0,x1,label\n")
+    r = run_cli(["train-characterizer", tiny_path, "h.csv", "head.json", "--layer", 1], tmp_path)
+    assert r.returncode == 2, r.stderr
+    assert r.stderr == "safecut: error: training needs at least one sample\n", r.stderr
+    assert not (tmp_path / "head.json").exists()
+
+
 def test_static_bounds_give_unconditional_verdict(workdir, tmp_path):
     r = run_cli(
         ["bounds", "net.json", str(tmp_path / "sb.json"), "--box=-1,1", "--layer", 1],
@@ -634,6 +643,8 @@ def test_monitor_overflowing_difference_is_a_strict_json_error_line(tiny_path, t
     ("nan,1", "input box lo[0] is NaN"),
     ("inf,inf", "input box lo[0] is +inf"),
     ("-inf,-inf", "input box hi[0] is -inf"),
+    ("1,2,3", "--box expects 'LO,HI'"),
+    ("a,b", "--box expects two reals"),
 ])
 def test_bad_box_endpoint_is_input_error(tiny_path, tmp_path, box, message):
     r = run_cli(["bounds", tiny_path, "b.json", f"--box={box}", "--layer", 1],

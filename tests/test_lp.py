@@ -162,6 +162,22 @@ def test_warm_start_agrees_with_cold_solve():
     assert seen == {OPTIMAL, INFEASIBLE}
 
 
+@pytest.mark.parametrize("rows, cols", [(3, 2), (2, 3), (1, 2)])
+def test_start_of_another_lp_shape_is_refused_untouched(rows, cols):
+    # the state of a 2 x 2 LP cannot seat an LP of other rows or columns:
+    # ShapeError, and the state handed in keeps every byte
+    box = [0.0, 0.0], [1.0, 1.0]
+    parent = solve_dense(LinearProgram(np.array([-1.0, -1.0]), np.array([[1.0, 1.0], [1.0, -1.0]]),
+                                       np.array([-1, -1], np.int8), np.array([1.0, 0.5]), *box))
+    assert parent.status == OPTIMAL
+    before = [a.tobytes() for a in parent.state]
+    other = LinearProgram(np.ones(cols), np.ones((rows, cols)), np.full(rows, -1, np.int8),
+                          np.ones(rows), np.zeros(cols), np.ones(cols))
+    with pytest.raises(ShapeError, match="start state does not match"):
+        solve_dense(other, start=parent.state)
+    assert [a.tobytes() for a in parent.state] == before
+
+
 def test_pricing_reduces_over_rows_in_order():
     # a reduced cost is cost[j] minus cost_B . D[:, j] summed row by row in
     # order, whatever the column's position in D, so permuting the columns

@@ -281,6 +281,16 @@ def test_check_premise_false_when_an_omitted_sample_hits_risk():
     assert check_premise(net, head, 1, data, risk) is False
 
 
+@pytest.mark.parametrize("op, holds", [("<", True), ("<=", False), (">", True), (">=", False)])
+def test_check_premise_on_the_rhs_exactly(op, holds):
+    # the omitted sample's output is the rhs itself: a strict clause misses
+    # it, so the premise holds; a non-strict one hits it
+    net, head = _identity_net(), _sign_head()
+    data = Dataset(inputs=np.array([[-2.0], [1.0]]), labels=np.array([1, 1]))
+    risk = RiskCondition(clauses=(RiskClause(coeffs=np.array([1.0]), op=op, rhs=-2.0),))
+    assert check_premise(net, head, 1, data, risk) is holds
+
+
 def test_check_premise_vacuous_without_omissions():
     net, head = _identity_net(), _sign_head()
     data = Dataset(inputs=np.array([[1.0], [2.0]]), labels=np.array([1, 1]))
