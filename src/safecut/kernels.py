@@ -33,6 +33,9 @@ def _compiled(module):
     def run_phase(D, z, xB, basis, nb, vstat, lo, hi, phase, viol_tol, dantzig_limit,
                   max_iter, opt_tol, tiny, dead):
         if phase == 1:
+            # phase 1 leaves z alone, but it is the state phase 2 continues from
+            if D.ndim == 2 and z.shape != (D.shape[1],):
+                raise ValueError(f"z has shape {z.shape}, D.shape gives ({D.shape[1]},)")
             return dual_phase(D, xB, basis, nb, vstat, lo, hi, viol_tol, dantzig_limit,
                               max_iter, tiny, dead)
         return _simplex_py.run_phase(D, z, xB, basis, nb, vstat, lo, hi, phase, viol_tol,

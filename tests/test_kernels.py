@@ -364,7 +364,7 @@ def _refused_args():
 @pytest.mark.parametrize(
     "case",
     [
-        "fortran_T", "int32_basis", "int64_T", "flat_T", "long_xB",
+        "fortran_T", "int32_basis", "int64_T", "flat_T", "short_z", "long_xB",
         "bad_basis", "short_nb", "bad_nb", "long_vstat", "float_dead", "long_dead",
         "readonly_dead",
     ],
@@ -381,6 +381,8 @@ def test_ext_refuses_malformed_arrays(av, case):
         D = D.astype(np.int64)
     elif case == "flat_T":
         D = D.ravel()
+    elif case == "short_z":
+        z = z[:-1].copy()
     elif case == "long_xB":
         xB = np.append(xB, 0.0)
     elif case == "bad_basis":
