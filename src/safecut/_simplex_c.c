@@ -1,12 +1,10 @@
 /* Compiled dual phase 1 of the bounded-variable simplex kernel.
  *
- * dual_phase mirrors phase 1 of _simplex_py.run_phase operation for
- * operation; the contract, the state arrays and the status codes are
- * documented there.  Phase 2, the primal simplex, lives only in
- * _simplex_py: the branch-and-bound nodes run phase 1 alone, and the
- * witness polish's rare phase 2 goes to the NumPy kernel (kernels._compiled
- * routes each call), which continues from this phase's state with the same
- * bits.
+ * dual_phase mirrors _simplex_py.dual_phase operation for operation, with
+ * the same signature; the state arrays and the status codes are documented
+ * there.  Phase 2, the primal simplex, is _simplex_py.primal_phase alone:
+ * the branch-and-bound nodes run phase 1 alone, and the witness polish's
+ * rare phase 2 continues from this phase's state with the same bits.
  *
  * The tableau D holds only the nonbasic columns, nb naming the variable of
  * each; a pivot hands the entering variable's column to the leaving one as
@@ -244,7 +242,7 @@ static PyObject *dual_phase(PyObject *self, PyObject *args)
 static PyMethodDef methods[] = {
     {"dual_phase", dual_phase, METH_VARARGS,
      "dual_phase(D, xB, basis, nb, vstat, lo, hi, viol_tol, dantzig_limit, max_iter,\n"
-     "tiny, dead): phase 1 of _simplex_py.run_phase; returns (status, iters)\n"
+     "tiny, dead): _simplex_py.dual_phase, compiled; returns (status, iters)\n"
      "and puts the row that proves it INFEASIBLE in dead[0]."},
     {NULL, NULL, 0, NULL},
 };

@@ -87,6 +87,8 @@ class ActivationBounds:
             object.__setattr__(self, "diff_hi", dhi)
         if self.provenance not in ("static", "dataset"):
             raise ParseError(f"unknown provenance {self.provenance!r}")
+        if self.sample_count < 0:
+            raise ParseError(f"'sample_count' must be >= 0, got {self.sample_count}")
 
     @property
     def dim(self) -> int:

@@ -199,7 +199,9 @@ def cmd_monitor(args: argparse.Namespace) -> int:
         pending += data
         cut = len(pending) if not data else max(pending.rfind(b"\n"), pending.rfind(b"\r")) + 1
         block, pending = pending[:cut], pending[cut:]
-        text = block.decode(sys.stdin.encoding, sys.stdin.errors)
+        # an undecodable byte becomes a lone surrogate, which fails its own
+        # row's parse, whatever error handler stdin was opened with
+        text = block.decode(sys.stdin.encoding, "surrogateescape")
         # universal newlines, as text-mode stdin reads them
         text = text.replace("\r\n", "\n").replace("\r", "\n")
         lines = [line for line in map(str.strip, text.split("\n")) if line]

@@ -40,8 +40,9 @@ checks that one row, violated beyond VIOL_TOL with no column above TINY
 that repairs it, and raises NumericalBreakdownError when the check fails,
 so a wrong kernel claim never prunes.  The outcome carries the row as
 ``proof_row`` with the state, and ``y = e_r B^-1`` gives the row
-multipliers of a certificate.  Phase 2, the primal simplex, then optimizes
-a nonzero objective.
+multipliers of a certificate.  Phase 1 is the kernel (kernels.py), which
+``kernel=`` may replace.  Phase 2, the primal simplex, then optimizes a
+nonzero objective; it is ``_simplex_py.primal_phase`` after either kernel.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import kernels
-from ._simplex_py import SCORE_SIGN
+from ._simplex_py import SCORE_SIGN, primal_phase
 from .errors import NumericalBreakdownError, ShapeError
 
 FEAS_TOL = 1e-7
@@ -244,23 +245,17 @@ def _recheck(x, A, rels, b, lo, hi) -> Optional[str]:
     return f"row {i}: {_STR_OF_REL[int(rels[i])]} violated by {excess[i]:.3e}"
 
 
-def _phase(run, cost, state, phase, dantzig_limit, dead):
-    """Price `cost` against the state's basis and run one kernel phase on it.
+def _phase(cost, state, dantzig_limit):
+    """Price `cost` against the state's basis and run phase 2 on it.
 
-    Phase 1 has zero cost.  Pricing sums ``cost_B * D`` over the rows in
-    order, so a reduced cost does not depend on where its column sits in D
-    (``np.add.reduce`` would sum a single column pairwise).
+    Pricing sums ``cost_B * D`` over the rows in order, so a reduced cost
+    does not depend on where its column sits in D (``np.add.reduce`` would
+    sum a single column pairwise).
     """
-    D, xB, basis, nb, vstat, lo_all, hi_all = state
-    if cost is None:
-        z = np.zeros(nb.shape[0])
-    else:
-        P = cost[basis][:, None] * D
-        z = cost[nb] - (np.add.accumulate(P, axis=0, out=P)[-1] if P.shape[0] else 0.0)
-    return run(
-        D, z, xB, basis, nb, vstat, lo_all, hi_all,
-        phase, VIOL_TOL, dantzig_limit, MAX_ITER, OPT_TOL, TINY, dead,
-    )
+    D, _, basis, nb = state[:4]
+    P = cost[basis][:, None] * D
+    z = cost[nb] - (np.add.accumulate(P, axis=0, out=P)[-1] if P.shape[0] else 0.0)
+    return primal_phase(D, z, *state[1:], dantzig_limit, MAX_ITER, OPT_TOL, TINY)
 
 
 def solve_dense(lp: LinearProgram, lo=None, hi=None, kernel=None, start=None) -> LpOutcome:
@@ -269,7 +264,8 @@ def solve_dense(lp: LinearProgram, lo=None, hi=None, kernel=None, start=None) ->
 
     ``start`` is the ``state`` of an earlier optimal outcome over the same
     ``A, rels, b``; the solve then begins from its basis instead of the
-    all-slack one (see module doc).
+    all-slack one (see module doc).  ``kernel`` is the dual phase 1 to run,
+    ``kernels.run_phase`` when None.
     """
     run = kernels.run_phase if kernel is None else kernel
     c, A, rels, b = lp.c, lp.A, lp.rels, lp.b
@@ -287,7 +283,7 @@ def solve_dense(lp: LinearProgram, lo=None, hi=None, kernel=None, start=None) ->
     dantzig_limit = 10 * (m + state[4].shape[0])
 
     dead = np.empty(1, dtype=np.int64)
-    status, pivots = _phase(run, None, state, 1, dantzig_limit, dead)
+    status, pivots = run(*state, VIOL_TOL, dantzig_limit, MAX_ITER, TINY, dead)
     if status == kernels.INFEASIBLE:
         r = int(dead[0])
         if not _is_dead(state, r):
@@ -298,7 +294,7 @@ def solve_dense(lp: LinearProgram, lo=None, hi=None, kernel=None, start=None) ->
 
     optimize = bool(c.any())
     if optimize:
-        status, iters = _phase(run, np.concatenate([c, np.zeros(m)]), state, 2, dantzig_limit, dead)
+        status, iters = _phase(np.concatenate([c, np.zeros(m)]), state, dantzig_limit)
         pivots += iters
         if status == kernels.UNBOUNDED:
             return LpOutcome(UNBOUNDED, pivots=pivots)

@@ -192,8 +192,9 @@ def tableau_run_phase(
     T, z, xB, basis, vstat, lo, hi, phase, viol_tol,
     dantzig_limit, max_iter, opt_tol, tiny, dead,
 ):
-    """The full-tableau kernel; same contract and status codes as
-    ``safecut._simplex_py.run_phase`` with T (m, N) in place of D and nb."""
+    """The full-tableau kernel: ``safecut._simplex_py.dual_phase`` (phase 1)
+    or ``primal_phase`` (phase 2), with their status codes, one argument
+    list for both and T (m, N) in place of D and nb."""
     m = T.shape[0]
     iters = 0
     dead[0] = -1

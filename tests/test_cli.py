@@ -433,6 +433,24 @@ def test_monitor_activation_rows(workdir):
     assert lines[0]["contained"] is True and lines[1]["contained"] is False
 
 
+def test_monitor_reports_an_undecodable_byte_as_its_rows_error(workdir):
+    # under strict decoding (the default of a UTF-8 locale) as under the C
+    # locale's surrogateescape: the byte that is not UTF-8 fails its own
+    # row, and the good rows of the same read are reported around it
+    for encoding in ("utf-8:strict", "utf-8:surrogateescape"):
+        r = subprocess.run(
+            [sys.executable, "-m", "safecut.cli", "monitor", "net.json", "bounds.json",
+             "--activations"],
+            input=b"0.2,0.2\n\xff\n5.0,5.0\n", capture_output=True, cwd=str(workdir),
+            env=child_env(PYTHONIOENCODING=encoding),
+        )
+        assert r.returncode == 0, (encoding, r.stderr)
+        lines = [json.loads(line) for line in r.stdout.splitlines()]
+        assert len(lines) == 3
+        assert lines[0]["contained"] is True and lines[2]["contained"] is False
+        assert lines[1] == {"error": "could not convert string to float: '\\udcff'", "sample_id": "1"}
+
+
 def test_monitor_has_no_tolerance_flag(workdir):
     # the monitor checks exactly the bounds file; slack goes in at build time
     r = run_cli(["monitor", "net.json", "bounds.json", "--tolerance", "0"], workdir,

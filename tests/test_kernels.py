@@ -1,8 +1,9 @@
 """The compiled kernel must be a bit-exact drop-in for the reference one.
 
-``ext`` runs the dual phase 1 in ``_simplex_c.dual_phase`` and hands phase 2
-to the NumPy kernel, so its phase-2 cases check that the NumPy phase 2
-continues from the compiled phase 1's state with the same bits.
+A kernel is a dual phase 1: ``_simplex_py.dual_phase`` or the compiled
+``_simplex_c.dual_phase``.  Phase 2 is ``_simplex_py.primal_phase`` after
+either one, so the phase-2 cases check that it continues from the compiled
+phase 1's state with the same bits.
 
 When ``safecut._simplex_c`` is not importable, the ``ext`` fixture builds it
 with the repository's ``setup.py`` into a temporary directory, so these
@@ -22,6 +23,7 @@ import numpy as np
 import pytest
 
 import safecut
+import safecut.lp as lp_module
 import safecut.verifier
 from safecut import _simplex_py, kernels, verify
 from safecut.errors import NumericalBreakdownError
@@ -76,7 +78,7 @@ def ext(tmp_path_factory):
 
 @pytest.fixture
 def av(ext):
-    return {"py": _simplex_py.run_phase, "ext": kernels._compiled(ext[0])}
+    return {"py": _simplex_py.dual_phase, "ext": ext[0].dual_phase}
 
 
 def test_both_kernels_registered():
@@ -218,21 +220,30 @@ def _anchored_lp(rng, zero_objective, integral):
 
 
 class _Recorder:
-    """A kernel wrapper that counts what each call exercised."""
+    """Solves with one kernel and counts what each phase call exercised."""
 
     def __init__(self, run):
         self.run = run
         self.seen = dict(dual=0, phase2=0, free=0, flips=0)
 
-    def __call__(self, D, z, xB, basis, nb, vstat, lo, hi, phase, *rest):
+    def _count(self, kind, run, vstat, args):
         before = vstat.copy()
-        status, iters = self.run(D, z, xB, basis, nb, vstat, lo, hi, phase, *rest)
-        self.seen["dual"] += phase == 1 and iters > 0
-        self.seen["phase2"] += phase == 2 and iters > 0
+        status, iters = run(*args)
+        self.seen[kind] += iters > 0
         self.seen["free"] += bool((before == 3).any())
         # a nonbasic column that ends at its other bound: mostly bound flips
         self.seen["flips"] += int((before * vstat == 2).sum())
         return status, iters
+
+    def dual(self, *args):  # (D, xB, basis, nb, vstat, ...)
+        return self._count("dual", self.run, args[4], args)
+
+    def primal(self, *args):  # (D, z, xB, basis, nb, vstat, ...)
+        return self._count("phase2", _simplex_py.primal_phase, args[5], args)
+
+    def solve(self, monkeypatch, *args, **kwargs):
+        monkeypatch.setattr(lp_module, "primal_phase", self.primal)
+        return solve_dense(*args, kernel=self.dual, **kwargs)
 
 
 def _assert_same_outcome(a, b):
@@ -245,7 +256,7 @@ def _assert_same_outcome(a, b):
         assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
 
 
-def test_phase2_and_warm_chain_states_match_bitwise(av):
+def test_phase2_and_warm_chain_states_match_bitwise(av, monkeypatch):
     # every solve of a cold start and three warm children in a row, each
     # kernel from its own previous state: the same outcome, point, proof row
     # and seven state arrays to the byte after phase 2, not only after the
@@ -259,7 +270,7 @@ def test_phase2_and_warm_chain_states_match_bitwise(av):
         else:
             c, A, rels, b, lo, hi = _anchored_lp(rng, k % 2 == 0, integral=k % 4 >= 2)
         lp = LinearProgram(c, A, rels, b, lo, hi)
-        outs = {name: solve_dense(lp, kernel=rec[name]) for name in av}
+        outs = {name: rec[name].solve(monkeypatch, lp) for name in av}
         assert k < 300 or outs["py"].status == OPTIMAL  # so warm children follow
         for depth in range(4):  # the cold solve, then three warm children
             _assert_same_outcome(outs["py"], outs["ext"])
@@ -276,7 +287,7 @@ def test_phase2_and_warm_chain_states_match_bitwise(av):
             if rng.random() < 0.3:  # a new objective, as the witness polish sets
                 lp = dataclasses.replace(lp, c=rng.normal(size=len(c)))
             outs = {
-                name: solve_dense(lp, lo, hi, kernel=rec[name], start=out.state)
+                name: rec[name].solve(monkeypatch, lp, lo, hi, start=out.state)
                 for name, out in outs.items()
             }
     assert rec["py"].seen == rec["ext"].seen
@@ -297,13 +308,13 @@ def test_verify_searches_alike_with_both_kernels(av):
 
 
 def _phase1_args(c, A, rels, b, lo, hi):
-    """run_phase arrays of the LP's slack start, or None if no row of it is
-    violated."""
+    """Dual phase arrays (D, xB, basis, nb, vstat, lo, hi) of the LP's slack
+    start, or None if no row of it is violated."""
     state = _warm_state(_slack_basis(A, rels, b, lo, hi), A, lo, hi)
     D, xB, basis, nb, vstat, lo_all, hi_all = state
     if not (np.maximum(lo_all[basis] - xB, xB - hi_all[basis]) > VIOL_TOL).any():
         return None
-    return [D, np.zeros(nb.shape[0]), xB, basis, nb, vstat, lo_all, hi_all]
+    return list(state)
 
 
 # (dantzig_limit, tiny): the solver's Dantzig-then-Bland schedule; Bland's
@@ -314,38 +325,43 @@ def _phase1_args(c, A, rels, b, lo, hi):
     "dantzig_limit, tiny", [(None, 1e-11), (0, 1e-11), (0, 0.3)]
 )
 def test_run_phase_state_arrays_match_bitwise(av, dantzig_limit, tiny):
-    # the dual phase 1 from a slack start, then phase 2 on a random cost
-    # from where it ended: status, iterations, every array and the row
-    # handed back in `dead` to the byte after each; an infeasible dual phase
-    # hands back a row that is dead
+    # each kernel's dual phase 1 from a slack start, then the primal phase 2
+    # on a random cost from where that kernel's phase 1 ended: status,
+    # iterations, every array and the row handed back in `dead` to the byte
+    # after each; an infeasible dual phase hands back a row that is dead
     rng = np.random.default_rng(77)
     statuses = {1: set(), 2: set()}
     for _ in range(400):
         lp = synth.random_lp(rng)
         if _phase1_args(*lp) is None:
             continue
-        args = {name: _phase1_args(*lp) for name in av}
-        cost = rng.normal(size=args["py"][5].shape[0])
-        for phase in (1, 2):
-            out = {}
-            for name, kern in av.items():
-                arrays = args[name]
-                D, z, basis, nb = arrays[0], arrays[1], arrays[3], arrays[4]
-                if phase == 2:
-                    P = cost[basis][:, None] * D
-                    z[:] = cost[nb] - np.add.accumulate(P, axis=0)[-1]
-                limit = 10 * (D.shape[0] + arrays[5].shape[0]) if dantzig_limit is None else dantzig_limit
-                dead = np.full(1, 7, dtype=np.int64)
-                status, iters = kern(*arrays, phase, VIOL_TOL, limit, 50_000, 1e-7, tiny, dead)
-                if status != kernels.INFEASIBLE:
-                    assert dead[0] == -1
-                elif tiny == 1e-11:  # the pivot floor solve_dense checks with
-                    assert _is_dead(arrays[:1] + arrays[2:], int(dead[0]))
-                out[name] = (status, iters, int(dead[0]), [a.tobytes() for a in arrays])
-            assert out["py"] == out["ext"]  # every byte, zero signs too
-            statuses[phase].add(out["py"][0])
-            if out["py"][0] != kernels.OPTIMAL:
-                break
+        arrays = {name: _phase1_args(*lp) for name in av}
+        m, N = arrays["py"][1].shape[0], arrays["py"][4].shape[0]
+        cost = rng.normal(size=N)
+        limit = 10 * (m + N) if dantzig_limit is None else dantzig_limit
+        out = {}
+        for name, kern in av.items():
+            dead = np.full(1, 7, dtype=np.int64)
+            status, iters = kern(*arrays[name], VIOL_TOL, limit, 50_000, tiny, dead)
+            if status != kernels.INFEASIBLE:
+                assert dead[0] == -1
+            elif tiny == 1e-11:  # the pivot floor solve_dense checks with
+                assert _is_dead(arrays[name], int(dead[0]))
+            out[name] = (status, iters, int(dead[0]), [a.tobytes() for a in arrays[name]])
+        assert out["py"] == out["ext"]  # every byte, zero signs too
+        statuses[1].add(out["py"][0])
+        if out["py"][0] != kernels.OPTIMAL:
+            continue
+        for name in av:
+            D, _, basis, nb = arrays[name][:4]
+            P = cost[basis][:, None] * D
+            z = cost[nb] - np.add.accumulate(P, axis=0)[-1]
+            status, iters = _simplex_py.primal_phase(
+                D, z, *arrays[name][1:], limit, 50_000, 1e-7, tiny
+            )
+            out[name] = (status, iters, [a.tobytes() for a in [z] + arrays[name]])
+        assert out["py"] == out["ext"]
+        statuses[2].add(out["py"][0])
     assert statuses[1] == {kernels.OPTIMAL, kernels.INFEASIBLE}
     assert kernels.OPTIMAL in statuses[2]
     if tiny == 0.3:
@@ -353,7 +369,7 @@ def test_run_phase_state_arrays_match_bitwise(av, dantzig_limit, tiny):
 
 
 def _refused_args():
-    """Phase-1 arguments of an LP with at least 2 rows and 2 columns."""
+    """Dual phase arrays of an LP with at least 2 rows and 2 columns."""
     rng = np.random.default_rng(5)
     while True:
         args = _phase1_args(*synth.random_lp(rng))
@@ -364,13 +380,13 @@ def _refused_args():
 @pytest.mark.parametrize(
     "case",
     [
-        "fortran_T", "int32_basis", "int64_T", "flat_T", "short_z", "long_xB",
+        "fortran_T", "int32_basis", "int64_T", "flat_T", "long_xB",
         "bad_basis", "short_nb", "bad_nb", "long_vstat", "float_dead", "long_dead",
         "readonly_dead",
     ],
 )
 def test_ext_refuses_malformed_arrays(av, case):
-    D, z, xB, basis, nb, vstat, lo, hi = _refused_args()
+    D, xB, basis, nb, vstat, lo, hi = _refused_args()
     dead = np.full(1, 7, dtype=np.int64)
     # "T" in a case id is the tableau, D
     if case == "fortran_T":
@@ -381,8 +397,6 @@ def test_ext_refuses_malformed_arrays(av, case):
         D = D.astype(np.int64)
     elif case == "flat_T":
         D = D.ravel()
-    elif case == "short_z":
-        z = z[:-1].copy()
     elif case == "long_xB":
         xB = np.append(xB, 0.0)
     elif case == "bad_basis":
@@ -401,12 +415,27 @@ def test_ext_refuses_malformed_arrays(av, case):
         dead = np.append(dead, 7)
     elif case == "readonly_dead":
         dead.setflags(write=False)
-    bad = [D, z, xB, basis, nb, vstat, lo, hi, dead]
+    bad = [D, xB, basis, nb, vstat, lo, hi, dead]
     before = [a.copy() for a in bad]
     with pytest.raises((ValueError, BufferError)):
-        av["ext"](*bad[:8], 1, 1e-9, 100, 50_000, 1e-7, 1e-11, dead)
+        av["ext"](*bad[:7], 1e-9, 100, 50_000, 1e-11, dead)
     for a, a0 in zip(bad, before):
         assert a.tobytes() == a0.tobytes()
+
+
+def test_primal_phase_refuses_a_z_of_the_wrong_shape():
+    # phase 2 reads z at every column of D: a z one short, or of length 1,
+    # which NumPy would broadcast, raises ValueError and leaves every array
+    # as it was
+    D, xB, basis, nb, vstat, lo, hi = _refused_args()
+    w = D.shape[1]
+    rng = np.random.default_rng(6)
+    for z in (rng.normal(size=w - 1), rng.normal(size=1)):
+        arrays = [D, z, xB, basis, nb, vstat, lo, hi]
+        before = [a.tobytes() for a in arrays]
+        with pytest.raises(ValueError, match="z has shape"):
+            _simplex_py.primal_phase(*arrays, 100, 50_000, 1e-7, 1e-11)
+        assert [a.tobytes() for a in arrays] == before
 
 
 class _Lockstep:
@@ -414,24 +443,34 @@ class _Lockstep:
 
     Each of the three walks its own chain of warm starts; the states of one
     solve are filed under the state its caller will hand back as ``start``
-    (the ``py`` one).  After every phase, the dual phase 1 and phase 2, the
-    kernels must match the reference: status, iterations, z, xB, basis,
-    vstat and bounds to the byte, ``D`` equal to ``T[:, nb]``, zero signs
-    included, and the row handed back in ``dead``; an infeasible outcome
-    must name the reference's proof row.
+    (the ``py`` one).  After every phase, the kernel's dual phase 1 and
+    ``primal_phase``, which `safecut.lp` calls through its module attribute,
+    each kernel's solve must match the reference: status, iterations, xB,
+    basis, vstat and bounds to the byte, z after phase 2, ``D`` equal to
+    ``T[:, nb]``, zero signs included, and the row handed back in ``dead``;
+    an infeasible outcome must name the reference's proof row.
     """
 
-    def __init__(self, av):
+    # (dead row, arrays) of a call's arguments: the dual phase's
+    # (D, xB, ..., dead), the primal phase's (D, z, xB, ...) and the
+    # reference's (T, z, xB, basis, vstat, lo, hi, ..., dead)
+    _DUAL = staticmethod(lambda a: (int(a[-1][0]), (a[0], None) + a[1:7]))
+    _PRIMAL = staticmethod(lambda a: (-1, a[:8]))
+    _REF = staticmethod(lambda a: (int(a[-1][0]), a[:7]))
+
+    def __init__(self, av, monkeypatch):
         self.av = av
+        self.monkeypatch = monkeypatch
         self.chains = {}  # id(py state) -> (py state, {name: start})
         self.phases = 0
         self.statuses = set()
 
     @staticmethod
-    def _recording(run, log):
+    def _recording(run, log, unpack):
         def recorded(*args):
             status, iters = run(*args)
-            log.append((status, iters, int(args[-1][0]), [a.copy() for a in args[:-7]]))
+            dead, arrays = unpack(args)
+            log.append((status, iters, dead, [None if a is None else a.copy() for a in arrays]))
             return status, iters
 
         return recorded
@@ -443,15 +482,19 @@ class _Lockstep:
         logs = {name: [] for name in starts}
         outs = {}
         for name, run in self.av.items():
+            primal = self._recording(_simplex_py.primal_phase, logs[name], self._PRIMAL)
+            self.monkeypatch.setattr(lp_module, "primal_phase", primal)
             try:
                 outs[name] = solve_dense(
-                    lp, lo, hi, kernel=self._recording(run, logs[name]), start=starts[name],
+                    lp, lo, hi, kernel=self._recording(run, logs[name], self._DUAL),
+                    start=starts[name],
                 )
             except NumericalBreakdownError:
                 outs[name] = None
         ref = oracles.tableau_solve(
             lp, lo, hi,
-            run=self._recording(oracles.tableau_run_phase, logs["ref"]), start=starts["ref"],
+            run=self._recording(oracles.tableau_run_phase, logs["ref"], self._REF),
+            start=starts["ref"],
         )
         for name in self.av:
             self._assert_phases_match(logs[name], logs["ref"])
@@ -482,14 +525,14 @@ class _Lockstep:
                 assert a.dtype == w.dtype and a.tobytes() == w.tobytes()
             assert np.array_equal(np.sort(nb), np.flatnonzero(wvstat != 0))
             assert D.tobytes() == np.ascontiguousarray(T[:, nb]).tobytes()
-            assert z.tobytes() == wz[nb].tobytes()
+            assert z is None or z.tobytes() == wz[nb].tobytes()
 
 
 def test_both_kernels_match_the_full_tableau_reference(av, monkeypatch):
     # random LPs and chains of warm children, then a whole branch and bound:
     # after every phase both nonbasic-only kernels hold exactly the values
     # the full tableau holds, and they reach the same outcomes and proof rows
-    lock = _Lockstep(av)
+    lock = _Lockstep(av, monkeypatch)
     rng = np.random.default_rng(12)
     for k in range(200):
         c, A, rels, b, lo, hi = (synth.random_lp if k % 2 else _gaussian_lp)(rng)

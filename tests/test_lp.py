@@ -178,7 +178,7 @@ def test_start_of_another_lp_shape_is_refused_untouched(rows, cols):
     assert [a.tobytes() for a in parent.state] == before
 
 
-def test_pricing_reduces_over_rows_in_order():
+def test_pricing_reduces_over_rows_in_order(monkeypatch):
     # a reduced cost is cost[j] minus cost_B . D[:, j] summed row by row in
     # order, whatever the column's position in D, so permuting the columns
     # permutes the reduced costs to the byte; a BLAS product would not, nor
@@ -196,8 +196,9 @@ def test_pricing_reduces_over_rows_in_order():
             seen.append(z.copy())
             return 0, 0
 
+        monkeypatch.setattr(lp_module, "primal_phase", run)
         state = (D, np.zeros(m), basis, nb, None, None, None)
-        _phase(run, cost, state, 2, 0, None)
+        _phase(cost, state, 0)
         want = cost[nb].copy()
         for j in range(m and n):
             dot = cost[basis[0]] * D[0, j]
@@ -206,7 +207,7 @@ def test_pricing_reduces_over_rows_in_order():
             want[j] -= dot
         assert seen[0].tobytes() == want.tobytes()
         perm = rng.permutation(n)
-        _phase(run, cost, (np.ascontiguousarray(D[:, perm]),) + state[1:3] + (nb[perm],) + state[4:], 2, 0, None)
+        _phase(cost, (np.ascontiguousarray(D[:, perm]),) + state[1:3] + (nb[perm],) + state[4:], 0)
         assert seen[1].tobytes() == want[perm].tobytes()
 
 
@@ -448,15 +449,16 @@ def test_dead_row_check_matches_the_tableau_reference():
 
 
 def test_only_a_phase_2_optimum_is_rechecked():
-    # a kernel whose every phase ends with the basic values moved far off:
+    # a kernel whose dual phase ends with the basic values moved far off:
     # the zero-objective solve hands the moved point back unchecked (a
     # search only steers by it and replays any witness it takes from it),
-    # an objective's phase-2 optimum fails the recheck
+    # while phase 2 continues from the moved state of an objective's solve
+    # to an optimum that fails the recheck
     lp = LinearProgram(np.zeros(2), [[1.0, 1.0]], [REL_GE], [3.0], np.zeros(2), np.full(2, 2.0))
 
     def moved(*args):
         status, iters = kernels.run_phase(*args)
-        args[2][:] += 1e3  # xB
+        args[1][:] += 1e3  # xB
         return status, iters
 
     out = solve_dense(lp, kernel=moved)
@@ -469,12 +471,10 @@ def _lying_kernel(row):
     """A kernel that runs the real one, then claims its dual phase ended
     INFEASIBLE on `row` (a function of the state's xB)."""
 
-    def run(D, z, xB, basis, nb, vstat, lo, hi, phase, *rest):
-        status, iters = kernels.run_phase(D, z, xB, basis, nb, vstat, lo, hi, phase, *rest)
-        if phase == 1:
-            rest[-1][0] = row(xB)
-            return kernels.INFEASIBLE, iters
-        return status, iters
+    def run(D, xB, *rest):
+        status, iters = kernels.run_phase(D, xB, *rest)
+        rest[-1][0] = row(xB)
+        return kernels.INFEASIBLE, iters
 
     return run
 
@@ -489,7 +489,7 @@ def test_a_kernel_naming_a_repairable_row_dead_breaks_down():
 
     def stopped(*args):
         args = list(args)
-        args[11] = 0  # max_iter
+        args[9] = 0  # max_iter
         kernels.run_phase(*args)
         args[-1][0] = 0
         return kernels.INFEASIBLE, 0

@@ -393,6 +393,19 @@ def test_fractional_integer_field_is_parse_error(tmp_path, tiny_net, name, field
     assert str(err.value).startswith(str(tmp_path / name) + ": ")
 
 
+def test_negative_sample_count_is_parse_error(tmp_path, tiny_net):
+    # no envelope is built from fewer than zero samples: the file is
+    # refused by name, not verified against
+    import json
+
+    objs = _query_files(tmp_path, tiny_net)
+    objs["b.json"]["sample_count"] = -3
+    (tmp_path / "b.json").write_text(json.dumps(objs["b.json"]))
+    with pytest.raises(ParseError, match="'sample_count' must be >= 0, got -3") as err:
+        load_query(str(tmp_path / "q.json"))
+    assert str(err.value).startswith(str(tmp_path / "b.json") + ": ")
+
+
 def test_integral_float_reads_as_its_integer(tmp_path, tiny_net):
     import json
 

@@ -192,6 +192,33 @@ def test_continued_fraction_error_bound_covers_its_rounding():
     assert worst > 16 * eps
 
 
+class _ExpReturns:
+    """The math module, but for an exp that returns `value`."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def exp(self, _):
+        return self.value
+
+
+def test_covers_nothing_it_has_not_certified_at_one_minus_delta(monkeypatch):
+    # _covers decides I_x(a, b) >= 1 - delta on a certified lower bound L of
+    # I_x, here set through exp.  The float 1 - delta lies below the real
+    # one for delta = 0.3 (and above it for 0.1), so an L equal to that
+    # float certifies nothing; one ulp above it covers every delta
+    for delta in (0.3, 0.1, 0.05, 1e-3, 0.7):
+        one_minus = 1.0 - delta
+        for L in (math.nextafter(one_minus, 0.0), one_minus, math.nextafter(one_minus, 2.0)):
+            monkeypatch.setattr(stats, "math", _ExpReturns(L))
+            got = stats._covers(3, 5, 0.1, delta)  # x below (a + 1) / (a + b + 2)
+            assert not got or Fraction(L) >= 1 - Fraction(delta), (delta, L)
+            assert got == (L > one_minus), (delta, L)
+
+
 @pytest.mark.parametrize("n10, n", [(-1, 10), (2.5, 10), (True, 10), (1, 10.0), (1, -3), (0, False)])
 def test_gamma_upper_bound_refuses_what_is_no_count(n10, n):
     with pytest.raises(ValueError, match="integer count"):

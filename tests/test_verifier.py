@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import safecut.lp
 from safecut import kernels, verifier
 from safecut.bounds import ActivationBounds
 from safecut.characterizer import Characterizer
@@ -197,9 +198,9 @@ def test_witness_polish_solve_runs_when_snapped_candidates_fail(monkeypatch):
 
 def test_cold_breakdown_during_witness_polish_is_unknown(monkeypatch):
     # head weight 1.0 gives the polish LP a nonzero objective, so it runs
-    # phase 2; a kernel that stalls there breaks the warm polish and its
-    # cold retry, and the leaf ends unreplayable after the raw point and
-    # its three snaps were refused
+    # phase 2; a phase 2 that stalls breaks the warm polish and its cold
+    # retry, and the leaf ends unreplayable after the raw point and its
+    # three snaps were refused
     net, query = _scalar_query(-0.1, 0.6, 1.0, 0.0, ">=", 0.5)
     plain = verify(net, query)
     assert plain.status == "unsafe"
@@ -211,13 +212,12 @@ def test_cold_breakdown_during_witness_polish_is_unknown(monkeypatch):
         tried.append(cand.copy())
         return real_try(self, cand)[:2] + (False,)
 
-    def kernel(*args):
-        if args[8] == 2:
-            return kernels.TINY_PIVOT, 0
-        return kernels.run_phase(*args)
+    def stalled(*args):
+        return kernels.TINY_PIVOT, 0
 
     monkeypatch.setattr(verifier._Search, "_try_witness", refuse_unpolished)
-    got = verify(net, query, kernel=kernel)
+    monkeypatch.setattr(safecut.lp, "primal_phase", stalled)
+    got = verify(net, query)
     assert got.status == "unknown" and got.witness is None
     assert got.stats["lp_solves"] == plain.stats["lp_solves"] + 2  # warm polish, cold retry
     assert got.stats["nodes_explored"] == plain.stats["nodes_explored"]
@@ -445,9 +445,9 @@ def test_corrupt_phase1_point_at_a_leaf_is_unknown_never_safe_or_unsafe():
         bins = list(encode(net, query).binaries)
         corrupted = []
 
-        def kernel(D, z, xB, basis, nb, vstat, lo, hi, phase, *rest):
-            status, iters = kernels.run_phase(D, z, xB, basis, nb, vstat, lo, hi, phase, *rest)
-            if phase == 1 and status == kernels.INFEASIBLE and (lo[bins] == hi[bins]).all():
+        def kernel(D, xB, basis, nb, vstat, lo, hi, *rest):
+            status, iters = kernels.run_phase(D, xB, basis, nb, vstat, lo, hi, *rest)
+            if status == kernels.INFEASIBLE and (lo[bins] == hi[bins]).all():
                 xB += 1e3
                 corrupted.append(True)
                 return kernels.OPTIMAL, iters
